@@ -8,10 +8,15 @@
 //! ```text
 //! cargo test -q -p brsmn-bench --features alloc-count --test alloc_count
 //! ```
+//!
+//! The count is process-wide, and the harness runs tests on parallel
+//! threads, so every test holds [`one_at_a_time`]'s lock for its whole body:
+//! no test is charged another's allocations.
 #![cfg(feature = "alloc-count")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use brsmn_bench::dense_batch;
 use brsmn_core::{
@@ -48,8 +53,18 @@ fn allocs() -> u64 {
     ALLOCS.load(Ordering::SeqCst)
 }
 
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Serializes the tests of this binary. A test that fails while holding
+/// the lock poisons it; the guarded value is `()`, so later tests take the
+/// guard anyway and report their own result.
+fn one_at_a_time() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[test]
 fn fast_path_steady_state_allocates_nothing() {
+    let _serial = one_at_a_time();
     let n = 256;
     let net = Brsmn::new(n).unwrap();
     let batch = dense_batch(n, 8, 3);
@@ -82,6 +97,7 @@ fn fast_path_steady_state_allocates_nothing() {
 
 #[test]
 fn warm_plan_cache_hit_allocates_nothing() {
+    let _serial = one_at_a_time();
     // A warm hit is the engine's steady state for repeated frames:
     // fingerprint the assignment, look the plan up, replay it into the
     // arena. All three must be heap-silent at n = 256.
@@ -127,6 +143,7 @@ fn warm_plan_cache_hit_allocates_nothing() {
 
 #[test]
 fn soa_batch_planning_steady_state_allocates_nothing() {
+    let _serial = one_at_a_time();
     // The lockstep SoA planner shares the invariant of the per-frame fast
     // path: after one warm-up batch at a fixed (n, frames) shape, planning
     // and executing a whole batch — and reading every delivery out of the
@@ -169,6 +186,7 @@ fn soa_batch_planning_steady_state_allocates_nothing() {
 
 #[test]
 fn profiled_paths_stay_heap_silent() {
+    let _serial = one_at_a_time();
     // The per-op planning profiler must be free in steady state on both the
     // scalar and the SoA paths: op tallies are plain adds on TLS/arena
     // state, and the ProfClock reads compile to constants without the
@@ -217,6 +235,7 @@ fn profiled_paths_stay_heap_silent() {
 
 #[test]
 fn reference_path_allocates_per_frame() {
+    let _serial = one_at_a_time();
     // Sanity check that the counter works at all: the PR-1 reference router
     // allocates heavily on every frame.
     let n = 64;

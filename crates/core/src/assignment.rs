@@ -7,7 +7,6 @@
 
 use brsmn_topology::{check_size, SizeError};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// Errors constructing a multicast assignment.
@@ -91,7 +90,7 @@ impl From<SizeError> for AssignmentError {
 /// assert_eq!(asg.source_of_output(4), Some(2));
 /// assert!(!asg.is_permutation()); // input 2 has fanout 3
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MulticastAssignment {
     n: usize,
     /// `dests[i]` is `I_i`, sorted ascending.
@@ -101,7 +100,12 @@ pub struct MulticastAssignment {
 impl MulticastAssignment {
     /// Builds and validates an assignment from raw destination sets.
     /// Duplicate entries within one set are merged.
-    pub fn from_sets(n: usize, sets: Vec<Vec<usize>>) -> Result<Self, AssignmentError> {
+    ///
+    /// Each set is sorted and deduplicated in place (a set that is already
+    /// strictly increasing is left alone) and stored exactly sized. The
+    /// first error reported is the one met walking the inputs in order and
+    /// each set's distinct destinations in ascending order.
+    pub fn from_sets(n: usize, mut sets: Vec<Vec<usize>>) -> Result<Self, AssignmentError> {
         check_size(n)?;
         if sets.len() != n {
             return Err(AssignmentError::WrongInputCount {
@@ -110,10 +114,12 @@ impl MulticastAssignment {
             });
         }
         let mut claimed: Vec<Option<usize>> = vec![None; n];
-        let mut dests = Vec::with_capacity(n);
-        for (input, set) in sets.into_iter().enumerate() {
-            let uniq: BTreeSet<usize> = set.into_iter().collect();
-            for &d in &uniq {
+        for (input, set) in sets.iter_mut().enumerate() {
+            if !set.windows(2).all(|w| w[0] < w[1]) {
+                set.sort_unstable();
+                set.dedup();
+            }
+            for &d in set.iter() {
                 if d >= n {
                     return Err(AssignmentError::DestOutOfRange { input, dest: d });
                 }
@@ -126,9 +132,14 @@ impl MulticastAssignment {
                 }
                 claimed[d] = Some(input);
             }
-            dests.push(uniq.into_iter().collect());
+            if set.capacity() != set.len() {
+                // A fresh exact allocation, not `shrink_to_fit`: shrinking
+                // in place leaves a small set in its grown allocator chunk.
+                *set = set.to_vec();
+            }
         }
-        Ok(MulticastAssignment { n, dests })
+        sets.shrink_to_fit();
+        Ok(MulticastAssignment { n, dests: sets })
     }
 
     /// The empty assignment (no input carries a message).
@@ -211,6 +222,31 @@ impl MulticastAssignment {
         format!("{{{}}}", parts.join(", "))
     }
 }
+
+/// Written by hand rather than derived: the derived `==` hands all `n`
+/// sets to `memcmp`, and comparing two *empty* `Vec`s through their
+/// dangling pointers can take a slow path in some `memcmp`s (see
+/// EXPERIMENTS.md). A frame holds mostly empty sets, and both plan-cache
+/// tiers guard every hit with this comparison, so it checks `n`, then every
+/// set's length, then the contents of the non-empty sets only.
+impl PartialEq for MulticastAssignment {
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n
+            && self.dests.len() == other.dests.len()
+            && self
+                .dests
+                .iter()
+                .zip(&other.dests)
+                .all(|(a, b)| a.len() == b.len())
+            && self
+                .dests
+                .iter()
+                .zip(&other.dests)
+                .all(|(a, b)| a.is_empty() || a[..] == b[..])
+    }
+}
+
+impl Eq for MulticastAssignment {}
 
 impl fmt::Display for MulticastAssignment {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -147,8 +147,9 @@ impl BatchPlanner {
     /// share the arena's `n`). On success the delivered lines of frame `f`
     /// are readable via [`BatchPlanner::frame_result`], and `captures[f]`
     /// (when given) holds frame `f`'s complete captured plan. `timer`
-    /// receives exactly the records the scalar path would produce for every
-    /// frame (block durations are split evenly across the batch).
+    /// receives the counts the scalar path would produce for every frame,
+    /// with one clock pair per level and one for the final stage covering
+    /// all frames.
     ///
     /// On the first frame error the whole call aborts with that error; the
     /// caller falls back to scalar routing for every frame of the batch.
@@ -188,10 +189,10 @@ impl BatchPlanner {
         let mut size = n;
         let mut level = 1;
         while size > 2 {
+            let t0 = Instant::now();
             for b in 0..n / size {
                 let base = b * size;
                 let mid = base + size / 2;
-                let t0 = Instant::now();
                 sweep.begin(fr, size);
 
                 // Entry tags fused with the SoA tag packing, all frames in
@@ -241,31 +242,29 @@ impl BatchPlanner {
                     run_block_fast(&mut lines[f * n..(f + 1) * n], base, size, &settings[f], wiring)?;
                     leave_block(&mut lines[f * n..(f + 1) * n], base, size)?;
                 }
-
-                // The scalar path records one BSN per (frame, block); split
-                // the lockstep block's wall time evenly so counts match
-                // exactly and durations stay additive.
-                let share = t0.elapsed() / fr as u32;
-                for _ in 0..fr {
-                    timer.record_bsn(level, size, share);
-                }
             }
+            // One clock pair per level for the whole chunk; the block count
+            // is what the scalar path records, one BSN per (frame, block).
+            timer.record_bsns(level, size, (fr * (n / size)) as u64, t0.elapsed());
             size /= 2;
             level += 1;
         }
 
-        // Final level: n/2 plain 2×2 switches, per frame.
+        // Final level: n/2 plain 2×2 switches per frame, one clock pair for
+        // the whole chunk's final stage.
+        let t0 = Instant::now();
         for (f, asg) in asgs.iter().enumerate() {
             let frame_lines = &mut lines[f * n..(f + 1) * n];
             for lo in (0..n).step_by(2) {
-                let t0 = Instant::now();
                 let setting = final_switch_fast(asg, frame_lines, lo, &mut None)?;
                 if let Some(caps) = captures.as_deref_mut() {
                     caps[f].set_final(lo / 2, setting);
                 }
-                timer.record_final(t0.elapsed());
             }
-            verify_delivery(asg, frame_lines)?;
+        }
+        timer.record_final_stage((fr * n / 2) as u64, t0.elapsed());
+        for (f, asg) in asgs.iter().enumerate() {
+            verify_delivery(asg, lines[f * n..(f + 1) * n].iter().map(|l| l.src))?;
         }
 
         // Drain the lockstep sweep's per-op profile into the batch timer.

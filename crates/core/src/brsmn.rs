@@ -292,14 +292,7 @@ impl Brsmn {
             }
         }
         fastpath::route_assignment_replay_permuted(
-            self.n,
-            &self.wiring,
-            asg,
-            plan,
-            input_map,
-            output_map,
-            scratch,
-            None,
+            self.n, asg, plan, input_map, output_map, scratch, None,
         )
     }
 

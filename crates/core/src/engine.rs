@@ -50,6 +50,7 @@ use std::time::{Duration, Instant};
 use crate::assignment::{MulticastAssignment, RoutingResult};
 use crate::brsmn::{final_switch, Brsmn};
 use crate::bsn::Bsn;
+use crate::canonical::Canonicalized;
 use crate::error::CoreError;
 use crate::payload::{RoutePayload, SelfRoutedMsg, SemanticMsg};
 use crate::plancache::{plan_fingerprint, CanonicalHit, CapturedPlan, PlanCache};
@@ -176,9 +177,11 @@ impl EngineConfig {
 pub struct LevelStats {
     /// BSN blocks routed at this level (summed over the batch).
     pub blocks: u64,
-    /// Wall time spent in those blocks, nanoseconds. When halves run in
-    /// parallel this sums the per-thread times, so levels below a fork
-    /// can exceed elapsed wall time.
+    /// Wall time spent in those blocks, nanoseconds. The fast paths read
+    /// the clock once per level per frame (once per level per lockstep
+    /// chunk in the SoA planner); the reference recursion once per block.
+    /// When halves run in parallel this sums the per-thread times, so
+    /// levels below a fork can exceed elapsed wall time.
     pub nanos: u64,
 }
 
@@ -193,7 +196,8 @@ pub struct StageTimer {
     pub levels: Vec<LevelStats>,
     /// 2×2 switches set in the final stage.
     pub final_switches: u64,
-    /// Wall time in the final stage, nanoseconds.
+    /// Wall time in the final stage, nanoseconds — one clock pair per
+    /// frame on the fast paths, one per switch in the reference recursion.
     pub final_nanos: u64,
     /// Total 2×2 switch settings computed (both RBNs of every BSN, plus the
     /// final stage).
@@ -213,39 +217,43 @@ impl StageTimer {
         StageTimer::default()
     }
 
-    /// Records one BSN of `size` lines routed at 1-based `level`.
-    pub fn record_bsn(&mut self, level: usize, size: usize, elapsed: Duration) {
-        if self.levels.len() < level {
-            self.levels.resize(level, LevelStats::default());
-        }
-        let slot = &mut self.levels[level - 1];
-        slot.blocks += 1;
-        slot.nanos += elapsed.as_nanos() as u64;
-        // Scatter RBN + quasisorting RBN: 2 · (size/2) · log2(size) settings.
-        self.switch_settings += (size as u64) * u64::from(log2_exact(size));
-        self.sweep_passes += SWEEPS_PER_BSN;
+    /// Records `blocks` BSNs of `size` lines planned and routed at 1-based
+    /// `level` in `elapsed` wall time. The fast paths clock a whole level
+    /// at once; the reference recursion records one block per call.
+    pub fn record_bsns(&mut self, level: usize, size: usize, blocks: u64, elapsed: Duration) {
+        self.record_bsns_replayed(level, size, blocks, elapsed);
+        self.sweep_passes += SWEEPS_PER_BSN * blocks;
     }
 
-    /// Records one BSN of `size` lines **replayed** from a captured plan at
-    /// 1-based `level`. The replayed settings count toward
+    /// Records `blocks` BSNs of `size` lines **replayed** from a captured
+    /// plan at 1-based `level`. The replayed settings count toward
     /// [`StageTimer::switch_settings`] (they were applied to the fabric) but
     /// not toward [`StageTimer::sweep_passes`] — no planner sweep ran, which
     /// is exactly the work the cache elides.
-    pub fn record_bsn_replay(&mut self, level: usize, size: usize, elapsed: Duration) {
+    pub fn record_bsns_replayed(
+        &mut self,
+        level: usize,
+        size: usize,
+        blocks: u64,
+        elapsed: Duration,
+    ) {
         if self.levels.len() < level {
             self.levels.resize(level, LevelStats::default());
         }
         let slot = &mut self.levels[level - 1];
-        slot.blocks += 1;
+        slot.blocks += blocks;
         slot.nanos += elapsed.as_nanos() as u64;
-        self.switch_settings += (size as u64) * u64::from(log2_exact(size));
+        // Scatter RBN + quasisorting RBN: 2 · (size/2) · log2(size) settings
+        // per block.
+        self.switch_settings += blocks * (size as u64) * u64::from(log2_exact(size));
     }
 
-    /// Records one final-stage 2×2 switch.
-    pub fn record_final(&mut self, elapsed: Duration) {
-        self.final_switches += 1;
+    /// Records `switches` final-stage 2×2 switches set in `elapsed` wall
+    /// time.
+    pub fn record_final_stage(&mut self, switches: u64, elapsed: Duration) {
+        self.final_switches += switches;
         self.final_nanos += elapsed.as_nanos() as u64;
-        self.switch_settings += 1;
+        self.switch_settings += switches;
     }
 
     /// Folds another timer (a worker's or a forked half's) into this one.
@@ -553,6 +561,10 @@ enum FrameProbe {
 struct ChunkOut {
     /// `(frame index, result)` for every frame of the chunk.
     entries: Vec<(usize, Result<RoutingResult, CoreError>)>,
+    /// One captured plan per frame, in `entries` order, still to be
+    /// inserted into the cache; empty without a cache and for a chunk that
+    /// fell back to the per-frame ladder.
+    captures: Vec<CapturedPlan>,
     timer: StageTimer,
     busy_nanos: u64,
     scratch_bytes: u64,
@@ -755,49 +767,46 @@ impl Engine {
                             None,
                             Some(timer),
                         )
-                    } else if let Some(hit) =
-                        cache.lookup_canonical(&crate::canonical::canonicalize(asg))
-                    {
-                        canon_hit = 1;
-                        route_assignment_replay_permuted(
-                            n,
-                            self.net.wiring(),
-                            asg,
-                            &hit.plan,
-                            &hit.input_map,
-                            &hit.output_map,
-                            scratch,
-                            Some(timer),
-                        )
                     } else {
-                        miss = 1;
-                        match CapturedPlan::new(n) {
-                            Err(e) => Err(e),
-                            Ok(mut plan) => {
-                                let r = route_assignment_fast_buffered(
-                                    n,
-                                    self.net.wiring(),
-                                    asg,
-                                    scratch,
-                                    None,
-                                    Some(timer),
-                                    Some(&mut plan),
-                                );
-                                if r.is_ok() {
-                                    let plan = Arc::new(plan);
-                                    if cache.insert(fp, asg, Arc::clone(&plan)) {
-                                        evict = 1;
+                        let canon = crate::canonical::canonicalize(asg);
+                        if let Some(hit) = cache.lookup_canonical(&canon) {
+                            canon_hit = 1;
+                            route_assignment_replay_permuted(
+                                n,
+                                asg,
+                                &hit.plan,
+                                &hit.input_map,
+                                &hit.output_map,
+                                scratch,
+                                Some(timer),
+                            )
+                        } else {
+                            miss = 1;
+                            match CapturedPlan::new(n) {
+                                Err(e) => Err(e),
+                                Ok(mut plan) => {
+                                    let r = route_assignment_fast_buffered(
+                                        n,
+                                        self.net.wiring(),
+                                        asg,
+                                        scratch,
+                                        None,
+                                        Some(timer),
+                                        Some(&mut plan),
+                                    );
+                                    if r.is_ok() {
+                                        let plan = Arc::new(plan);
+                                        if cache.insert(fp, asg, Arc::clone(&plan)) {
+                                            evict = 1;
+                                        }
+                                        // The same capture seeds its whole
+                                        // relabeling class.
+                                        if cache.insert_canonical(&canon, plan) {
+                                            evict = 1;
+                                        }
                                     }
-                                    // The same capture seeds its whole
-                                    // relabeling class.
-                                    if cache.insert_canonical(
-                                        &crate::canonical::canonicalize(asg),
-                                        plan,
-                                    ) {
-                                        evict = 1;
-                                    }
+                                    r
                                 }
-                                r
                             }
                         }
                     }
@@ -824,10 +833,12 @@ impl Engine {
     ///   hits.
     /// * **Pass B** fans the misses out in chunks of up to
     ///   [`crate::MAX_BATCH_FRAMES`] frames through thread-local
-    ///   [`crate::BatchPlanner`] arenas; each chunk success inserts its
-    ///   captures into both cache tiers. A chunk that fails re-routes
-    ///   every one of its frames through the per-frame ladder so error
-    ///   values stay byte-identical to scalar routing.
+    ///   [`crate::BatchPlanner`] arenas, then inserts each successful
+    ///   chunk's captures into both cache tiers under the fingerprint and
+    ///   canonical form pass A computed (one canonicalization per miss). A
+    ///   chunk that fails re-routes every one of its frames through the
+    ///   per-frame ladder so error values stay byte-identical to scalar
+    ///   routing.
     /// * **Pass C** replays the pass-A hits and routes the deferred
     ///   frames.
     fn route_batch_fast_batched(&self, batch: &[MulticastAssignment]) -> BatchOutput {
@@ -846,9 +857,11 @@ impl Engine {
 
         // Pass A: classify every frame with at most one probe per cache
         // tier, claiming each fingerprint / relabeling class for its first
-        // miss so no plan is computed twice within the batch.
+        // miss so no plan is computed twice within the batch. Each miss
+        // keeps its fingerprint and canonical form for pass B's inserts.
         let mut probes: Vec<(usize, FrameProbe)> = Vec::new();
         let mut miss_idx: Vec<usize> = Vec::new();
+        let mut miss_keys: Vec<(u64, Canonicalized)> = Vec::new();
         match cache {
             None => miss_idx.extend(0..batch.len()),
             Some(cache) => {
@@ -865,7 +878,8 @@ impl Engine {
                         continue;
                     }
                     let canon = crate::canonical::canonicalize(asg);
-                    if claimed_class.contains(&canon.fingerprint()) {
+                    let class = canon.fingerprint();
+                    if claimed_class.contains(&class) {
                         probes.push((i, FrameProbe::Deferred));
                         continue;
                     }
@@ -874,8 +888,9 @@ impl Engine {
                         continue;
                     }
                     claimed_fp.insert(fp);
-                    claimed_class.insert(canon.fingerprint());
+                    claimed_class.insert(class);
                     miss_idx.push(i);
+                    miss_keys.push((fp, canon));
                 }
             }
         }
@@ -887,52 +902,34 @@ impl Engine {
             .div_ceil(workers.max(1))
             .clamp(1, crate::MAX_BATCH_FRAMES);
         let chunks: Vec<&[usize]> = miss_idx.chunks(chunk_size).collect();
-        let chunk_outs = par::par_map(&chunks, workers, |_ci, chunk| {
+        let mut chunk_outs = par::par_map(&chunks, workers, |_ci, chunk| {
             let chunk: &[usize] = chunk;
             let t0 = Instant::now();
             let mut timer = StageTimer::new();
-            let planned: Result<(Vec<Result<RoutingResult, CoreError>>, u64, u64), CoreError> =
-                with_thread_batch_planner(n, chunk.len(), |bp| {
-                    let mut refs: [&MulticastAssignment; crate::MAX_BATCH_FRAMES] =
-                        [&batch[0]; crate::MAX_BATCH_FRAMES];
-                    for (k, &i) in chunk.iter().enumerate() {
-                        refs[k] = &batch[i];
+            let planned = with_thread_batch_planner(n, chunk.len(), |bp| {
+                let mut refs: [&MulticastAssignment; crate::MAX_BATCH_FRAMES] =
+                    [&batch[0]; crate::MAX_BATCH_FRAMES];
+                for (k, &i) in chunk.iter().enumerate() {
+                    refs[k] = &batch[i];
+                }
+                let refs = &refs[..chunk.len()];
+                let mut captures = Vec::new();
+                if cache.is_some() {
+                    captures.reserve_exact(chunk.len());
+                    for _ in 0..chunk.len() {
+                        captures.push(CapturedPlan::new(n)?);
                     }
-                    let refs = &refs[..chunk.len()];
-                    let mut evictions = 0u64;
-                    match cache {
-                        None => bp.route_frames(wiring, refs, &mut timer, None)?,
-                        Some(cache) => {
-                            let mut caps = Vec::with_capacity(chunk.len());
-                            for _ in 0..chunk.len() {
-                                caps.push(CapturedPlan::new(n)?);
-                            }
-                            bp.route_frames(wiring, refs, &mut timer, Some(&mut caps))?;
-                            for (&i, plan) in chunk.iter().zip(caps) {
-                                let asg = &batch[i];
-                                let plan = Arc::new(plan);
-                                if cache.insert(plan_fingerprint(asg), asg, Arc::clone(&plan)) {
-                                    evictions += 1;
-                                }
-                                // The same capture seeds its whole
-                                // relabeling class.
-                                if cache
-                                    .insert_canonical(&crate::canonical::canonicalize(asg), plan)
-                                {
-                                    evictions += 1;
-                                }
-                            }
-                        }
-                    }
-                    Ok((
-                        (0..chunk.len()).map(|k| Ok(bp.frame_result(k))).collect(),
-                        evictions,
-                        bp.footprint_bytes() as u64,
-                    ))
-                });
+                }
+                let slots = cache.map(|_| captures.as_mut_slice());
+                bp.route_frames(wiring, refs, &mut timer, slots)?;
+                let results: Vec<Result<RoutingResult, CoreError>> =
+                    (0..chunk.len()).map(|k| Ok(bp.frame_result(k))).collect();
+                Ok::<_, CoreError>((results, captures, bp.footprint_bytes() as u64))
+            });
             match planned {
-                Ok((results, evictions, bytes)) => ChunkOut {
+                Ok((results, captures, bytes)) => ChunkOut {
                     entries: chunk.iter().copied().zip(results).collect(),
+                    captures,
                     timer,
                     busy_nanos: t0.elapsed().as_nanos() as u64,
                     scratch_bytes: bytes,
@@ -942,7 +939,7 @@ impl Engine {
                         0,
                         0,
                         if cache.is_some() { chunk.len() as u64 } else { 0 },
-                        evictions,
+                        0,
                     ],
                     batch_planned: chunk.len() as u64,
                 },
@@ -969,6 +966,7 @@ impl Engine {
                     }
                     ChunkOut {
                         entries,
+                        captures: Vec::new(),
                         timer,
                         busy_nanos: busy,
                         scratch_bytes: bytes,
@@ -978,6 +976,35 @@ impl Engine {
                 }
             }
         });
+
+        // Insert every planned capture into both cache tiers, in frame
+        // order, consuming the keys pass A computed: each canonical form is
+        // dropped right after its insert, so the batch does not keep a copy
+        // of every form the cache now stores.
+        if let Some(cache) = cache {
+            let mut keys = miss_keys.into_iter();
+            for out in &mut chunk_outs {
+                let t0 = Instant::now();
+                let mut captures = std::mem::take(&mut out.captures).into_iter();
+                for &(i, _) in &out.entries {
+                    let (fp, canon) = keys.next().expect("pass A keyed every miss");
+                    // A chunk that fell back to the per-frame ladder has no
+                    // captures: its frames inserted their own.
+                    let Some(plan) = captures.next() else {
+                        continue;
+                    };
+                    let plan = Arc::new(plan);
+                    if cache.insert(fp, &batch[i], Arc::clone(&plan)) {
+                        out.tallies[3] += 1;
+                    }
+                    // The same capture seeds its whole relabeling class.
+                    if cache.insert_canonical(&canon, plan) {
+                        out.tallies[3] += 1;
+                    }
+                }
+                out.busy_nanos += t0.elapsed().as_nanos() as u64;
+            }
+        }
 
         // Pass C: replay the hits; deferred frames re-probe the (now
         // warmed) cache through the normal per-frame ladder.
@@ -1000,7 +1027,6 @@ impl Engine {
                 FrameProbe::CanonHit(hit) => with_thread_scratch(n, |scratch| {
                     let r = route_assignment_replay_permuted(
                         n,
-                        wiring,
                         &batch[*i],
                         &hit.plan,
                         &hit.input_map,
@@ -1509,7 +1535,7 @@ fn route_block_timed<P: RoutePayload + Send>(
     if size == 2 {
         let t0 = Instant::now();
         let out = final_switch(lines, lo, &mut None)?;
-        timer.record_final(t0.elapsed());
+        timer.record_final_stage(1, t0.elapsed());
         return Ok(out);
     }
 
@@ -1523,7 +1549,7 @@ fn route_block_timed<P: RoutePayload + Send>(
             line.payload = Some(payload.descend(branch, lo, size));
         }
     }
-    timer.record_bsn(level, size, t0.elapsed());
+    timer.record_bsns(level, size, 1, t0.elapsed());
 
     let lower = out.split_off(size / 2);
     if fork_depth > 0 && size >= MIN_FORK_BLOCK {

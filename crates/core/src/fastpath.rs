@@ -16,6 +16,13 @@
 //! * the per-level shuffle/exchange wiring comes precomputed from the
 //!   [`Brsmn`](crate::brsmn::Brsmn)'s [`RbnWiring`].
 //!
+//! Replaying a captured plan needs even less. Until delivery only the
+//! source id on each line matters, so the untraced replay of both cache
+//! tiers moves one `u32` per line through the captured planes, a whole
+//! level's blocks per stage pass, 32 switches per packed word (see
+//! `replay_sources`). The traced replay keeps full `FastLine`s and is the
+//! kernel's oracle.
+//!
 //! Everything lives in a [`RouteScratch`] arena sized once from `n`; after
 //! the first frame at a given size, routing performs **zero** heap
 //! allocations (pinned by the `alloc-count` test in `brsmn-bench`). The
@@ -33,7 +40,7 @@ use crate::engine::StageTimer;
 use crate::error::CoreError;
 use crate::plancache::{CapturedPlan, PHASE_QUASISORT, PHASE_SCATTER};
 use brsmn_rbn::bitplan::SweepScratch;
-use brsmn_rbn::{RbnSettings, RbnWiring};
+use brsmn_rbn::{PackedSettings, RbnSettings, RbnWiring};
 use brsmn_switch::tag::TagCounts;
 use brsmn_switch::{SwitchError, SwitchSetting, Tag};
 use brsmn_topology::{check_size, log2_exact};
@@ -84,9 +91,10 @@ impl FastLine {
     };
 }
 
-/// Reusable routing arena: the line buffer, the packed sweep scratch, and the
-/// persistent settings table, all sized from `n` on first use and never
-/// reallocated while the size stays fixed.
+/// Reusable routing arena: the line buffer, the replay kernel's source-id
+/// buffer, the packed sweep scratch, and the persistent settings table, all
+/// sized from `n` on first use and never reallocated while the size stays
+/// fixed.
 ///
 /// Pass one to [`Brsmn::route_into`](crate::brsmn::Brsmn::route_into) /
 /// [`Brsmn::route_buffered`](crate::brsmn::Brsmn::route_buffered), or let
@@ -96,6 +104,12 @@ impl FastLine {
 pub struct RouteScratch {
     n: usize,
     lines: Vec<FastLine>,
+    /// One source id per line ([`NO_SRC`] when idle): all the untraced
+    /// replay kernel moves.
+    srcs: Vec<u32>,
+    /// `true` when the last routing call left its delivery in `srcs` (an
+    /// untraced replay) rather than in `lines`.
+    delivered_in_srcs: bool,
     sweep: SweepScratch,
     settings: RbnSettings,
 }
@@ -120,6 +134,8 @@ impl RouteScratch {
         RouteScratch {
             n: 0,
             lines: Vec::new(),
+            srcs: Vec::new(),
+            delivered_in_srcs: false,
             sweep: SweepScratch::new(),
             // Placeholder with zero stages; replaced by `ensure`.
             settings: RbnSettings::identity(1),
@@ -138,19 +154,25 @@ impl RouteScratch {
             self.n = n;
             self.lines.clear();
             self.lines.resize(n, FastLine::EMPTY);
+            self.srcs.clear();
+            self.srcs.resize(n, NO_SRC);
+            self.delivered_in_srcs = false;
             self.settings = RbnSettings::identity(n);
         }
     }
 
     /// Sources delivered to each output by the last successful
-    /// [`Brsmn::route_into`](crate::brsmn::Brsmn::route_into) call.
+    /// [`Brsmn::route_into`](crate::brsmn::Brsmn::route_into) or
+    /// [`Brsmn::route_replay_into`](crate::brsmn::Brsmn::route_replay_into)
+    /// call.
     pub fn output_sources(&self) -> impl Iterator<Item = Option<usize>> + '_ {
-        self.lines.iter().map(|l| {
-            if l.src == NO_SRC {
-                None
+        (0..self.n).map(|o| {
+            let src = if self.delivered_in_srcs {
+                self.srcs[o]
             } else {
-                Some(l.src as usize)
-            }
+                self.lines[o].src
+            };
+            (src != NO_SRC).then_some(src as usize)
         })
     }
 
@@ -160,6 +182,7 @@ impl RouteScratch {
             .map(|j| self.settings.stage(j).len() * std::mem::size_of::<SwitchSetting>())
             .sum();
         self.lines.capacity() * std::mem::size_of::<FastLine>()
+            + self.srcs.capacity() * std::mem::size_of::<u32>()
             + self.sweep.footprint_bytes()
             + settings_bytes
     }
@@ -534,18 +557,36 @@ pub(crate) fn init_lines(asg: &MulticastAssignment, lines: &mut [FastLine]) {
     }
 }
 
-/// Final delivery verification, shared by fresh routing and replay: every
-/// delivered message must belong at its output *per the actual assignment*
-/// (the reference does this in `extract_result`). On the replay path this
-/// is the last line of defense against a corrupted or foreign plan.
-pub(crate) fn verify_delivery(asg: &MulticastAssignment, lines: &[FastLine]) -> Result<(), CoreError> {
-    for (o, line) in lines.iter().enumerate() {
-        if line.src != NO_SRC && asg.dests(line.src as usize).binary_search(&o).is_err() {
+/// Final delivery verification, shared by fresh routing and replay.
+/// `delivered` yields the source id that reached each output, in output
+/// order ([`NO_SRC`] for an idle output). Every delivered message must
+/// belong at its output *per the actual assignment* (the reference does
+/// this in `extract_result`), and as many outputs must be served as the
+/// assignment has connections: destination sets are disjoint and each
+/// delivery was just checked, so equal counts mean no destination was left
+/// empty. On the replay path this is the last line of defense against a
+/// corrupted or foreign plan.
+pub(crate) fn verify_delivery(
+    asg: &MulticastAssignment,
+    delivered: impl Iterator<Item = u32>,
+) -> Result<(), CoreError> {
+    let mut served = 0usize;
+    for (o, src) in delivered.enumerate() {
+        if src == NO_SRC {
+            continue;
+        }
+        if asg.dests(src as usize).binary_search(&o).is_err() {
             return Err(CoreError::Internal(format!(
-                "message from input {} misdelivered to output {o}",
-                line.src
+                "message from input {src} misdelivered to output {o}"
             )));
         }
+        served += 1;
+    }
+    let wanted = asg.total_connections();
+    if served != wanted {
+        return Err(CoreError::Internal(format!(
+            "{served} of {wanted} destinations served"
+        )));
     }
     Ok(())
 }
@@ -568,20 +609,23 @@ pub(crate) fn route_assignment_fast(
     scratch.ensure(n);
     let RouteScratch {
         lines,
+        delivered_in_srcs,
         sweep,
         settings,
         ..
     } = scratch;
+    *delivered_in_srcs = false;
 
     init_lines(asg, lines);
 
     // Levels 1 … m−1: BSNs of halving size, blocks left to right (the same
     // order the reference's depth-first recursion pushes trace blocks).
+    // One clock pair per level.
     let mut size = n;
     let mut level = 1;
     while size > 2 {
+        let t0 = timer.as_ref().map(|_| Instant::now());
         for b in 0..n / size {
-            let t0 = timer.as_ref().map(|_| Instant::now());
             route_bsn_fast(
                 asg,
                 lines,
@@ -594,24 +638,24 @@ pub(crate) fn route_assignment_fast(
                 trace.as_deref_mut(),
                 capture.as_deref_mut(),
             )?;
-            if let (Some(tm), Some(t0)) = (timer.as_deref_mut(), t0) {
-                tm.record_bsn(level, size, t0.elapsed());
-            }
+        }
+        if let (Some(tm), Some(t0)) = (timer.as_deref_mut(), t0) {
+            tm.record_bsns(level, size, (n / size) as u64, t0.elapsed());
         }
         size /= 2;
         level += 1;
     }
 
-    // Final level: n/2 plain 2×2 switches.
+    // Final level: n/2 plain 2×2 switches, one clock pair for the stage.
+    let t0 = timer.as_ref().map(|_| Instant::now());
     for lo in (0..n).step_by(2) {
-        let t0 = timer.as_ref().map(|_| Instant::now());
         let setting = final_switch_fast(asg, lines, lo, &mut trace)?;
         if let Some(plan) = capture.as_deref_mut() {
             plan.set_final(lo / 2, setting);
         }
-        if let (Some(tm), Some(t0)) = (timer.as_deref_mut(), t0) {
-            tm.record_final(t0.elapsed());
-        }
+    }
+    if let (Some(tm), Some(t0)) = (timer.as_deref_mut(), t0) {
+        tm.record_final_stage((n / 2) as u64, t0.elapsed());
     }
 
     // Drain the sweep's per-op profile unconditionally (so it never leaks
@@ -621,7 +665,7 @@ pub(crate) fn route_assignment_fast(
         tm.plan_profile.merge(&profile);
     }
 
-    verify_delivery(asg, lines)
+    verify_delivery(asg, lines.iter().map(|l| l.src))
 }
 
 /// Routes and collects the result (one `Vec` allocation for the result).
@@ -643,7 +687,7 @@ pub(crate) fn route_assignment_fast_buffered(
 /// bit-identical), but both phases' settings are *loaded* from the plan into
 /// the live table instead of planned, and executed through the same
 /// [`run_block_fast`] (whose broadcast legality checks double as replay
-/// integrity checks).
+/// integrity checks). The oracle for the untraced [`replay_sources`].
 #[allow(clippy::too_many_arguments)]
 fn replay_bsn_traced(
     asg: &MulticastAssignment,
@@ -675,51 +719,226 @@ fn replay_bsn_traced(
     Ok(())
 }
 
-/// Replays one BSN block lean: no tags, no planes, no checks beyond the
-/// frame-final delivery verification — just the captured 2-bit codes decoded
-/// straight from the packed arena and applied to the source ids. This is the
-/// warm-cache steady state: per block, `2·k` stage passes of shifts and
-/// swaps, zero planning.
-fn replay_bsn_lean(
-    lines: &mut [FastLine],
+/// Traced replay: the plan's settings executed on full [`FastLine`]s with
+/// tags, trace records and the settings table reproduced exactly as fresh
+/// planning leaves them. Delivery stays in `lines`.
+#[allow(clippy::too_many_arguments)]
+fn replay_traced(
+    n: usize,
     wiring: &RbnWiring,
+    asg: &MulticastAssignment,
     plan: &CapturedPlan,
-    base: usize,
-    size: usize,
-    level: usize,
-) {
-    let k = log2_exact(size) as usize;
-    for phase in [PHASE_SCATTER, PHASE_QUASISORT] {
-        let phase_off = plan.phase_base(level, phase);
-        for j in 0..k {
-            let pairs = wiring.stage(j);
-            for idx in base / 2..(base + size) / 2 {
-                let (u, l) = pairs[idx];
-                let (u, l) = (u as usize, l as usize);
-                match plan.stage_code(phase_off, j, idx) {
-                    0 => {}
-                    1 => lines.swap(u, l),
-                    2 => {
-                        let a = lines[u];
-                        lines[u] = FastLine { tag: Tag::Zero, ..a };
-                        lines[l] = FastLine { tag: Tag::One, ..a };
-                    }
-                    _ => {
-                        let a = lines[l];
-                        lines[u] = FastLine { tag: Tag::Zero, ..a };
-                        lines[l] = FastLine { tag: Tag::One, ..a };
-                    }
-                }
+    lines: &mut [FastLine],
+    settings: &mut RbnSettings,
+    trace: &mut RouteTrace,
+    mut timer: Option<&mut StageTimer>,
+) -> Result<(), CoreError> {
+    init_lines(asg, lines);
+    let mut size = n;
+    let mut level = 1;
+    while size > 2 {
+        let t0 = timer.as_ref().map(|_| Instant::now());
+        for b in 0..n / size {
+            let base = b * size;
+            replay_bsn_traced(asg, lines, settings, wiring, plan, base, size, level, trace)?;
+        }
+        if let (Some(tm), Some(t0)) = (timer.as_deref_mut(), t0) {
+            tm.record_bsns_replayed(level, size, (n / size) as u64, t0.elapsed());
+        }
+        size /= 2;
+        level += 1;
+    }
+
+    let t0 = timer.as_ref().map(|_| Instant::now());
+    for lo in (0..n).step_by(2) {
+        let setting = plan.final_setting(lo / 2);
+        // The trace records entry tags; derive them exactly like the fresh
+        // path (the captured setting matches what they imply).
+        enter_block(asg, lines, lo, 2);
+        trace.final_tags[lo] = lines[lo].tag;
+        trace.final_tags[lo + 1] = lines[lo + 1].tag;
+        trace.final_settings[lo / 2] = setting;
+        apply_final_setting(lines, lo, setting);
+    }
+    if let (Some(tm), Some(t0)) = (timer, t0) {
+        tm.record_final_stage((n / 2) as u64, t0.elapsed());
+    }
+    verify_delivery(asg, lines.iter().map(|l| l.src))
+}
+
+/// Applies one full-width stage plane of a captured plan — the `n/2` codes
+/// starting at setting `off` — to the source ids. Switch `idx` of stage `j`
+/// joins lines `u = ((idx >> j) << (j + 1)) | (idx mod 2^j)` and
+/// `u + 2^j` (the [`RbnWiring`] formula), and its 2-bit code `c` selects,
+/// without a branch, upper ← `c & 1` ? lower : upper and lower ←
+/// `(c ^ c >> 1) & 1` ? upper : lower: parallel (0), crossing (1), upper
+/// broadcast (2), lower broadcast (3). Codes are read 32 to a word, and a
+/// zero word — 32 parallel switches — is skipped whole.
+///
+/// The plane spans every block of its level: blocks are disjoint line
+/// ranges, so running stage `j` for all of them in one pass equals running
+/// each block's stages in turn.
+fn replay_plane(planes: &PackedSettings, off: usize, j: usize, srcs: &mut [u32]) {
+    let half = srcs.len() / 2;
+    if half >= 32 {
+        for w0 in (0..half).step_by(32) {
+            let codes = planes.codes_from(off + w0);
+            if codes != 0 {
+                replay_word(codes, j, w0, srcs);
             }
+        }
+    } else {
+        // A plane shorter than a word (n < 64): run the same word step on
+        // a padded copy. The codes past the plane are masked to parallel,
+        // so the padding lines are never touched.
+        let codes = planes.codes_from(off) & ((1u64 << (2 * half)) - 1);
+        if codes != 0 {
+            let mut padded = [NO_SRC; 64];
+            padded[..srcs.len()].copy_from_slice(srcs);
+            replay_word(codes, j, 0, &mut padded);
+            srcs.copy_from_slice(&padded[..srcs.len()]);
         }
     }
 }
 
-/// Replays a captured plan for `asg` end to end, leaving the delivered lines
-/// in `scratch`. Bit-identical to fresh routing of the same assignment:
-/// same result, same trace (when requested), same final settings table (on
-/// the traced path). The untraced path skips tag derivation entirely and
-/// executes the packed codes directly — the warm-cache fast path.
+/// Applies the 32 switches `w0 .. w0 + 32` of stage `j` (`w0` a multiple
+/// of 32) whose codes are packed in `codes`. For `j < 5` they join lines
+/// inside the 64-line window `[2·w0, 2·w0 + 64)`, in groups of `2^(j+1)`;
+/// for `j ≥ 5` their upper lines are one run of 32 and their lower lines
+/// the run `2^j` further on. Either way the select runs over contiguous
+/// runs the compiler can vectorize.
+#[inline]
+fn replay_word(codes: u64, j: usize, w0: usize, srcs: &mut [u32]) {
+    const EVEN: u64 = 0x5555_5555_5555_5555;
+    let take_lower = lane_masks(codes & EVEN);
+    let take_upper = lane_masks((codes ^ (codes >> 1)) & EVEN);
+    let window = || 2 * w0..2 * w0 + 64;
+    match j {
+        0 => select_groups::<1>(&mut srcs[window()], &take_lower, &take_upper),
+        1 => select_groups::<2>(&mut srcs[window()], &take_lower, &take_upper),
+        2 => select_groups::<4>(&mut srcs[window()], &take_lower, &take_upper),
+        3 => select_groups::<8>(&mut srcs[window()], &take_lower, &take_upper),
+        4 => select_groups::<16>(&mut srcs[window()], &take_lower, &take_upper),
+        _ => {
+            let stride = 1usize << j;
+            let group = (w0 >> j) << (j + 1);
+            let at = w0 & (stride - 1);
+            let (upper, lower) = srcs[group..group + 2 * stride].split_at_mut(stride);
+            select(
+                &mut upper[at..at + 32],
+                &mut lower[at..at + 32],
+                &take_lower,
+                &take_upper,
+            );
+        }
+    }
+}
+
+/// Lane `t` is all ones when bit `2t` of `bits` is set, else zero.
+#[inline(always)]
+fn lane_masks(bits: u64) -> [u32; 32] {
+    const PICK: [u32; 16] = {
+        let mut p = [0u32; 16];
+        let mut t = 0;
+        while t < 16 {
+            p[t] = 1 << (2 * t);
+            t += 1;
+        }
+        p
+    };
+    let (lo, hi) = (bits as u32, (bits >> 32) as u32);
+    let mut masks = [0u32; 32];
+    for t in 0..16 {
+        masks[t] = u32::from(lo & PICK[t] != 0).wrapping_neg();
+        masks[t + 16] = u32::from(hi & PICK[t] != 0).wrapping_neg();
+    }
+    masks
+}
+
+/// The select over a 64-line window split into groups of `2·S` lines: the
+/// first `S` lines of a group are the upper inputs of its `S` switches, the
+/// next `S` their lower inputs.
+#[inline(always)]
+fn select_groups<const S: usize>(
+    window: &mut [u32],
+    take_lower: &[u32; 32],
+    take_upper: &[u32; 32],
+) {
+    for ((group, tl), tu) in window
+        .chunks_exact_mut(2 * S)
+        .zip(take_lower.chunks_exact(S))
+        .zip(take_upper.chunks_exact(S))
+    {
+        let (upper, lower) = group.split_at_mut(S);
+        select(upper, lower, tl, tu);
+    }
+}
+
+/// `upper[t] ← take_lower[t] ? lower[t] : upper[t]` and
+/// `lower[t] ← take_upper[t] ? upper[t] : lower[t]`, both from the old
+/// values, with all-ones/all-zeros masks.
+#[inline(always)]
+fn select(upper: &mut [u32], lower: &mut [u32], take_lower: &[u32], take_upper: &[u32]) {
+    let masks = take_lower.iter().zip(take_upper);
+    for ((a, b), (&tl, &tu)) in upper.iter_mut().zip(lower.iter_mut()).zip(masks) {
+        let diff = *a ^ *b;
+        *a ^= diff & tl;
+        *b ^= diff & tu;
+    }
+}
+
+/// The untraced replay kernel, shared by the exact and canonical tiers:
+/// every stage plane of `plan`, level by level and then the final stage,
+/// applied to one source id per line. No tags, no planning, no checks —
+/// the caller's delivery verification is the integrity check. One clock
+/// pair per level and one for the final stage.
+fn replay_sources(plan: &CapturedPlan, srcs: &mut [u32], mut timer: Option<&mut StageTimer>) {
+    let n = srcs.len();
+    let half = n / 2;
+    let planes = plan.planes();
+    let mut size = n;
+    let mut level = 1;
+    while size > 2 {
+        let t0 = timer.as_ref().map(|_| Instant::now());
+        let k = log2_exact(size) as usize;
+        for phase in [PHASE_SCATTER, PHASE_QUASISORT] {
+            let off = plan.phase_offset(level, phase);
+            for j in 0..k {
+                replay_plane(planes, off + j * half, j, srcs);
+            }
+        }
+        if let (Some(tm), Some(t0)) = (timer.as_deref_mut(), t0) {
+            tm.record_bsns_replayed(level, size, (n / size) as u64, t0.elapsed());
+        }
+        size /= 2;
+        level += 1;
+    }
+
+    // The final stage pairs outputs {2p, 2p+1}: stage 0's wiring.
+    let t0 = timer.as_ref().map(|_| Instant::now());
+    replay_plane(planes, plan.final_offset(), 0, srcs);
+    if let (Some(tm), Some(t0)) = (timer, t0) {
+        tm.record_final_stage(half as u64, t0.elapsed());
+    }
+}
+
+/// Rejects a plan captured for a different network size.
+fn check_plan_size(plan: &CapturedPlan, n: usize) -> Result<(), CoreError> {
+    if plan.n() == n {
+        Ok(())
+    } else {
+        Err(CoreError::Config(format!(
+            "captured plan is for n = {}, network is n = {n}",
+            plan.n()
+        )))
+    }
+}
+
+/// Replays a captured plan for `asg` end to end, leaving the delivery in
+/// `scratch`. Bit-identical to fresh routing of the same assignment: same
+/// result, same trace (when requested), same final settings table (on the
+/// traced path). The untraced path puts input `i` on line `i` and runs the
+/// source-id kernel ([`replay_sources`]) — the warm-cache fast path.
 ///
 /// The plan must have been captured for an equal assignment; the frame-final
 /// delivery verification rejects replays against a different one.
@@ -729,104 +948,34 @@ pub(crate) fn route_assignment_replay(
     asg: &MulticastAssignment,
     plan: &CapturedPlan,
     scratch: &mut RouteScratch,
-    mut trace: Option<&mut RouteTrace>,
-    mut timer: Option<&mut StageTimer>,
+    trace: Option<&mut RouteTrace>,
+    timer: Option<&mut StageTimer>,
 ) -> Result<(), CoreError> {
     assert_eq!(asg.n(), n, "assignment size mismatch");
-    if plan.n() != n {
-        return Err(CoreError::Config(format!(
-            "captured plan is for n = {}, network is n = {n}",
-            plan.n()
-        )));
-    }
+    check_plan_size(plan, n)?;
     scratch.ensure(n);
     let RouteScratch {
-        lines, settings, ..
+        lines,
+        srcs,
+        delivered_in_srcs,
+        settings,
+        ..
     } = scratch;
 
-    init_lines(asg, lines);
-
-    let mut size = n;
-    let mut level = 1;
-    while size > 2 {
-        for b in 0..n / size {
-            let t0 = timer.as_ref().map(|_| Instant::now());
-            if let Some(t) = trace.as_deref_mut() {
-                replay_bsn_traced(
-                    asg, lines, settings, wiring, plan, b * size, size, level, t,
-                )?;
-            } else {
-                replay_bsn_lean(lines, wiring, plan, b * size, size, level);
-            }
-            if let (Some(tm), Some(t0)) = (timer.as_deref_mut(), t0) {
-                tm.record_bsn_replay(level, size, t0.elapsed());
-            }
-        }
-        size /= 2;
-        level += 1;
+    if let Some(trace) = trace {
+        *delivered_in_srcs = false;
+        return replay_traced(n, wiring, asg, plan, lines, settings, trace, timer);
     }
-
-    for lo in (0..n).step_by(2) {
-        let t0 = timer.as_ref().map(|_| Instant::now());
-        let setting = plan.final_setting(lo / 2);
-        if let Some(t) = trace.as_deref_mut() {
-            // The trace records entry tags; derive them exactly like the
-            // fresh path (the captured setting matches what they imply).
-            enter_block(asg, lines, lo, 2);
-            t.final_tags[lo] = lines[lo].tag;
-            t.final_tags[lo + 1] = lines[lo + 1].tag;
-            t.final_settings[lo / 2] = setting;
-        }
-        apply_final_setting(lines, lo, setting);
-        if let (Some(tm), Some(t0)) = (timer.as_deref_mut(), t0) {
-            tm.record_final(t0.elapsed());
-        }
-    }
-
-    verify_delivery(asg, lines)
-}
-
-/// Loads a frame's input lines into the arena *through a permutation*:
-/// live input `i`'s message enters at plan-space position `input_map[i]`.
-/// The permuted counterpart of [`init_lines`].
-fn init_lines_permuted(asg: &MulticastAssignment, lines: &mut [FastLine], input_map: &[usize]) {
-    lines.fill(FastLine::EMPTY);
-    for (i, d) in asg.iter() {
-        if d.is_empty() {
-            continue;
-        }
-        lines[input_map[i]] = FastLine {
-            tag: Tag::Eps,
-            src: i as u32,
-            d_lo: 0,
-            d_mid: d.len() as u32,
-            d_hi: d.len() as u32,
-            d_val: if d.len() == 1 { d[0] as u32 } else { NO_VAL },
+    *delivered_in_srcs = true;
+    for (i, src) in srcs.iter_mut().enumerate() {
+        *src = if asg.dests(i).is_empty() {
+            NO_SRC
+        } else {
+            i as u32
         };
     }
-}
-
-/// Delivery verification through the output permutation: the message the
-/// plan delivered to plan-space position `output_map[d]` must belong at
-/// *live* output `d` per the live assignment. Exactly as strong as
-/// [`verify_delivery`] — `output_map` is a bijection, so every delivered
-/// line is checked — and the last line of defense against a foreign plan
-/// or an inconsistent permutation pair.
-fn verify_delivery_permuted(
-    asg: &MulticastAssignment,
-    lines: &[FastLine],
-    output_map: &[usize],
-) -> Result<(), CoreError> {
-    for (o, &q) in output_map.iter().enumerate() {
-        let line = &lines[q];
-        if line.src != NO_SRC && asg.dests(line.src as usize).binary_search(&o).is_err() {
-            return Err(CoreError::Internal(format!(
-                "message from input {} misdelivered to output {o} (plan line {q})",
-                line.src
-            )));
-        }
-    }
-    Ok(())
+    replay_sources(plan, srcs, timer);
+    verify_delivery(asg, srcs.iter().copied())
 }
 
 /// Replays a plan captured for a *relabeling* of `asg` — the canonical
@@ -835,34 +984,29 @@ fn verify_delivery_permuted(
 /// bijections on `0..n`, e.g. composed from two [`crate::canonicalize`]
 /// runs by the cache).
 ///
-/// The live sources enter at their plan-space positions, the captured
-/// setting planes execute verbatim (same lean decode loops as an exact
-/// replay — no planning, no tag derivation), and each live output reads
-/// its delivered source back through `output_map`. The returned result is
-/// **bit-identical to fresh planning of the live assignment**: a routing
-/// result is a pure function of its assignment (every claimed output
-/// receives exactly its unique owner), and the frame-final permuted
-/// delivery verification rejects any plan/permutation pair that violates
-/// it. The trace/settings side channels are deliberately absent here —
-/// they describe the *representative's* planes (shared by the whole
-/// equivalence class), so traced requests take the fresh path instead.
+/// Live input `i`'s source id enters at plan line `input_map[i]`, the
+/// captured setting planes execute verbatim through the same kernel as an
+/// exact replay ([`replay_sources`]), and each live output `d` reads its
+/// delivered source back from plan line `output_map[d]`. The returned
+/// result is **bit-identical to fresh planning of the live assignment**: a
+/// routing result is a pure function of its assignment (every claimed
+/// output receives exactly its unique owner), and the frame-final
+/// delivery verification, read through `output_map`, rejects any
+/// plan/permutation pair that violates it. The trace/settings side
+/// channels are deliberately absent here — they describe the
+/// *representative's* planes (shared by the whole equivalence class), so
+/// traced requests take the fresh path instead.
 pub(crate) fn route_assignment_replay_permuted(
     n: usize,
-    wiring: &RbnWiring,
     asg: &MulticastAssignment,
     plan: &CapturedPlan,
     input_map: &[usize],
     output_map: &[usize],
     scratch: &mut RouteScratch,
-    mut timer: Option<&mut StageTimer>,
+    timer: Option<&mut StageTimer>,
 ) -> Result<RoutingResult, CoreError> {
     assert_eq!(asg.n(), n, "assignment size mismatch");
-    if plan.n() != n {
-        return Err(CoreError::Config(format!(
-            "captured plan is for n = {}, network is n = {n}",
-            plan.n()
-        )));
-    }
+    check_plan_size(plan, n)?;
     if input_map.len() != n || output_map.len() != n {
         return Err(CoreError::Config(format!(
             "permutation length mismatch: maps are {}/{}, network is n = {n}",
@@ -871,40 +1015,26 @@ pub(crate) fn route_assignment_replay_permuted(
         )));
     }
     scratch.ensure(n);
-    let RouteScratch { lines, .. } = scratch;
+    let RouteScratch {
+        srcs,
+        delivered_in_srcs,
+        ..
+    } = scratch;
+    *delivered_in_srcs = true;
 
-    init_lines_permuted(asg, lines, input_map);
-
-    let mut size = n;
-    let mut level = 1;
-    while size > 2 {
-        for b in 0..n / size {
-            let t0 = timer.as_ref().map(|_| Instant::now());
-            replay_bsn_lean(lines, wiring, plan, b * size, size, level);
-            if let (Some(tm), Some(t0)) = (timer.as_deref_mut(), t0) {
-                tm.record_bsn_replay(level, size, t0.elapsed());
-            }
-        }
-        size /= 2;
-        level += 1;
-    }
-
-    for lo in (0..n).step_by(2) {
-        let t0 = timer.as_ref().map(|_| Instant::now());
-        apply_final_setting(lines, lo, plan.final_setting(lo / 2));
-        if let (Some(tm), Some(t0)) = (timer.as_deref_mut(), t0) {
-            tm.record_final(t0.elapsed());
+    srcs.fill(NO_SRC);
+    for (i, d) in asg.iter() {
+        if !d.is_empty() {
+            srcs[input_map[i]] = i as u32;
         }
     }
+    replay_sources(plan, srcs, timer);
 
-    verify_delivery_permuted(asg, lines, output_map)?;
+    verify_delivery(asg, output_map.iter().map(|&q| srcs[q]))?;
     Ok(RoutingResult::new(
         output_map
             .iter()
-            .map(|&q| match lines[q].src {
-                NO_SRC => None,
-                s => Some(s as usize),
-            })
+            .map(|&q| (srcs[q] != NO_SRC).then_some(srcs[q] as usize))
             .collect(),
     ))
 }

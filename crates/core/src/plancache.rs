@@ -20,15 +20,16 @@
 //! │             per-input words SEQ derives from, Eqs. 11–12)──► u64 key
 //! │
 //! ├─ exact hit ──► exact shard (read lock + LRU stamp bump) ──► Arc<CapturedPlan>
-//! │                └─► replay: decode 2-bit planes level by level through
-//! │                    the iterative router — bit-identical
-//! │                    result/trace/settings
+//! │                └─► replay: the source-id kernel runs the 2-bit planes
+//! │                    stage by stage across each level's blocks — bit-
+//! │                    identical result (the traced replay also rebuilds
+//! │                    the trace and settings table)
 //! ├─ exact miss ──► canonicalize (crate::canonical): reduce to the
 //! │   │             relabeling-class representative + permutation pair
 //! │   ├─ canonical hit ──► canonical shard ──► Arc<CapturedPlan> + the
-//! │   │                    composed live→plan permutations; replayed via
-//! │   │                    the permuted executor — result bit-identical
-//! │   │                    to fresh planning of the live assignment
+//! │   │                    composed live→plan permutations; the same
+//! │   │                    kernel on permuted source ids — result bit-
+//! │   │                    identical to fresh planning of the live assignment
 //! │   └─ canonical miss ──► fast-path planner (fused sweeps) with capture
 //! │                         hooks ──► CapturedPlan arena inserted into
 //! │                         *both* tiers (full-equality checked in each)
@@ -158,7 +159,7 @@ impl CapturedPlan {
     }
 
     /// Offset of the first setting of `(level, phase)`.
-    fn phase_offset(&self, level: usize, phase: usize) -> usize {
+    pub(crate) fn phase_offset(&self, level: usize, phase: usize) -> usize {
         let m = log2_exact(self.n) as usize;
         debug_assert!((1..m).contains(&level) && phase < 2);
         let before: usize = (1..level).map(|l| 2 * (m - l + 1) * (self.n / 2)).sum();
@@ -166,7 +167,7 @@ impl CapturedPlan {
     }
 
     /// Offset of the final-stage settings.
-    fn final_offset(&self) -> usize {
+    pub(crate) fn final_offset(&self) -> usize {
         Self::total_settings(self.n) - self.n / 2
     }
 
@@ -206,17 +207,11 @@ impl CapturedPlan {
         }
     }
 
-    /// Raw 2-bit code of switch `idx` in stage `j` of `(level, phase)` —
-    /// the replay executor decodes settings straight from the packed words.
+    /// The packed setting tensor — the replay kernel reads its words
+    /// directly, one full-width stage plane at a time.
     #[inline]
-    pub(crate) fn stage_code(&self, phase_off: usize, j: usize, idx: usize) -> u64 {
-        self.planes.code(phase_off + j * (self.n / 2) + idx)
-    }
-
-    /// Precomputed phase offset for [`CapturedPlan::stage_code`] loops.
-    #[inline]
-    pub(crate) fn phase_base(&self, level: usize, phase: usize) -> usize {
-        self.phase_offset(level, phase)
+    pub(crate) fn planes(&self) -> &PackedSettings {
+        &self.planes
     }
 
     /// Records the final-stage setting of output pair `pair`.
@@ -247,20 +242,23 @@ impl CapturedPlan {
 }
 
 /// One cached plan: the fingerprint, the full assignment for the
-/// collision-proofing equality check, the shared plan, and its LRU stamp.
+/// collision-proofing equality check, the shared plan, its LRU stamp, and
+/// its footprint (fixed at insert, so [`PlanCache::footprint_bytes`] never
+/// walks the stored assignments).
 #[derive(Debug)]
 struct Entry {
     fp: u64,
     asg: MulticastAssignment,
     plan: Arc<CapturedPlan>,
     stamp: AtomicU64,
+    bytes: usize,
 }
 
 /// One canonical-tier entry: the class fingerprint, the canonical
 /// representative (equality guard — the class identity), the
 /// canonical-position → plan-position maps (inverses of the *stored
-/// member's* canonicalization permutations), the member's plan, and the
-/// LRU stamp.
+/// member's* canonicalization permutations), the member's plan, the LRU
+/// stamp, and the footprint fixed at insert.
 #[derive(Debug)]
 struct CanonEntry {
     fp: u64,
@@ -269,6 +267,7 @@ struct CanonEntry {
     from_canon_outputs: Vec<usize>,
     plan: Arc<CapturedPlan>,
     stamp: AtomicU64,
+    bytes: usize,
 }
 
 /// One shard: a small linear-probed entry list with its own capacity slice.
@@ -535,6 +534,9 @@ impl PlanCache {
         shard.entries.push(Entry {
             fp,
             asg: asg.clone(),
+            bytes: plan.footprint_bytes()
+                + asg.total_connections() * std::mem::size_of::<usize>()
+                + std::mem::size_of::<Entry>(),
             plan,
             stamp: AtomicU64::new(now),
         });
@@ -582,6 +584,10 @@ impl PlanCache {
             canon: canon.canonical.clone(),
             from_canon_inputs: invert_permutation(&canon.input_perm),
             from_canon_outputs: invert_permutation(&canon.output_perm),
+            bytes: plan.footprint_bytes()
+                + canon.canonical.total_connections() * std::mem::size_of::<usize>()
+                + 2 * canon.input_perm.len() * std::mem::size_of::<usize>()
+                + std::mem::size_of::<CanonEntry>(),
             plan,
             stamp: AtomicU64::new(now),
         });
@@ -610,40 +616,16 @@ impl PlanCache {
     /// between the tiers (one capture inserts its `Arc` into both) are
     /// counted once per tier — an upper bound, not an exact census.
     pub fn footprint_bytes(&self) -> usize {
-        let exact: usize = self
-            .shards
-            .iter()
-            .map(|s| {
-                let shard = s.read().expect("plan-cache shard poisoned");
-                shard
-                    .entries
-                    .iter()
-                    .map(|e| {
-                        e.plan.footprint_bytes()
-                            + e.asg.total_connections() * std::mem::size_of::<usize>()
-                            + std::mem::size_of::<Entry>()
-                    })
-                    .sum::<usize>()
-            })
-            .sum();
-        let canonical: usize = self
-            .canon_shards
-            .iter()
-            .map(|s| {
-                let shard = s.read().expect("plan-cache shard poisoned");
-                shard
-                    .entries
-                    .iter()
-                    .map(|e| {
-                        e.plan.footprint_bytes()
-                            + e.canon.total_connections() * std::mem::size_of::<usize>()
-                            + 2 * e.from_canon_inputs.len() * std::mem::size_of::<usize>()
-                            + std::mem::size_of::<CanonEntry>()
-                    })
-                    .sum::<usize>()
-            })
-            .sum();
-        exact + canonical
+        fn sum<E>(shards: &[RwLock<Shard<E>>], bytes: impl Fn(&E) -> usize) -> usize {
+            shards
+                .iter()
+                .map(|s| {
+                    let shard = s.read().expect("plan-cache shard poisoned");
+                    shard.entries.iter().map(&bytes).sum::<usize>()
+                })
+                .sum()
+        }
+        sum(&self.shards, |e| e.bytes) + sum(&self.canon_shards, |e| e.bytes)
     }
 
     /// Drops the exact-tier plan with fingerprint `fp`, together with the
@@ -790,14 +772,18 @@ impl PlanCache {
     /// first sight — exact recurrences through the exact tier, relabeled
     /// recurrences through the canonical tier.
     ///
-    /// Every entry is fully re-validated before anything is trusted: the
+    /// Every entry is re-validated before anything is trusted: the
     /// assignment must pass `MulticastAssignment::from_sets` and the plan's
     /// packed arena must be exactly the setting tensor for its `n` — a
     /// corrupted or hand-edited file fails with a typed [`SnapshotError`],
     /// never a panic, and a failing entry aborts the load (earlier entries
-    /// stay resident; the permuted replay's delivery verification would
-    /// reject any plan these checks could miss). Loading into a smaller
-    /// cache simply evicts as usual.
+    /// stay resident). These checks cover sizes only: the settings
+    /// themselves are not re-planned here. A plan whose settings do not
+    /// realize its assignment is caught when it is replayed, by the
+    /// delivery verification that ends every replay — it requires every
+    /// delivered message to belong at its output *and* every destination
+    /// to be served, so such a replay returns an error, never a wrong or
+    /// partial result. Loading into a smaller cache simply evicts as usual.
     pub fn load_snapshot(
         &self,
         snapshot: &PlanCacheSnapshot,
@@ -1122,6 +1108,83 @@ mod tests {
         };
         let err = PlanCache::new(2).load_snapshot(&snap).unwrap_err();
         assert!(err.to_string().contains("entry 0"), "{err}");
+    }
+
+    /// Flips every setting of a captured plan, one at a time, to each of
+    /// its three other values, and replays the corrupted plan exactly
+    /// (kernel and traced) and permuted: every replay that returns `Ok` must
+    /// realize its assignment. A corruption that drops a destination —
+    /// e.g. a broadcast overwriting a live message — fails the delivery
+    /// count, not just a misdelivery.
+    #[test]
+    fn single_setting_corruptions_never_replay_to_a_wrong_result() {
+        use crate::algebra::{relabel_inputs, relabel_outputs};
+        use crate::brsmn::Brsmn;
+        use crate::canonical::canonicalize;
+        use crate::fastpath::RouteScratch;
+
+        const ALL: [SwitchSetting; 4] = [
+            SwitchSetting::Parallel,
+            SwitchSetting::Crossing,
+            SwitchSetting::UpperBroadcast,
+            SwitchSetting::LowerBroadcast,
+        ];
+        let dense = |n: usize| {
+            let mut sets = vec![Vec::new(); n];
+            for d in 0..n {
+                sets[(d * 5 + d / 3) % (n / 2)].push(d);
+            }
+            asg(n, sets)
+        };
+        let paper_8 = vec![
+            vec![0, 1, 2, 3],
+            vec![],
+            vec![],
+            vec![],
+            vec![5, 6],
+            vec![],
+            vec![],
+            vec![],
+        ];
+        let frames = [asg(8, paper_8), dense(16), dense(64)];
+        for a in frames {
+            let n = a.n();
+            let net = Brsmn::new(n).unwrap();
+            let mut scratch = RouteScratch::new(n).unwrap();
+            let (_, plan) = net.route_capture(&a, &mut scratch).unwrap();
+            let rotate = |k: usize| -> Vec<usize> { (0..n).map(|i| (i + k) % n).collect() };
+            let live = relabel_inputs(&relabel_outputs(&a, &rotate(3)), &rotate(1));
+            let cache = PlanCache::new(2);
+            cache.insert_canonical(&canonicalize(&a), Arc::new(plan.clone()));
+            let hit = cache.lookup_canonical(&canonicalize(&live)).unwrap();
+
+            let mut rejected = 0;
+            for i in 0..plan.planes.len() {
+                for s in ALL.into_iter().filter(|&s| s != plan.planes.get(i)) {
+                    let mut bad = plan.clone();
+                    bad.planes.set(i, s);
+                    let ctx = format!("n={n} setting {i} -> {s:?}");
+                    match net.route_replay(&a, &bad, &mut scratch) {
+                        Ok(r) => assert!(r.realizes(&a), "{ctx}: kernel replay"),
+                        Err(_) => rejected += 1,
+                    }
+                    if let Ok(r) = net.route_replay_traced(&a, &bad, &mut scratch) {
+                        assert!(r.0.realizes(&a), "{ctx}: traced replay");
+                    }
+                    let permuted = net.route_replay_permuted(
+                        &live,
+                        &bad,
+                        &hit.input_map,
+                        &hit.output_map,
+                        &mut scratch,
+                    );
+                    if let Ok(r) = permuted {
+                        assert!(r.realizes(&live), "{ctx}: permuted replay");
+                    }
+                }
+            }
+            assert!(rejected > 0, "n={n}: no corruption was rejected");
+        }
     }
 
     #[test]

@@ -75,6 +75,22 @@ impl PackedSettings {
         self.words[i >> 5] >> ((i & 31) << 1) & 3
     }
 
+    /// The 32 codes starting at `i`, packed like one word: code `i` in the
+    /// low two bits, code `i + 31` in the top two. `i` need not be a
+    /// multiple of 32; codes beyond the last word read as 0, and callers
+    /// mask off any codes beyond their own range.
+    #[inline]
+    pub fn codes_from(&self, i: usize) -> u64 {
+        debug_assert!(i < self.len);
+        let (w, sh) = (i >> 5, (i & 31) << 1);
+        let lo = self.words[w] >> sh;
+        if sh == 0 {
+            lo
+        } else {
+            lo | self.words.get(w + 1).map_or(0, |&hi| hi << (64 - sh))
+        }
+    }
+
     /// The setting at `i`.
     #[inline]
     pub fn get(&self, i: usize) -> SwitchSetting {
@@ -170,6 +186,26 @@ mod tests {
         // Neighbours untouched.
         assert_eq!(p.get(29), SwitchSetting::Parallel);
         assert_eq!(p.get(33), SwitchSetting::Parallel);
+    }
+
+    #[test]
+    fn codes_from_reads_32_codes_at_any_offset() {
+        let len = 100;
+        let mut p = PackedSettings::with_len(len);
+        for i in 0..len {
+            p.set(i, ALL[(i * 5 + 1) % 4]);
+        }
+        for i in 0..len {
+            let w = p.codes_from(i);
+            for t in 0..32 {
+                let want = if i + t < len {
+                    setting_code(p.get(i + t))
+                } else {
+                    0
+                };
+                assert_eq!(w >> (2 * t) & 3, want, "i={i} t={t}");
+            }
+        }
     }
 
     #[test]
