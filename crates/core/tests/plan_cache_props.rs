@@ -8,7 +8,8 @@
 
 use brsmn_core::plancache::fingerprint_inputs;
 use brsmn_core::{
-    plan_fingerprint, Brsmn, Engine, EngineConfig, MulticastAssignment, PlanCache, RouteScratch,
+    plan_fingerprint, Brsmn, Engine, EngineConfig, MulticastAssignment, PlanCache,
+    PlanCacheSnapshot, RouteScratch,
 };
 use proptest::collection::vec;
 use proptest::option;
@@ -185,5 +186,29 @@ proptest! {
             let resident = cached.plan_cache().unwrap().len();
             prop_assert!(resident <= capacity, "{} plans in a {}-plan cache", resident, capacity);
         }
+    }
+}
+
+/// The snapshot wire format, pinned by a file written before assignments
+/// were stored flat: `brsmn-cli route --parallel --n 16 --workload dense
+/// --seed 3 --batch 4 --workers 1 --cache-save F` (four dense frames, the
+/// CLI's default capacity of 256). Loading it and snapshotting the cache
+/// again must reproduce the file byte for byte, and every loaded plan must
+/// still replay its own assignment.
+#[test]
+fn committed_snapshot_fixture_round_trips_byte_identically() {
+    let text = include_str!("fixtures/snapshot_n16_dense.json");
+    let snap: PlanCacheSnapshot = serde_json::from_str(text).unwrap();
+    let cache = PlanCache::new(256);
+    assert_eq!(cache.load_snapshot(&snap).unwrap().loaded, 4);
+    assert_eq!(serde_json::to_string(&cache.snapshot()).unwrap(), text);
+
+    let net = Brsmn::new(16).unwrap();
+    let mut scratch = RouteScratch::new(16).unwrap();
+    for e in &snap.entries {
+        let asg = MulticastAssignment::from_sets(e.n, e.sets.clone()).unwrap();
+        let plan = cache.lookup(plan_fingerprint(&asg), &asg).expect("loaded");
+        let r = net.route_replay(&asg, &plan, &mut scratch).unwrap();
+        assert!(r.realizes(&asg));
     }
 }
