@@ -20,8 +20,8 @@ use std::sync::{Mutex, MutexGuard};
 
 use brsmn_bench::dense_batch;
 use brsmn_core::{
-    plan_fingerprint, BatchPlanner, Brsmn, MulticastAssignment, PlanCache, RouteScratch,
-    StageTimer,
+    canonicalize, plan_fingerprint, relabel_inputs, relabel_outputs, BatchPlanner, Brsmn,
+    MulticastAssignment, PlanCache, RouteScratch, StageTimer,
 };
 use std::sync::Arc;
 
@@ -139,6 +139,67 @@ fn warm_plan_cache_hit_allocates_nothing() {
         "warm plan-cache hit allocated in steady state at n={n}"
     );
     assert!(delivered > 0, "workload delivered nothing");
+}
+
+#[test]
+fn warm_canonical_hit_allocates_nothing() {
+    let _serial = one_at_a_time();
+    // A canonical hit is the engine's steady state for relabeled frames:
+    // the exact probe misses, the class probe counts the fanout profile and
+    // writes the composed maps into the arena, and the permuted replay runs
+    // from them. Heap-silent at n = 256 on dense frames and on single-source
+    // frames of fanout 17.
+    let n = 256;
+    let net = Brsmn::new(n).unwrap();
+    let mut scratch = RouteScratch::new(n).unwrap();
+    let single: Vec<MulticastAssignment> = (0..8)
+        .map(|k| {
+            let mut sets = vec![Vec::new(); n];
+            sets[k * 31 % n] = (0..17).map(|j| (j * 15 + k) % n).collect();
+            MulticastAssignment::from_sets(n, sets).unwrap()
+        })
+        .collect();
+    let rotate = |k: usize| -> Vec<usize> { (0..n).map(|i| (i + k) % n).collect() };
+    for (shape, frames) in [("dense", dense_batch(n, 8, 3)), ("single-source", single)] {
+        let cache = PlanCache::new(64);
+        for asg in &frames {
+            let (_, plan) = net.route_capture(asg, &mut scratch).unwrap();
+            let plan = Arc::new(plan);
+            cache.insert(plan_fingerprint(asg), asg, Arc::clone(&plan));
+            cache.insert_canonical(&canonicalize(asg), plan);
+        }
+        // Other members of the same classes: every one misses the exact
+        // tier and hits its class.
+        let live: Vec<MulticastAssignment> = frames
+            .iter()
+            .map(|a| relabel_inputs(&relabel_outputs(a, &rotate(5)), &rotate(3)))
+            .collect();
+        let hit = |asg: &MulticastAssignment, scratch: &mut RouteScratch| {
+            assert!(cache.lookup(plan_fingerprint(asg), asg).is_none());
+            let plan = cache.lookup_class(asg, scratch).expect("warmed class hits");
+            net.route_replay_permuted_into(asg, &plan, scratch).unwrap();
+        };
+        for asg in &live {
+            hit(asg, &mut scratch);
+        }
+
+        let mut delivered = 0usize;
+        let before = allocs();
+        for _ in 0..10 {
+            for asg in &live {
+                hit(asg, &mut scratch);
+                delivered += scratch.output_sources().flatten().count();
+            }
+        }
+        let after = allocs();
+        assert_eq!(
+            after - before,
+            0,
+            "warm canonical hit allocated in steady state at n={n} ({shape})"
+        );
+        assert!(delivered > 0, "workload delivered nothing ({shape})");
+        assert_eq!(cache.stats().canonical_hits, 11 * live.len() as u64);
+    }
 }
 
 #[test]

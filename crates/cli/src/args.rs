@@ -56,6 +56,28 @@ impl Args {
     pub fn flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
     }
+
+    /// Rejects every option (`--key value` or bare `--flag`) not in
+    /// `known`, naming each one (sorted), so a misspelt flag is an error
+    /// rather than a silent default.
+    pub fn reject_unknown(&self, command: &str, known: &[&str]) -> Result<(), String> {
+        let mut unknown: Vec<&str> = self
+            .values
+            .keys()
+            .chain(&self.flags)
+            .map(String::as_str)
+            .filter(|k| !known.contains(k))
+            .collect();
+        if unknown.is_empty() {
+            return Ok(());
+        }
+        unknown.sort_unstable();
+        let names: Vec<String> = unknown.iter().map(|k| format!("`--{k}`")).collect();
+        Err(format!(
+            "unknown option {} for `{command}`",
+            names.join(", ")
+        ))
+    }
 }
 
 #[cfg(test)]
@@ -91,6 +113,19 @@ mod tests {
     fn parse_errors_are_reported() {
         let a = Args::parse(&sv(&["--n", "abc"])).unwrap();
         assert!(a.get_parse::<usize>("n").is_err());
+    }
+
+    #[test]
+    fn unknown_options_are_named() {
+        let a = Args::parse(&sv(&["--n", "16", "--wrokers", "2", "--no-scrach"])).unwrap();
+        assert!(a
+            .reject_unknown("route", &["n", "workers", "no-scratch"])
+            .is_err());
+        let err = a.reject_unknown("route", &["n"]).unwrap_err();
+        assert_eq!(err, "unknown option `--no-scrach`, `--wrokers` for `route`");
+        assert!(a
+            .reject_unknown("route", &["n", "wrokers", "no-scrach"])
+            .is_ok());
     }
 
     #[test]

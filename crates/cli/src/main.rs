@@ -98,9 +98,88 @@ fn usage() -> &'static str {
      backends (serve-sim): brsmn | reference | feedback | crossbar | copy-benes | cluster"
 }
 
+/// The options each subcommand reads; anything else is rejected.
+const GEN_OPTS: &[&str] = &["file", "n", "workload", "seed"];
+const ROUTE_OPTS: &[&str] = &[
+    "parallel", "file", "n", "workload", "seed", "engine", "trace",
+];
+const ROUTE_PARALLEL_OPTS: &[&str] = &[
+    "parallel",
+    "file",
+    "n",
+    "workload",
+    "seed",
+    "engine",
+    "batch",
+    "workers",
+    "fork-depth",
+    "no-scratch",
+    "no-batch-plan",
+    "cache",
+    "cache-load",
+    "cache-save",
+    "stats",
+    "plan-profile",
+];
+const INFO_OPTS: &[&str] = &["n"];
+const SEQ_OPTS: &[&str] = &["n", "dests"];
+const FAULTS_OPTS: &[&str] = &["n", "faults", "frames", "seed", "json", "per-fault"];
+const SERVE_SIM_OPTS: &[&str] = &[
+    "trace-file",
+    "churn",
+    "n",
+    "seed",
+    "rounds",
+    "tenants",
+    "deadline-slack",
+    "p-expired",
+    "p-arrival",
+    "max-fanout",
+    "save-trace",
+    "shards",
+    "workers",
+    "capacity",
+    "batch-window",
+    "backend",
+    "record-outputs",
+    "quota",
+    "weights",
+    "plan-cache",
+    "cache-load",
+    "cache-save",
+];
+const CLUSTER_SIM_OPTS: &[&str] = &[
+    "seed",
+    "n",
+    "nodes",
+    "ticks",
+    "drop",
+    "inbox",
+    "frames",
+    "invalidations",
+    "settle",
+    "partition",
+    "crash",
+    "remove-node",
+];
+
 fn run(argv: &[String]) -> Result<(), String> {
     let cmd = argv.first().ok_or("missing command")?.as_str();
     let args = Args::parse(&argv[1..])?;
+    let known = match cmd {
+        "gen" => Some(GEN_OPTS),
+        "route" if args.flag("parallel") => Some(ROUTE_PARALLEL_OPTS),
+        "route" => Some(ROUTE_OPTS),
+        "info" => Some(INFO_OPTS),
+        "seq" => Some(SEQ_OPTS),
+        "faults" => Some(FAULTS_OPTS),
+        "serve-sim" => Some(SERVE_SIM_OPTS),
+        "cluster-sim" => Some(CLUSTER_SIM_OPTS),
+        _ => None,
+    };
+    if let Some(known) = known {
+        args.reject_unknown(cmd, known)?;
+    }
     match cmd {
         "gen" => cmd_gen(&args),
         "route" => cmd_route(&args),

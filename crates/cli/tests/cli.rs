@@ -392,4 +392,72 @@ fn bad_input_fails_cleanly() {
         .output()
         .unwrap();
     assert!(!out.status.success());
+
+    // A failure is exit status 1 with a typed `error:` line — never a
+    // panic (exit 101).
+    let fails_cleanly = |args: &[&str], names: &str| {
+        let out = bin().args(args).output().unwrap();
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(
+            err.starts_with("error:") && err.contains(names),
+            "{args:?}: {err}"
+        );
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    };
+
+    // Assignment files are validated like any constructed assignment.
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let write = |name: &str, json: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, json).unwrap();
+        path.to_str().unwrap().to_string()
+    };
+    for (name, json, names) in [
+        (
+            "short.json",
+            r#"{"n":4,"dests":[[0],[]]}"#,
+            "expected 4 destination sets, got 2",
+        ),
+        (
+            "range.json",
+            r#"{"n":4,"dests":[[9],[],[],[]]}"#,
+            "destination 9 out of range",
+        ),
+        (
+            "overlap.json",
+            r#"{"n":4,"dests":[[1],[1],[],[]]}"#,
+            "output 1 claimed by both",
+        ),
+    ] {
+        fails_cleanly(&["route", "--file", &write(name, json)], names);
+    }
+    // Valid but written unsorted: sorted on load, then routed.
+    let unsorted = write("unsorted.json", r#"{"n":4,"dests":[[3,0],[],[],[]]}"#);
+    let out = bin().args(["route", "--file", &unsorted]).output().unwrap();
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(out.status.success(), "{err}");
+    assert!(err.contains("realized: 2 connections"), "{err}");
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(text.contains("output 0 <- input 0") && text.contains("output 3 <- input 0"));
+
+    // Every subcommand rejects options it does not read, by name.
+    fails_cleanly(
+        &["route", "--n", "16", "--workload", "dense", "--no-scrach"],
+        "`--no-scrach`",
+    );
+    fails_cleanly(
+        &[
+            "route",
+            "--parallel",
+            "--n",
+            "16",
+            "--batch",
+            "2",
+            "--wrokers",
+            "2",
+        ],
+        "`--wrokers`",
+    );
+    fails_cleanly(&["info", "--n", "16", "--bogus", "3"], "`--bogus`");
 }

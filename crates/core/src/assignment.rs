@@ -6,7 +6,7 @@
 //! is the special case where every `I_i` has at most one element.
 
 use brsmn_topology::{check_size, SizeError};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
 
 /// Errors constructing a multicast assignment.
@@ -76,6 +76,15 @@ impl From<SizeError> for AssignmentError {
 /// anything else, so every `MulticastAssignment` in the workspace is
 /// routable by the nonblocking theorem.
 ///
+/// # Storage
+///
+/// The sets are stored flat, in compressed-sparse-row form: one array
+/// holding every destination set back to back in input order, and `n + 1`
+/// offsets into it (`I_i` is `dests[offsets[i]..offsets[i+1]]`). That is
+/// the paper's §2 object held as one mapping rather than `n` separate sets:
+/// an assignment costs two allocations whatever its shape, a fanout is an
+/// offset difference, and equality is two slice compares.
+///
 /// ```
 /// use brsmn_core::MulticastAssignment;
 ///
@@ -90,11 +99,15 @@ impl From<SizeError> for AssignmentError {
 /// assert_eq!(asg.source_of_output(4), Some(2));
 /// assert!(!asg.is_permutation()); // input 2 has fanout 3
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct MulticastAssignment {
     n: usize,
-    /// `dests[i]` is `I_i`, sorted ascending.
-    dests: Vec<Vec<usize>>,
+    /// `n + 1` offsets into `dests`: input `i`'s set is
+    /// `dests[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<u32>,
+    /// Every destination set, concatenated in input order; each set is
+    /// sorted ascending.
+    dests: Vec<usize>,
 }
 
 impl MulticastAssignment {
@@ -102,9 +115,10 @@ impl MulticastAssignment {
     /// Duplicate entries within one set are merged.
     ///
     /// Each set is sorted and deduplicated in place (a set that is already
-    /// strictly increasing is left alone) and stored exactly sized. The
-    /// first error reported is the one met walking the inputs in order and
-    /// each set's distinct destinations in ascending order.
+    /// strictly increasing is left alone) and appended to the flat
+    /// destination array. The first error reported is the one met walking
+    /// the inputs in order and each set's distinct destinations in
+    /// ascending order.
     pub fn from_sets(n: usize, mut sets: Vec<Vec<usize>>) -> Result<Self, AssignmentError> {
         check_size(n)?;
         if sets.len() != n {
@@ -113,33 +127,69 @@ impl MulticastAssignment {
                 expected: n,
             });
         }
-        let mut claimed: Vec<Option<usize>> = vec![None; n];
+        // One claimed bit per output, on the stack up to n = 4096 (building
+        // a frame is on the serving path); the claimant of a contested
+        // output is looked up in the sets already appended (error path
+        // only).
+        let words = n.div_ceil(64);
+        let mut on_stack = [0u64; 64];
+        let mut on_heap = Vec::new();
+        let claimed = if words <= on_stack.len() {
+            &mut on_stack[..words]
+        } else {
+            on_heap.resize(words, 0u64);
+            &mut on_heap[..]
+        };
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0u32);
+        let mut dests = Vec::with_capacity(sets.iter().map(Vec::len).sum());
+        let mut end = 0u32;
         for (input, set) in sets.iter_mut().enumerate() {
-            if !set.windows(2).all(|w| w[0] < w[1]) {
-                set.sort_unstable();
-                set.dedup();
-            }
-            for &d in set.iter() {
-                if d >= n {
-                    return Err(AssignmentError::DestOutOfRange { input, dest: d });
+            // Most inputs of a frame are idle: an empty set only repeats
+            // the running offset.
+            if !set.is_empty() {
+                if !set.windows(2).all(|w| w[0] < w[1]) {
+                    set.sort_unstable();
+                    set.dedup();
                 }
-                if let Some(first) = claimed[d] {
-                    return Err(AssignmentError::OverlappingDest {
-                        dest: d,
-                        first,
-                        second: input,
-                    });
+                for &d in set.iter() {
+                    if d >= n {
+                        return Err(AssignmentError::DestOutOfRange { input, dest: d });
+                    }
+                    let (word, bit) = (d / 64, 1u64 << (d % 64));
+                    if claimed[word] & bit != 0 {
+                        let at = dests.iter().position(|&x| x == d).expect("claimed earlier");
+                        return Err(AssignmentError::OverlappingDest {
+                            dest: d,
+                            first: offsets.partition_point(|&o| o as usize <= at) - 1,
+                            second: input,
+                        });
+                    }
+                    claimed[word] |= bit;
                 }
-                claimed[d] = Some(input);
+                dests.extend_from_slice(set);
+                end = dests.len() as u32;
             }
-            if set.capacity() != set.len() {
-                // A fresh exact allocation, not `shrink_to_fit`: shrinking
-                // in place leaves a small set in its grown allocator chunk.
-                *set = set.to_vec();
-            }
+            offsets.push(end);
         }
-        sets.shrink_to_fit();
-        Ok(MulticastAssignment { n, dests: sets })
+        // Merged duplicates leave spare capacity; drop it so a stored
+        // assignment holds exactly its connections.
+        dests.shrink_to_fit();
+        Ok(MulticastAssignment { n, offsets, dests })
+    }
+
+    /// Builds an assignment from CSR parts that are valid by construction
+    /// (the canonical representative). Checked in debug builds only.
+    pub(crate) fn from_csr(n: usize, offsets: Vec<u32>, dests: Vec<usize>) -> Self {
+        debug_assert_eq!(offsets.len(), n + 1);
+        debug_assert_eq!(offsets[n] as usize, dests.len());
+        debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
+        debug_assert!(offsets
+            .windows(2)
+            .all(|w| dests[w[0] as usize..w[1] as usize]
+                .windows(2)
+                .all(|p| p[0] < p[1])));
+        MulticastAssignment { n, offsets, dests }
     }
 
     /// The empty assignment (no input carries a message).
@@ -163,28 +213,50 @@ impl MulticastAssignment {
     }
 
     /// The destination set of input `i` (sorted ascending).
+    #[inline]
     pub fn dests(&self, i: usize) -> &[usize] {
-        &self.dests[i]
+        &self.dests[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// The `n + 1` CSR offsets: input `i`'s fanout is
+    /// `offsets[i + 1] − offsets[i]`.
+    #[inline]
+    pub(crate) fn offsets(&self) -> &[u32] {
+        &self.offsets
+    }
+
+    /// Every destination set back to back, in input order (index it with
+    /// [`MulticastAssignment::offsets`]).
+    #[inline]
+    pub(crate) fn flat_dests(&self) -> &[usize] {
+        &self.dests
     }
 
     /// Iterates `(input, destination set)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &[usize])> {
-        self.dests.iter().enumerate().map(|(i, d)| (i, d.as_slice()))
+        self.offsets
+            .windows(2)
+            .enumerate()
+            .map(|(i, w)| (i, &self.dests[w[0] as usize..w[1] as usize]))
     }
 
     /// Number of inputs carrying a message.
     pub fn active_inputs(&self) -> usize {
-        self.dests.iter().filter(|d| !d.is_empty()).count()
+        self.offsets.windows(2).filter(|w| w[1] > w[0]).count()
     }
 
     /// Total number of point-to-point connections (`Σ |I_i|`).
     pub fn total_connections(&self) -> usize {
-        self.dests.iter().map(|d| d.len()).sum()
+        self.dests.len()
     }
 
     /// The *fanout* of the assignment: the largest destination-set size.
     pub fn max_fanout(&self) -> usize {
-        self.dests.iter().map(|d| d.len()).max().unwrap_or(0)
+        self.offsets
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as usize)
+            .max()
+            .unwrap_or(0)
     }
 
     /// `true` if every destination set has at most one element.
@@ -194,18 +266,22 @@ impl MulticastAssignment {
 
     /// Which input (if any) must reach output `o`.
     pub fn source_of_output(&self, o: usize) -> Option<usize> {
-        self.dests
-            .iter()
-            .position(|d| d.binary_search(&o).is_ok())
+        let at = self.dests.iter().position(|&d| d == o)?;
+        Some(self.offsets.partition_point(|&x| x as usize <= at) - 1)
+    }
+
+    /// Heap bytes held by the two flat arrays.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.offsets.capacity() * std::mem::size_of::<u32>()
+            + self.dests.capacity() * std::mem::size_of::<usize>()
     }
 
     /// Renders the assignment in the paper's set notation, e.g.
     /// `{{0,1}, φ, {3,4,7}, {2}, φ, φ, φ, {5,6}}`.
     pub fn set_notation(&self) -> String {
         let parts: Vec<String> = self
-            .dests
             .iter()
-            .map(|d| {
+            .map(|(_, d)| {
                 if d.is_empty() {
                     "φ".to_string()
                 } else {
@@ -223,30 +299,65 @@ impl MulticastAssignment {
     }
 }
 
-/// Written by hand rather than derived: the derived `==` hands all `n`
-/// sets to `memcmp`, and comparing two *empty* `Vec`s through their
-/// dangling pointers can take a slow path in some `memcmp`s (see
-/// EXPERIMENTS.md). A frame holds mostly empty sets, and both plan-cache
-/// tiers guard every hit with this comparison, so it checks `n`, then every
-/// set's length, then the contents of the non-empty sets only.
+/// Two slice compares: the offsets fix every set's length and position,
+/// the flat array their contents. (An empty destination array is not
+/// handed to `memcmp` at all: comparing two dangling pointers can take a
+/// slow path in some `memcmp`s, see EXPERIMENTS.md.)
 impl PartialEq for MulticastAssignment {
     fn eq(&self, other: &Self) -> bool {
         self.n == other.n
-            && self.dests.len() == other.dests.len()
-            && self
-                .dests
-                .iter()
-                .zip(&other.dests)
-                .all(|(a, b)| a.len() == b.len())
-            && self
-                .dests
-                .iter()
-                .zip(&other.dests)
-                .all(|(a, b)| a.is_empty() || a[..] == b[..])
+            && self.offsets == other.offsets
+            && (self.dests.is_empty() || self.dests == other.dests)
     }
 }
 
 impl Eq for MulticastAssignment {}
+
+/// Lists the sets as nested lists, the shape the assignment had before
+/// its storage went flat.
+impl fmt::Debug for MulticastAssignment {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Sets<'a>(&'a MulticastAssignment);
+        impl fmt::Debug for Sets<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_list()
+                    .entries(self.0.iter().map(|(_, d)| d))
+                    .finish()
+            }
+        }
+        f.debug_struct("MulticastAssignment")
+            .field("n", &self.n)
+            .field("dests", &Sets(self))
+            .finish()
+    }
+}
+
+/// Written by hand because the storage is flat but the wire format is not:
+/// `{"n": …, "dests": [[…], …]}`, one list per input, exactly as before the
+/// storage changed (snapshots, traces and `gen` output stay byte-identical).
+impl Serialize for MulticastAssignment {
+    fn to_value(&self) -> Value {
+        let sets = self.iter().map(|(_, d)| d.to_value()).collect();
+        Value::Object(vec![
+            ("n".to_string(), self.n.to_value()),
+            ("dests".to_string(), Value::Array(sets)),
+        ])
+    }
+}
+
+/// Builds through [`MulticastAssignment::from_sets`], so a file can carry
+/// nothing the constructor would reject: unsorted sets are sorted,
+/// duplicates merged, and a wrong set count, an out-of-range destination or
+/// an output claimed twice is the constructor's typed error.
+impl Deserialize for MulticastAssignment {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        const TY: &str = "MulticastAssignment";
+        let obj = serde::__private::as_object(v, TY)?;
+        let n = usize::from_value(serde::__private::field(obj, "n", TY)?)?;
+        let sets = Vec::<Vec<usize>>::from_value(serde::__private::field(obj, "dests", TY)?)?;
+        MulticastAssignment::from_sets(n, sets).map_err(|e| DeError::new(format!("{TY}: {e}")))
+    }
+}
 
 impl fmt::Display for MulticastAssignment {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -438,5 +549,55 @@ mod tests {
         let json = serde_json::to_string(&asg).unwrap();
         let back: MulticastAssignment = serde_json::from_str(&json).unwrap();
         assert_eq!(asg, back);
+    }
+
+    /// The wire format of the Fig. 2 assignment, compact and pretty, as
+    /// written before the storage went flat.
+    #[test]
+    fn fig2_json_text_is_pinned() {
+        let asg = paper_example();
+        assert_eq!(
+            serde_json::to_string(&asg).unwrap(),
+            r#"{"n":8,"dests":[[0,1],[],[3,4,7],[2],[],[],[],[5,6]]}"#
+        );
+        let pretty = "{\n  \"n\": 8,\n  \"dests\": [\n    [\n      0,\n      1\n    ],\n    [],\n    [\n      3,\n      4,\n      7\n    ],\n    [\n      2\n    ],\n    [],\n    [],\n    [],\n    [\n      5,\n      6\n    ]\n  ]\n}";
+        assert_eq!(serde_json::to_string_pretty(&asg).unwrap(), pretty);
+    }
+
+    #[test]
+    fn deserialize_goes_through_from_sets() {
+        let parse = |s: &str| serde_json::from_str::<MulticastAssignment>(s);
+        // Valid but unsorted: sorted on the way in.
+        let a = parse(r#"{"n":4,"dests":[[3,0],[],[],[]]}"#).unwrap();
+        assert_eq!(a.dests(0), &[0, 3]);
+        // Every rejection is the constructor's typed error.
+        for (text, want) in [
+            (
+                r#"{"n":4,"dests":[[0],[]]}"#,
+                "expected 4 destination sets, got 2",
+            ),
+            (
+                r#"{"n":4,"dests":[[9],[],[],[]]}"#,
+                "destination 9 out of range",
+            ),
+            (
+                r#"{"n":4,"dests":[[1],[1],[],[]]}"#,
+                "output 1 claimed by both",
+            ),
+            (r#"{"n":6,"dests":[[],[],[],[],[],[]]}"#, "power of two"),
+        ] {
+            let err = parse(text).unwrap_err().to_string();
+            assert!(err.contains(want), "{text}: {err}");
+        }
+    }
+
+    #[test]
+    fn debug_lists_the_sets() {
+        let a =
+            MulticastAssignment::from_sets(4, vec![vec![1, 2], vec![], vec![0], vec![]]).unwrap();
+        assert_eq!(
+            format!("{a:?}"),
+            "MulticastAssignment { n: 4, dests: [[1, 2], [], [0], []] }"
+        );
     }
 }

@@ -267,8 +267,10 @@ impl Brsmn {
     /// delivery from `output_map[d]` (both bijections on `0..n`, typically
     /// composed from two [`crate::canonicalize`] runs — see
     /// [`crate::PlanCache::lookup_canonical`], which hands back exactly
-    /// these maps). The result is bit-identical to fresh planning of `asg`
-    /// itself; an inconsistent plan/permutation combination fails delivery
+    /// these maps). The maps are checked to be permutations and copied into
+    /// `scratch`, then replayed as [`Brsmn::route_replay_permuted_into`]
+    /// does. The result is bit-identical to fresh planning of `asg` itself;
+    /// an inconsistent plan/permutation combination fails delivery
     /// verification rather than misrouting silently.
     pub fn route_replay_permuted(
         &self,
@@ -278,22 +280,53 @@ impl Brsmn {
         output_map: &[usize],
         scratch: &mut RouteScratch,
     ) -> Result<RoutingResult, CoreError> {
-        for (name, map) in [("input_map", input_map), ("output_map", output_map)] {
-            let mut seen = vec![false; self.n];
-            if map.len() != self.n
-                || !map.iter().all(|&p| {
-                    p < self.n && !std::mem::replace(&mut seen[p.min(self.n - 1)], true)
-                })
-            {
-                return Err(CoreError::Config(format!(
-                    "{name} is not a permutation of 0..{}",
-                    self.n
-                )));
-            }
-        }
-        fastpath::route_assignment_replay_permuted(
-            self.n, asg, plan, input_map, output_map, scratch, None,
-        )
+        scratch.ensure(self.n);
+        scratch
+            .class_mut()
+            .load_maps(input_map, output_map)
+            .map_err(CoreError::Config)?;
+        fastpath::route_assignment_replay_permuted(self.n, asg, plan, scratch, None)?;
+        Ok(scratch.to_result())
+    }
+
+    /// The second half of a zero-allocation canonical hit: replays `plan`
+    /// (captured for another member of `asg`'s relabeling class) through
+    /// the live → plan maps [`crate::PlanCache::lookup_class`] left in
+    /// `scratch`, and leaves the delivery there (read it via
+    /// [`RouteScratch::output_sources`]). Runs the same source-id kernel as
+    /// an exact replay; the result is bit-identical to fresh planning of
+    /// `asg`, and a plan or maps that do not fit `asg` fail delivery
+    /// verification. Without maps in `scratch` (the last probe missed) it
+    /// is a configuration error.
+    ///
+    /// ```
+    /// use brsmn_core::{relabel_inputs, Brsmn, MulticastAssignment, PlanCache, RouteScratch};
+    /// use std::sync::Arc;
+    ///
+    /// let net = Brsmn::new(8).unwrap();
+    /// let mut scratch = RouteScratch::new(8).unwrap();
+    /// let a = MulticastAssignment::from_sets(8, vec![
+    ///     vec![0, 1], vec![], vec![3, 4, 7], vec![2],
+    ///     vec![],     vec![], vec![],        vec![5, 6],
+    /// ]).unwrap();
+    /// let cache = PlanCache::new(4);
+    /// let (_, plan) = net.route_capture(&a, &mut scratch).unwrap();
+    /// cache.insert_canonical(&brsmn_core::canonicalize(&a), Arc::new(plan));
+    ///
+    /// // Another member of the class: the inputs rotated by one.
+    /// let b = relabel_inputs(&a, &[1, 2, 3, 4, 5, 6, 7, 0]);
+    /// let plan = cache.lookup_class(&b, &mut scratch).expect("class hit");
+    /// net.route_replay_permuted_into(&b, &plan, &mut scratch).unwrap();
+    /// let fresh = net.route(&b).unwrap();
+    /// assert!(scratch.output_sources().enumerate().all(|(o, s)| s == fresh.output_source(o)));
+    /// ```
+    pub fn route_replay_permuted_into(
+        &self,
+        asg: &MulticastAssignment,
+        plan: &CapturedPlan,
+        scratch: &mut RouteScratch,
+    ) -> Result<(), CoreError> {
+        fastpath::route_assignment_replay_permuted(self.n, asg, plan, scratch, None)
     }
 
     /// Routes `asg` with the PR-1 allocating reference engine (recursive,

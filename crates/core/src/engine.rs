@@ -50,10 +50,9 @@ use std::time::{Duration, Instant};
 use crate::assignment::{MulticastAssignment, RoutingResult};
 use crate::brsmn::{final_switch, Brsmn};
 use crate::bsn::Bsn;
-use crate::canonical::Canonicalized;
 use crate::error::CoreError;
 use crate::payload::{RoutePayload, SelfRoutedMsg, SemanticMsg};
-use crate::plancache::{plan_fingerprint, CanonicalHit, CapturedPlan, PlanCache};
+use crate::plancache::{plan_fingerprint, CapturedPlan, PlanCache};
 use crate::verify::{verify_routing, FaultReport};
 use brsmn_rbn::par;
 use brsmn_rbn::PlanOpProfile;
@@ -548,8 +547,13 @@ pub struct Engine {
 enum FrameProbe {
     /// Replay this already-looked-up exact-tier plan.
     ExactHit(Arc<CapturedPlan>),
-    /// Replay this canonical-tier hit through the permuted executor.
-    CanonHit(CanonicalHit),
+    /// Replay this canonical-tier plan through the permuted executor, with
+    /// the composed live → plan maps pass A left at `maps` in the batch's
+    /// map buffer (`2n` entries, inputs then outputs).
+    CanonHit {
+        plan: Arc<CapturedPlan>,
+        maps: usize,
+    },
     /// An earlier in-batch miss claimed this frame's fingerprint or
     /// relabeling class: route after the SoA chunks land, through the
     /// normal per-frame ladder (it then hits what the chunk inserted — or
@@ -640,8 +644,9 @@ impl Engine {
     /// result aside). With a [`PlanCache`] configured, each frame probes
     /// two tiers: the assignment fingerprint first (an exact hit replays
     /// the captured setting planes verbatim — no planner sweeps at all),
-    /// then the canonical relabeling class (a canonical hit replays a
-    /// class member's plan through the permuted executor). A miss in both
+    /// then the relabeling class by fanout profile (a canonical hit replays
+    /// a class member's plan through the permuted executor, from maps the
+    /// probe wrote into the scratch). A miss in both
     /// plans fresh while capturing, and inserts the capture into both
     /// tiers for the next occurrence — exact or relabeled.
     ///
@@ -767,46 +772,38 @@ impl Engine {
                             None,
                             Some(timer),
                         )
+                    } else if let Some(plan) = cache.lookup_class(asg, scratch) {
+                        canon_hit = 1;
+                        route_assignment_replay_permuted(n, asg, &plan, scratch, Some(timer))
+                            .map(|()| scratch.to_result())
                     } else {
-                        let canon = crate::canonical::canonicalize(asg);
-                        if let Some(hit) = cache.lookup_canonical(&canon) {
-                            canon_hit = 1;
-                            route_assignment_replay_permuted(
-                                n,
-                                asg,
-                                &hit.plan,
-                                &hit.input_map,
-                                &hit.output_map,
-                                scratch,
-                                Some(timer),
-                            )
-                        } else {
-                            miss = 1;
-                            match CapturedPlan::new(n) {
-                                Err(e) => Err(e),
-                                Ok(mut plan) => {
-                                    let r = route_assignment_fast_buffered(
-                                        n,
-                                        self.net.wiring(),
-                                        asg,
-                                        scratch,
-                                        None,
-                                        Some(timer),
-                                        Some(&mut plan),
-                                    );
-                                    if r.is_ok() {
-                                        let plan = Arc::new(plan);
-                                        if cache.insert(fp, asg, Arc::clone(&plan)) {
-                                            evict = 1;
-                                        }
-                                        // The same capture seeds its whole
-                                        // relabeling class.
-                                        if cache.insert_canonical(&canon, plan) {
-                                            evict = 1;
-                                        }
+                        miss = 1;
+                        // The probe left the class key in the scratch.
+                        let class = scratch.class_mut().key();
+                        match CapturedPlan::new(n) {
+                            Err(e) => Err(e),
+                            Ok(mut plan) => {
+                                let r = route_assignment_fast_buffered(
+                                    n,
+                                    self.net.wiring(),
+                                    asg,
+                                    scratch,
+                                    None,
+                                    Some(timer),
+                                    Some(&mut plan),
+                                );
+                                if r.is_ok() {
+                                    let plan = Arc::new(plan);
+                                    if cache.insert(fp, asg, Arc::clone(&plan)) {
+                                        evict = 1;
                                     }
-                                    r
+                                    // The same capture seeds its whole
+                                    // relabeling class.
+                                    if cache.insert_class(class, asg, plan, scratch.class_mut()) {
+                                        evict = 1;
+                                    }
                                 }
+                                r
                             }
                         }
                     }
@@ -835,12 +832,13 @@ impl Engine {
     ///   [`crate::MAX_BATCH_FRAMES`] frames through thread-local
     ///   [`crate::BatchPlanner`] arenas, then inserts each successful
     ///   chunk's captures into both cache tiers under the fingerprint and
-    ///   canonical form pass A computed (one canonicalization per miss). A
+    ///   class key pass A computed (the class maps are built once, at the
+    ///   insert). A
     ///   chunk that fails re-routes every one of its frames through the
     ///   per-frame ladder so error values stay byte-identical to scalar
     ///   routing.
-    /// * **Pass C** replays the pass-A hits and routes the deferred
-    ///   frames.
+    /// * **Pass C** replays the pass-A hits — a canonical hit from the maps
+    ///   its pass-A probe composed — and routes the deferred frames.
     fn route_batch_fast_batched(&self, batch: &[MulticastAssignment]) -> BatchOutput {
         use crate::batch::with_thread_batch_planner;
         use crate::fastpath::{
@@ -858,13 +856,16 @@ impl Engine {
         // Pass A: classify every frame with at most one probe per cache
         // tier, claiming each fingerprint / relabeling class for its first
         // miss so no plan is computed twice within the batch. Each miss
-        // keeps its fingerprint and canonical form for pass B's inserts.
+        // keeps its fingerprint and class key for pass B's inserts; each
+        // canonical hit parks the maps its probe composed in `canon_maps`.
         let mut probes: Vec<(usize, FrameProbe)> = Vec::new();
         let mut miss_idx: Vec<usize> = Vec::new();
-        let mut miss_keys: Vec<(u64, Canonicalized)> = Vec::new();
+        let mut miss_keys: Vec<(u64, u64)> = Vec::new();
+        let mut canon_maps: Vec<u32> = Vec::new();
         match cache {
             None => miss_idx.extend(0..batch.len()),
-            Some(cache) => {
+            Some(cache) => with_thread_scratch(n, |scratch| {
+                let class_scratch = scratch.class_mut();
                 let mut claimed_fp: HashSet<u64> = HashSet::new();
                 let mut claimed_class: HashSet<u64> = HashSet::new();
                 for (i, asg) in batch.iter().enumerate() {
@@ -877,22 +878,23 @@ impl Engine {
                         probes.push((i, FrameProbe::ExactHit(plan)));
                         continue;
                     }
-                    let canon = crate::canonical::canonicalize(asg);
-                    let class = canon.fingerprint();
+                    let class = class_scratch.profile(asg);
                     if claimed_class.contains(&class) {
                         probes.push((i, FrameProbe::Deferred));
                         continue;
                     }
-                    if let Some(hit) = cache.lookup_canonical(&canon) {
-                        probes.push((i, FrameProbe::CanonHit(hit)));
+                    if let Some(plan) = cache.lookup_class_profiled(asg, class_scratch) {
+                        let maps = canon_maps.len();
+                        class_scratch.copy_maps_to(&mut canon_maps);
+                        probes.push((i, FrameProbe::CanonHit { plan, maps }));
                         continue;
                     }
                     claimed_fp.insert(fp);
                     claimed_class.insert(class);
                     miss_idx.push(i);
-                    miss_keys.push((fp, canon));
+                    miss_keys.push((fp, class));
                 }
-            }
+            }),
         }
 
         // Pass B: lockstep-plan the misses. Chunks spread across the
@@ -978,32 +980,32 @@ impl Engine {
         });
 
         // Insert every planned capture into both cache tiers, in frame
-        // order, consuming the keys pass A computed: each canonical form is
-        // dropped right after its insert, so the batch does not keep a copy
-        // of every form the cache now stores.
+        // order, under the keys pass A computed.
         if let Some(cache) = cache {
-            let mut keys = miss_keys.into_iter();
-            for out in &mut chunk_outs {
-                let t0 = Instant::now();
-                let mut captures = std::mem::take(&mut out.captures).into_iter();
-                for &(i, _) in &out.entries {
-                    let (fp, canon) = keys.next().expect("pass A keyed every miss");
-                    // A chunk that fell back to the per-frame ladder has no
-                    // captures: its frames inserted their own.
-                    let Some(plan) = captures.next() else {
-                        continue;
-                    };
-                    let plan = Arc::new(plan);
-                    if cache.insert(fp, &batch[i], Arc::clone(&plan)) {
-                        out.tallies[3] += 1;
+            with_thread_scratch(n, |scratch| {
+                let mut keys = miss_keys.into_iter();
+                for out in &mut chunk_outs {
+                    let t0 = Instant::now();
+                    let mut captures = std::mem::take(&mut out.captures).into_iter();
+                    for &(i, _) in &out.entries {
+                        let (fp, class) = keys.next().expect("pass A keyed every miss");
+                        // A chunk that fell back to the per-frame ladder has
+                        // no captures: its frames inserted their own.
+                        let Some(plan) = captures.next() else {
+                            continue;
+                        };
+                        let plan = Arc::new(plan);
+                        if cache.insert(fp, &batch[i], Arc::clone(&plan)) {
+                            out.tallies[3] += 1;
+                        }
+                        // The same capture seeds its whole relabeling class.
+                        if cache.insert_class(class, &batch[i], plan, scratch.class_mut()) {
+                            out.tallies[3] += 1;
+                        }
                     }
-                    // The same capture seeds its whole relabeling class.
-                    if cache.insert_canonical(&canon, plan) {
-                        out.tallies[3] += 1;
-                    }
+                    out.busy_nanos += t0.elapsed().as_nanos() as u64;
                 }
-                out.busy_nanos += t0.elapsed().as_nanos() as u64;
-            }
+            });
         }
 
         // Pass C: replay the hits; deferred frames re-probe the (now
@@ -1024,16 +1026,18 @@ impl Engine {
                     );
                     (r, scratch.footprint_bytes() as u64, [1, 0, 0, 0])
                 }),
-                FrameProbe::CanonHit(hit) => with_thread_scratch(n, |scratch| {
+                FrameProbe::CanonHit { plan, maps } => with_thread_scratch(n, |scratch| {
+                    scratch
+                        .class_mut()
+                        .set_maps(&canon_maps[*maps..*maps + 2 * n]);
                     let r = route_assignment_replay_permuted(
                         n,
                         &batch[*i],
-                        &hit.plan,
-                        &hit.input_map,
-                        &hit.output_map,
+                        plan,
                         scratch,
                         Some(&mut timer),
-                    );
+                    )
+                    .map(|()| scratch.to_result());
                     (r, scratch.footprint_bytes() as u64, [0, 1, 0, 0])
                 }),
                 FrameProbe::Deferred => self.route_frame_cached(&batch[*i], &mut timer),

@@ -36,6 +36,7 @@ use std::time::Instant;
 use crate::assignment::{MulticastAssignment, RoutingResult};
 use crate::brsmn::RouteTrace;
 use crate::bsn::BsnTrace;
+use crate::canonical::ClassScratch;
 use crate::engine::StageTimer;
 use crate::error::CoreError;
 use crate::plancache::{CapturedPlan, PHASE_QUASISORT, PHASE_SCATTER};
@@ -91,10 +92,23 @@ impl FastLine {
     };
 }
 
+/// Where the last routing call left its delivery.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Delivery {
+    /// In `lines` (fresh routing, traced replay).
+    Lines,
+    /// In `srcs`, output `o` at `srcs[o]` (untraced exact replay).
+    Srcs,
+    /// In `srcs` in plan space: output `o` at `srcs[output_map[o]]`, through
+    /// the class maps (permuted replay).
+    SrcsPermuted,
+}
+
 /// Reusable routing arena: the line buffer, the replay kernel's source-id
-/// buffer, the packed sweep scratch, and the persistent settings table, all
-/// sized from `n` on first use and never reallocated while the size stays
-/// fixed.
+/// buffer, the packed sweep scratch, the persistent settings table, and the
+/// canonical tier's class scratch (fanout histogram, profile runs, live →
+/// plan maps), all sized from `n` on first use and never reallocated while
+/// the size stays fixed.
 ///
 /// Pass one to [`Brsmn::route_into`](crate::brsmn::Brsmn::route_into) /
 /// [`Brsmn::route_buffered`](crate::brsmn::Brsmn::route_buffered), or let
@@ -107,11 +121,10 @@ pub struct RouteScratch {
     /// One source id per line ([`NO_SRC`] when idle): all the untraced
     /// replay kernel moves.
     srcs: Vec<u32>,
-    /// `true` when the last routing call left its delivery in `srcs` (an
-    /// untraced replay) rather than in `lines`.
-    delivered_in_srcs: bool,
+    delivered: Delivery,
     sweep: SweepScratch,
     settings: RbnSettings,
+    class: ClassScratch,
 }
 
 impl Default for RouteScratch {
@@ -135,10 +148,11 @@ impl RouteScratch {
             n: 0,
             lines: Vec::new(),
             srcs: Vec::new(),
-            delivered_in_srcs: false,
+            delivered: Delivery::Lines,
             sweep: SweepScratch::new(),
             // Placeholder with zero stages; replaced by `ensure`.
             settings: RbnSettings::identity(1),
+            class: ClassScratch::default(),
         }
     }
 
@@ -156,24 +170,42 @@ impl RouteScratch {
             self.lines.resize(n, FastLine::EMPTY);
             self.srcs.clear();
             self.srcs.resize(n, NO_SRC);
-            self.delivered_in_srcs = false;
+            self.delivered = Delivery::Lines;
             self.settings = RbnSettings::identity(n);
+            self.class.ensure(n);
         }
     }
 
     /// Sources delivered to each output by the last successful
-    /// [`Brsmn::route_into`](crate::brsmn::Brsmn::route_into) or
+    /// [`Brsmn::route_into`](crate::brsmn::Brsmn::route_into),
     /// [`Brsmn::route_replay_into`](crate::brsmn::Brsmn::route_replay_into)
-    /// call.
+    /// or
+    /// [`Brsmn::route_replay_permuted_into`](crate::brsmn::Brsmn::route_replay_permuted_into)
+    /// call. A permuted delivery is read through the class maps, so read it
+    /// before the next [`crate::PlanCache::lookup_class`] on this arena.
     pub fn output_sources(&self) -> impl Iterator<Item = Option<usize>> + '_ {
         (0..self.n).map(|o| {
-            let src = if self.delivered_in_srcs {
-                self.srcs[o]
-            } else {
-                self.lines[o].src
+            let src = match self.delivered {
+                Delivery::Lines => self.lines[o].src,
+                Delivery::Srcs => self.srcs[o],
+                Delivery::SrcsPermuted => self.srcs[self.class.output_map()[o] as usize],
             };
             (src != NO_SRC).then_some(src as usize)
         })
+    }
+
+    /// The live → plan maps the last class hit
+    /// ([`crate::PlanCache::lookup_class`]) left here — `(input_map,
+    /// output_map)`: live input `i` enters the captured plan at
+    /// `input_map[i]`, live output `d` reads its delivery at
+    /// `output_map[d]` — or `None` when the last probe missed.
+    pub fn class_maps(&self) -> Option<(&[u32], &[u32])> {
+        self.class.maps()
+    }
+
+    /// The canonical tier's working set inside this arena.
+    pub(crate) fn class_mut(&mut self) -> &mut ClassScratch {
+        &mut self.class
     }
 
     /// Approximate heap bytes currently reserved by the arena.
@@ -185,11 +217,12 @@ impl RouteScratch {
             + self.srcs.capacity() * std::mem::size_of::<u32>()
             + self.sweep.footprint_bytes()
             + settings_bytes
+            + self.class.footprint_bytes()
     }
 
     /// Collects the delivered sources into a fresh [`RoutingResult`] (the
     /// one allocation of [`Brsmn::route_buffered`](crate::brsmn::Brsmn::route_buffered)).
-    fn to_result(&self) -> RoutingResult {
+    pub(crate) fn to_result(&self) -> RoutingResult {
         RoutingResult::new(self.output_sources().collect())
     }
 
@@ -609,12 +642,12 @@ pub(crate) fn route_assignment_fast(
     scratch.ensure(n);
     let RouteScratch {
         lines,
-        delivered_in_srcs,
+        delivered,
         sweep,
         settings,
         ..
     } = scratch;
-    *delivered_in_srcs = false;
+    *delivered = Delivery::Lines;
 
     init_lines(asg, lines);
 
@@ -957,37 +990,35 @@ pub(crate) fn route_assignment_replay(
     let RouteScratch {
         lines,
         srcs,
-        delivered_in_srcs,
+        delivered,
         settings,
         ..
     } = scratch;
 
     if let Some(trace) = trace {
-        *delivered_in_srcs = false;
+        *delivered = Delivery::Lines;
         return replay_traced(n, wiring, asg, plan, lines, settings, trace, timer);
     }
-    *delivered_in_srcs = true;
-    for (i, src) in srcs.iter_mut().enumerate() {
-        *src = if asg.dests(i).is_empty() {
-            NO_SRC
-        } else {
-            i as u32
-        };
+    *delivered = Delivery::Srcs;
+    for (src, (i, w)) in srcs.iter_mut().zip(asg.offsets().windows(2).enumerate()) {
+        *src = if w[0] == w[1] { NO_SRC } else { i as u32 };
     }
     replay_sources(plan, srcs, timer);
     verify_delivery(asg, srcs.iter().copied())
 }
 
 /// Replays a plan captured for a *relabeling* of `asg` — the canonical
-/// cache tier's executor. `input_map[i]` / `output_map[d]` give the
-/// plan-space position of live input `i` / live output `d` (both full
-/// bijections on `0..n`, e.g. composed from two [`crate::canonicalize`]
-/// runs by the cache).
+/// cache tier's executor — through the live → plan maps in `scratch`'s
+/// class scratch: left there by a class hit
+/// ([`crate::PlanCache::lookup_class`]), or loaded by a caller. Both maps
+/// are bijections on `0..n` by construction, so they are not re-checked
+/// here.
 ///
 /// Live input `i`'s source id enters at plan line `input_map[i]`, the
 /// captured setting planes execute verbatim through the same kernel as an
 /// exact replay ([`replay_sources`]), and each live output `d` reads its
-/// delivered source back from plan line `output_map[d]`. The returned
+/// delivered source back from plan line `output_map[d]`, which is where the
+/// delivery stays (read it with [`RouteScratch::output_sources`]). The
 /// result is **bit-identical to fresh planning of the live assignment**: a
 /// routing result is a pure function of its assignment (every claimed
 /// output receives exactly its unique owner), and the frame-final
@@ -1000,43 +1031,31 @@ pub(crate) fn route_assignment_replay_permuted(
     n: usize,
     asg: &MulticastAssignment,
     plan: &CapturedPlan,
-    input_map: &[usize],
-    output_map: &[usize],
     scratch: &mut RouteScratch,
     timer: Option<&mut StageTimer>,
-) -> Result<RoutingResult, CoreError> {
+) -> Result<(), CoreError> {
     assert_eq!(asg.n(), n, "assignment size mismatch");
     check_plan_size(plan, n)?;
-    if input_map.len() != n || output_map.len() != n {
-        return Err(CoreError::Config(format!(
-            "permutation length mismatch: maps are {}/{}, network is n = {n}",
-            input_map.len(),
-            output_map.len()
-        )));
-    }
     scratch.ensure(n);
     let RouteScratch {
         srcs,
-        delivered_in_srcs,
+        delivered,
+        class,
         ..
     } = scratch;
-    *delivered_in_srcs = true;
+    let Some((input_map, output_map)) = class.maps() else {
+        return Err(CoreError::Config(
+            "no class maps in the scratch: probe with PlanCache::lookup_class first".into(),
+        ));
+    };
+    *delivered = Delivery::SrcsPermuted;
 
-    srcs.fill(NO_SRC);
-    for (i, d) in asg.iter() {
-        if !d.is_empty() {
-            srcs[input_map[i]] = i as u32;
-        }
+    // `input_map` is a bijection, so this writes every line exactly once.
+    for (&q, (i, w)) in input_map.iter().zip(asg.offsets().windows(2).enumerate()) {
+        srcs[q as usize] = if w[0] == w[1] { NO_SRC } else { i as u32 };
     }
     replay_sources(plan, srcs, timer);
-
-    verify_delivery(asg, output_map.iter().map(|&q| srcs[q]))?;
-    Ok(RoutingResult::new(
-        output_map
-            .iter()
-            .map(|&q| (srcs[q] != NO_SRC).then_some(srcs[q] as usize))
-            .collect(),
-    ))
+    verify_delivery(asg, output_map.iter().map(|&q| srcs[q as usize]))
 }
 
 /// Replays and collects the result (one `Vec` allocation for the result).

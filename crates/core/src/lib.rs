@@ -6,8 +6,8 @@
 //! `n` inputs and `n` outputs over edge-disjoint trees, without blocking.
 //! This crate implements the paper's design end to end:
 //!
-//! * [`assignment`] — multicast assignments `{I_0, …, I_{n−1}}` and routing
-//!   results;
+//! * [`assignment`] — multicast assignments `{I_0, …, I_{n−1}}`, stored
+//!   flat (CSR offsets into one destination array), and routing results;
 //! * [`backend`] — the [`RouterBackend`] trait making every fabric (fast
 //!   path, reference, feedback, engines, baselines) interchangeable to the
 //!   serving loop and conformance suite;
@@ -28,9 +28,9 @@
 //!   cost — exact recurrences replay directly, *relabeled* recurrences
 //!   replay through the canonical tier's permuted executor, and the whole
 //!   working set persists across restarts via snapshots;
-//! * [`canonical`] — canonicalization of assignments up to input/output
-//!   relabeling ([`canonicalize`]), the equivalence the cache's canonical
-//!   tier keys on;
+//! * [`canonical`] — the relabeling classes the cache's canonical tier
+//!   keys on: the [`FanoutProfile`] key, its counting-sort maps, and
+//!   canonicalization ([`canonicalize`]) as their oracle;
 //! * [`feedback`] — the single-RBN feedback implementation (Section 7.3)
 //!   cutting hardware to `Θ(n log n)`;
 //! * [`metrics`] — exact switch/gate/depth accounting (Section 7.4);
@@ -84,7 +84,7 @@ pub use backend::{ReferenceRouter, RouterBackend};
 pub use batch::{with_thread_batch_planner, BatchPlanner, MAX_BATCH_FRAMES};
 pub use brsmn::{Brsmn, LevelTrace, RouteTrace};
 pub use bsn::{Bsn, BsnTrace};
-pub use canonical::{canonicalize, invert_permutation, Canonicalized};
+pub use canonical::{canonicalize, invert_permutation, Canonicalized, FanoutProfile};
 pub use engine::{
     BatchOutput, Engine, EngineConfig, EngineStats, FrameOutcome, LevelStats, ResilientRouter,
     ShardedEngine, StageTimer,

@@ -24,12 +24,14 @@
 //! │                    stage by stage across each level's blocks — bit-
 //! │                    identical result (the traced replay also rebuilds
 //! │                    the trace and settings table)
-//! ├─ exact miss ──► canonicalize (crate::canonical): reduce to the
-//! │   │             relabeling-class representative + permutation pair
-//! │   ├─ canonical hit ──► canonical shard ──► Arc<CapturedPlan> + the
-//! │   │                    composed live→plan permutations; the same
-//! │   │                    kernel on permuted source ids — result bit-
-//! │   │                    identical to fresh planning of the live assignment
+//! ├─ exact miss ──► fanout profile (crate::canonical): one counting pass
+//! │   │             over the CSR offsets ──► (fanout, count) runs + u64 key
+//! │   ├─ canonical hit ──► canonical shard (runs compared) ──►
+//! │   │                    Arc<CapturedPlan>; a counting sort writes the
+//! │   │                    live→plan maps into scratch, composed with the
+//! │   │                    entry's stored inverse maps; the same kernel on
+//! │   │                    permuted source ids — result bit-identical to
+//! │   │                    fresh planning of the live assignment
 //! │   └─ canonical miss ──► fast-path planner (fused sweeps) with capture
 //! │                         hooks ──► CapturedPlan arena inserted into
 //! │                         *both* tiers (full-equality checked in each)
@@ -38,29 +40,35 @@
 //!                 restarted engine replays its working set on first sight
 //! ```
 //!
-//! An exact hit performs **zero** heap allocations (pinned by the
+//! Both kinds of hit perform **zero** heap allocations (pinned by the
 //! `alloc-count` test in `brsmn-bench`): the fingerprint is an arithmetic
 //! fold, the shard probe takes a shared read lock, the LRU stamp is an
 //! atomic store, and the plan travels as an [`Arc`] clone. A canonical hit
-//! is *low*-allocation, not zero: it builds the probe's canonical form and
-//! composes two permutation arrays (a few `O(n)` buffers — still no
-//! planning sweeps, which is where the time goes).
+//! ([`PlanCache::lookup_class`] then
+//! [`Brsmn::route_replay_permuted_into`](crate::Brsmn::route_replay_permuted_into))
+//! adds `O(n)` arithmetic on the thread's [`RouteScratch`]: the profile
+//! count, the runs compare, and the counting-sort maps. It never builds a
+//! canonical assignment; the tier stores none.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 
 use crate::assignment::MulticastAssignment;
-use crate::canonical::{invert_permutation, Canonicalized};
+use crate::canonical::{
+    invert_permutation, profile_key, runs_of_canonical, Canonicalized, ClassScratch,
+};
 use crate::error::CoreError;
+use crate::fastpath::RouteScratch;
 use brsmn_rbn::{PackedSettings, RbnSettings};
 use brsmn_switch::SwitchSetting;
 use brsmn_topology::{check_size, log2_exact};
 use serde::{Deserialize, Serialize};
 
-/// splitmix64 finalizer — the mixing primitive of the fingerprint.
+/// splitmix64 finalizer — the mixing primitive of the fingerprint and of
+/// the fanout-profile key.
 #[inline]
-fn mix(mut x: u64) -> u64 {
+pub(crate) fn mix(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
@@ -254,20 +262,26 @@ struct Entry {
     bytes: usize,
 }
 
-/// One canonical-tier entry: the class fingerprint, the canonical
-/// representative (equality guard — the class identity), the
-/// canonical-position → plan-position maps (inverses of the *stored
-/// member's* canonicalization permutations), the member's plan, the LRU
-/// stamp, and the footprint fixed at insert.
+/// One canonical-tier entry: the class key, the fanout profile (`n` and
+/// the runs — the equality guard, as strong as comparing canonical
+/// representatives), the canonical-position → plan-position maps (inverses
+/// of the *stored member's* live → canonical maps, inputs then outputs),
+/// the member's plan, the LRU stamp, and the footprint fixed at insert.
 #[derive(Debug)]
 struct CanonEntry {
-    fp: u64,
-    canon: MulticastAssignment,
-    from_canon_inputs: Vec<usize>,
-    from_canon_outputs: Vec<usize>,
+    key: u64,
+    n: usize,
+    runs: Box<[(u32, u32)]>,
+    from_canon: Box<[u32]>,
     plan: Arc<CapturedPlan>,
     stamp: AtomicU64,
     bytes: usize,
+}
+
+impl CanonEntry {
+    fn is_class(&self, key: u64, n: usize, runs: &[(u32, u32)]) -> bool {
+        self.key == key && self.n == n && *self.runs == *runs
+    }
 }
 
 /// One shard: a small linear-probed entry list with its own capacity slice.
@@ -301,8 +315,8 @@ pub struct PlanCacheStats {
     pub exact_hits: u64,
     /// Exact-tier lookups that found nothing (or a fingerprint collision).
     pub exact_misses: u64,
-    /// Canonical-tier lookups that returned a plan (class fingerprint
-    /// *and* full canonical-representative equality matched).
+    /// Canonical-tier lookups that returned a plan (class key *and* the
+    /// fanout profile's runs matched).
     pub canonical_hits: u64,
     /// Canonical-tier lookups that found nothing — for the engine's
     /// two-tier probe order, the frames that had to plan fresh.
@@ -345,10 +359,11 @@ impl PlanCacheStats {
 /// Counters are interior [`AtomicU64`]s; [`PlanCache::stats`] reads them
 /// relaxed (they are monotone tallies, not synchronization).
 ///
-/// The **canonical tier** ([`PlanCache::lookup_canonical`] /
+/// The **canonical tier** ([`PlanCache::lookup_class`], and the
+/// [`Canonicalized`]-based adapters [`PlanCache::lookup_canonical`] /
 /// [`PlanCache::insert_canonical`]) lives in its own shard set with the
-/// same capacity bound, keyed by the fingerprint of the
-/// [`Canonicalized`] representative. Both tiers share the plan `Arc`s —
+/// same capacity bound, keyed by the [`crate::FanoutProfile`] of the
+/// relabeling class. Both tiers share the plan `Arc`s —
 /// eviction from either tier never invalidates a replay in flight,
 /// because a looked-up plan is an owned `Arc` clone that keeps the arena
 /// alive until the replay drops it.
@@ -462,38 +477,84 @@ impl PlanCache {
         None
     }
 
+    /// Looks up the **canonical tier** for `asg`'s relabeling class,
+    /// leaving the composed live → plan maps in `scratch` on a hit — the
+    /// first half of a zero-allocation canonical hit; replay with
+    /// [`Brsmn::route_replay_permuted_into`](crate::Brsmn::route_replay_permuted_into).
+    ///
+    /// The probe counts `asg`'s fanout profile, hashes it to the class key,
+    /// and compares the resident entry's runs (a key collision misses). On
+    /// a hit one counting sort ranks the live inputs and outputs, and each
+    /// rank goes through the entry's stored inverse maps on its way into
+    /// the scratch: `O(n)` arithmetic, no canonical assignment, no
+    /// allocation. Counted as `canonical_hits`/`canonical_misses`.
+    pub fn lookup_class(
+        &self,
+        asg: &MulticastAssignment,
+        scratch: &mut RouteScratch,
+    ) -> Option<Arc<CapturedPlan>> {
+        scratch.ensure(asg.n());
+        let class = scratch.class_mut();
+        class.profile(asg);
+        self.lookup_class_profiled(asg, class)
+    }
+
+    /// [`PlanCache::lookup_class`] for an `asg` already profiled into
+    /// `class` (the batched driver profiles first to claim classes).
+    pub(crate) fn lookup_class_profiled(
+        &self,
+        asg: &MulticastAssignment,
+        class: &mut ClassScratch,
+    ) -> Option<Arc<CapturedPlan>> {
+        let n = asg.n();
+        let (shard, at) = self.probe_class(class.key(), n, class.runs())?;
+        let e = &shard.entries[at];
+        let (inputs, outputs) = e.from_canon.split_at(n);
+        class.write_maps(asg, |r| inputs[r as usize], |p| outputs[p as usize]);
+        Some(Arc::clone(&e.plan))
+    }
+
     /// Looks up the **canonical tier** for the equivalence class of a
-    /// canonicalized probe (build it with [`crate::canonicalize`]). A hit
-    /// requires the stored canonical representative to equal the probe's —
-    /// the same collision-proofing discipline as the exact tier — and
-    /// returns the stored member's plan together with the composed
-    /// live → plan-space permutations (probe's live→canonical maps chained
-    /// through the entry's canonical→plan maps). Counted as
-    /// `canonical_hits`/`canonical_misses`.
+    /// canonicalized probe (build it with [`crate::canonicalize`]) — the
+    /// allocating adapter over the same profile-keyed tier as
+    /// [`PlanCache::lookup_class`], kept as its oracle. The profile is read
+    /// off `canon.canonical`, and a hit returns the stored member's plan
+    /// together with the composed live → plan-space permutations (probe's
+    /// live→canonical maps chained through the entry's canonical→plan
+    /// maps). Counted as `canonical_hits`/`canonical_misses`.
     pub fn lookup_canonical(&self, canon: &Canonicalized) -> Option<CanonicalHit> {
-        let fp = canon.fingerprint();
-        let shard = self.canon_shards[self.shard_of(fp)]
+        let n = canon.canonical.n();
+        let runs = runs_of_canonical(&canon.canonical);
+        let (shard, at) = self.probe_class(profile_key(n, &runs), n, &runs)?;
+        let e = &shard.entries[at];
+        let (inputs, outputs) = e.from_canon.split_at(n);
+        let compose = |perm: &[usize], inv: &[u32]| -> Vec<usize> {
+            perm.iter().map(|&c| inv[c] as usize).collect()
+        };
+        Some(CanonicalHit {
+            plan: Arc::clone(&e.plan),
+            input_map: compose(&canon.input_perm, inputs),
+            output_map: compose(&canon.output_perm, outputs),
+        })
+    }
+
+    /// The canonical-tier probe both lookups share: on a hit, refreshes the
+    /// entry's stamp and returns the shard, still read-locked, with the
+    /// entry's index.
+    fn probe_class(
+        &self,
+        key: u64,
+        n: usize,
+        runs: &[(u32, u32)],
+    ) -> Option<(RwLockReadGuard<'_, Shard<CanonEntry>>, usize)> {
+        let shard = self.canon_shards[self.shard_of(key)]
             .read()
             .expect("plan-cache shard poisoned");
-        for e in &shard.entries {
-            if e.fp == fp && e.canon == canon.canonical {
-                let now = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-                e.stamp.store(now, Ordering::Relaxed);
-                self.canonical_hits.fetch_add(1, Ordering::Relaxed);
-                return Some(CanonicalHit {
-                    plan: Arc::clone(&e.plan),
-                    input_map: canon
-                        .input_perm
-                        .iter()
-                        .map(|&c| e.from_canon_inputs[c])
-                        .collect(),
-                    output_map: canon
-                        .output_perm
-                        .iter()
-                        .map(|&c| e.from_canon_outputs[c])
-                        .collect(),
-                });
-            }
+        if let Some(at) = shard.entries.iter().position(|e| e.is_class(key, n, runs)) {
+            let now = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
+            shard.entries[at].stamp.store(now, Ordering::Relaxed);
+            self.canonical_hits.fetch_add(1, Ordering::Relaxed);
+            return Some((shard, at));
         }
         drop(shard);
         self.canonical_misses.fetch_add(1, Ordering::Relaxed);
@@ -534,9 +595,7 @@ impl PlanCache {
         shard.entries.push(Entry {
             fp,
             asg: asg.clone(),
-            bytes: plan.footprint_bytes()
-                + asg.total_connections() * std::mem::size_of::<usize>()
-                + std::mem::size_of::<Entry>(),
+            bytes: plan.footprint_bytes() + asg.heap_bytes() + std::mem::size_of::<Entry>(),
             plan,
             stamp: AtomicU64::new(now),
         });
@@ -549,18 +608,50 @@ impl PlanCache {
     /// entry if it is full. `canon` must be the canonicalization of the
     /// assignment `plan` was captured for — the entry keeps the *inverses*
     /// of its permutations so later members can be composed onto the plan.
-    /// Returns `true` when an eviction happened.
+    /// The adapter twin of the engine's profile-path insert (same tier,
+    /// same entry). Returns `true` when an eviction happened.
     pub fn insert_canonical(&self, canon: &Canonicalized, plan: Arc<CapturedPlan>) -> bool {
-        let fp = canon.fingerprint();
-        let mut shard = self.canon_shards[self.shard_of(fp)]
+        let n = canon.canonical.n();
+        let runs = runs_of_canonical(&canon.canonical);
+        let from_canon = invert_permutation(&canon.input_perm)
+            .into_iter()
+            .chain(invert_permutation(&canon.output_perm))
+            .map(|p| p as u32)
+            .collect();
+        self.insert_class_entry(profile_key(n, &runs), n, &runs, from_canon, plan)
+    }
+
+    /// Inserts `plan`, captured for `asg`, as its class's member under the
+    /// class `key` the probe computed: the profile is recounted into
+    /// `class` and the maps are built once, here, by the same counting sort
+    /// a hit runs. Returns `true` when an eviction happened.
+    pub(crate) fn insert_class(
+        &self,
+        key: u64,
+        asg: &MulticastAssignment,
+        plan: Arc<CapturedPlan>,
+        class: &mut ClassScratch,
+    ) -> bool {
+        class.ensure(asg.n());
+        class.profile(asg);
+        debug_assert_eq!(class.key(), key, "the probe keyed another class");
+        let from_canon = class.inverse_maps(asg);
+        self.insert_class_entry(key, asg.n(), class.runs(), from_canon, plan)
+    }
+
+    fn insert_class_entry(
+        &self,
+        key: u64,
+        n: usize,
+        runs: &[(u32, u32)],
+        from_canon: Box<[u32]>,
+        plan: Arc<CapturedPlan>,
+    ) -> bool {
+        let mut shard = self.canon_shards[self.shard_of(key)]
             .write()
             .expect("plan-cache shard poisoned");
         let now = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(e) = shard
-            .entries
-            .iter_mut()
-            .find(|e| e.fp == fp && e.canon == canon.canonical)
-        {
+        if let Some(e) = shard.entries.iter_mut().find(|e| e.is_class(key, n, runs)) {
             // Another member of the class is already resident; its plan
             // serves the whole class, so keep it and refresh the stamp.
             e.stamp.store(now, Ordering::Relaxed);
@@ -579,15 +670,16 @@ impl PlanCache {
             self.canonical_evictions.fetch_add(1, Ordering::Relaxed);
             evicted = true;
         }
+        let runs: Box<[(u32, u32)]> = runs.into();
         shard.entries.push(CanonEntry {
-            fp,
-            canon: canon.canonical.clone(),
-            from_canon_inputs: invert_permutation(&canon.input_perm),
-            from_canon_outputs: invert_permutation(&canon.output_perm),
+            key,
+            n,
             bytes: plan.footprint_bytes()
-                + canon.canonical.total_connections() * std::mem::size_of::<usize>()
-                + 2 * canon.input_perm.len() * std::mem::size_of::<usize>()
+                + std::mem::size_of_val(&*runs)
+                + std::mem::size_of_val(&*from_canon)
                 + std::mem::size_of::<CanonEntry>(),
+            runs,
+            from_canon,
             plan,
             stamp: AtomicU64::new(now),
         });
@@ -651,15 +743,15 @@ impl PlanCache {
             return false;
         };
         self.invalidations.fetch_add(1, Ordering::Relaxed);
-        let canon = crate::canonical::canonicalize(&asg);
-        let cfp = canon.fingerprint();
-        let mut shard = self.canon_shards[self.shard_of(cfp)]
+        let profile = crate::canonical::FanoutProfile::of(&asg);
+        let key = profile.key();
+        let mut shard = self.canon_shards[self.shard_of(key)]
             .write()
             .expect("plan-cache shard poisoned");
         if let Some(i) = shard
             .entries
             .iter()
-            .position(|e| e.fp == cfp && e.canon == canon.canonical)
+            .position(|e| e.is_class(key, profile.n(), profile.runs()))
         {
             // Same plan Arc ⇒ this class entry was seeded by the
             // invalidated capture; a different Arc means another member
@@ -702,9 +794,9 @@ impl PlanCache {
         fps
     }
 
-    /// Class fingerprints of every representative resident in the
-    /// canonical tier, sorted — the second set anti-entropy convergence is
-    /// judged on.
+    /// Class keys ([`crate::FanoutProfile::key`]) of every class resident
+    /// in the canonical tier, sorted — the second set anti-entropy
+    /// convergence is judged on.
     pub fn resident_canonical_fingerprints(&self) -> Vec<u64> {
         let mut fps: Vec<u64> = self
             .canon_shards
@@ -714,7 +806,7 @@ impl PlanCache {
                     .expect("plan-cache shard poisoned")
                     .entries
                     .iter()
-                    .map(|e| e.fp)
+                    .map(|e| e.key)
                     .collect::<Vec<_>>()
             })
             .collect();
@@ -795,6 +887,7 @@ impl PlanCache {
             });
         }
         let mut stats = SnapshotLoadStats::default();
+        let mut class = ClassScratch::default();
         for (index, e) in snapshot.entries.iter().enumerate() {
             let asg = MulticastAssignment::from_sets(e.n, e.sets.clone()).map_err(|err| {
                 SnapshotError::Entry {
@@ -817,7 +910,9 @@ impl PlanCache {
             if self.insert(plan_fingerprint(&asg), &asg, Arc::clone(&plan)) {
                 stats.evicted += 1;
             }
-            if self.insert_canonical(&crate::canonical::canonicalize(&asg), plan) {
+            class.ensure(asg.n());
+            let key = class.profile(&asg);
+            if self.insert_class(key, &asg, plan, &mut class) {
                 stats.evicted += 1;
             }
             stats.loaded += 1;

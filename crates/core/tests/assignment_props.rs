@@ -2,7 +2,9 @@
 //! each against a plain oracle: `==` against a set-by-set comparison of
 //! the public view, and `from_sets` against the `BTreeSet`-per-input
 //! construction it replaced (same value, same first error) on unsorted,
-//! duplicated, out-of-range and overlapping input.
+//! duplicated, out-of-range and overlapping input. The flat (CSR) storage
+//! is checked against a nested `Vec<Vec<usize>>` oracle kept here: every
+//! accessor, `==`, and the JSON text.
 
 use brsmn_core::{AssignmentError, MulticastAssignment};
 use proptest::collection::vec;
@@ -208,4 +210,108 @@ fn equality_separates_the_named_near_misses() {
         MulticastAssignment::empty(4).unwrap(),
         MulticastAssignment::empty(8).unwrap()
     );
+}
+
+/// The nested-vector oracle of a frame drawn as per-output source choices:
+/// output `o` joins the set of input `choices[o]`, in ascending `o`, so
+/// every set is sorted.
+fn nested(n: usize, choices: &[Option<usize>]) -> Vec<Vec<usize>> {
+    let mut sets = vec![Vec::new(); n];
+    for (o, c) in choices.iter().enumerate() {
+        if let Some(src) = c {
+            sets[*src].push(o);
+        }
+    }
+    sets
+}
+
+fn notation(sets: &[Vec<usize>]) -> String {
+    let parts: Vec<String> = sets
+        .iter()
+        .map(|d| {
+            if d.is_empty() {
+                "φ".to_string()
+            } else {
+                let items: Vec<String> = d.iter().map(|x| x.to_string()).collect();
+                format!("{{{}}}", items.join(","))
+            }
+        })
+        .collect();
+    format!("{{{}}}", parts.join(", "))
+}
+
+/// Per-output choices over sizes {2, 4, 8, 16, 64}, with a second draw
+/// that is the same choices, or the same with one output reassigned or
+/// dropped (a near miss), or independent.
+fn choice_pairs() -> impl Strategy<Value = (usize, Vec<Option<usize>>, Vec<Option<usize>>)> {
+    prop_oneof![Just(2usize), Just(4), Just(8), Just(16), Just(64)]
+        .prop_flat_map(|n| {
+            (
+                Just(n),
+                (
+                    vec(option::weighted(0.6, 0..n), n),
+                    vec(option::weighted(0.6, 0..n), n),
+                ),
+                0u8..4,
+                0usize..n,
+                option::weighted(0.5, 0..n),
+            )
+        })
+        .prop_map(|(n, (a, other), kind, o, src)| {
+            let b = match kind {
+                0 => a.clone(),
+                1 | 2 => {
+                    let mut b = a.clone();
+                    b[o] = src;
+                    b
+                }
+                _ => other,
+            };
+            (n, a, b)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every accessor of the flat storage reads what the nested oracle
+    /// holds, and the JSON text is the oracle's nested lists.
+    #[test]
+    fn flat_storage_matches_the_nested_oracle((n, choices, _) in choice_pairs()) {
+        let want = nested(n, &choices);
+        let a = MulticastAssignment::from_sets(n, want.clone()).unwrap();
+        prop_assert_eq!(a.n(), n);
+        for (i, set) in want.iter().enumerate() {
+            prop_assert_eq!(a.dests(i), &set[..]);
+        }
+        let pairs: Vec<(usize, Vec<usize>)> = a.iter().map(|(i, d)| (i, d.to_vec())).collect();
+        prop_assert_eq!(pairs, want.iter().cloned().enumerate().collect::<Vec<_>>());
+        prop_assert_eq!(a.active_inputs(), want.iter().filter(|s| !s.is_empty()).count());
+        prop_assert_eq!(a.total_connections(), want.iter().map(Vec::len).sum::<usize>());
+        prop_assert_eq!(a.max_fanout(), want.iter().map(Vec::len).max().unwrap_or(0));
+        prop_assert_eq!(a.is_permutation(), want.iter().all(|s| s.len() <= 1));
+        for (o, &src) in choices.iter().enumerate() {
+            prop_assert_eq!(a.source_of_output(o), src);
+        }
+        prop_assert_eq!(a.set_notation(), notation(&want));
+        let json = format!(r#"{{"n":{n},"dests":{}}}"#, serde_json::to_string(&want).unwrap());
+        prop_assert_eq!(serde_json::to_string(&a).unwrap(), json.clone());
+        let back: MulticastAssignment = serde_json::from_str(&json).unwrap();
+        prop_assert!(back == a);
+    }
+
+    /// `==` on the flat storage is equality of `n` and of the nested sets.
+    #[test]
+    fn flat_equality_matches_the_nested_oracle((n, ca, cb) in choice_pairs()) {
+        let (sa, sb) = (nested(n, &ca), nested(n, &cb));
+        let a = MulticastAssignment::from_sets(n, sa.clone()).unwrap();
+        let b = MulticastAssignment::from_sets(n, sb.clone()).unwrap();
+        prop_assert_eq!(a == b, sa == sb);
+        prop_assert_eq!(b == a, sa == sb);
+        prop_assert!(a == a.clone());
+        // The same sets in a network twice the size never compare equal.
+        let mut wide = sa.clone();
+        wide.resize(2 * n, Vec::new());
+        prop_assert!(a != MulticastAssignment::from_sets(2 * n, wide).unwrap());
+    }
 }

@@ -1,14 +1,17 @@
 //! Acceptance properties of the canonical cache tier: canonicalization is
 //! a **total, idempotent** map whose fibers are exactly the relabeling
 //! classes (any two input/output relabelings of a frame share one
-//! representative and one fingerprint); the permuted replay path serves a
-//! relabeled frame **bit-identically** to fresh planning from another
-//! member's captured plan; and the whole working set survives a snapshot
-//! round-trip — a warm-started engine replays every frame on first sight.
+//! representative and one fingerprint); the fanout profile the tier is
+//! keyed on separates exactly the classes canonicalization separates, and
+//! its counting-sort maps are canonicalization's permutations; the permuted
+//! replay path serves a relabeled frame **bit-identically** to fresh
+//! planning from another member's captured plan; and the whole working set
+//! survives a snapshot round-trip — a warm-started engine replays every
+//! frame on first sight.
 
 use brsmn_core::{
-    canonicalize, relabel_inputs, relabel_outputs, Brsmn, Engine, EngineConfig,
-    MulticastAssignment, PlanCache, RouteScratch,
+    canonicalize, relabel_inputs, relabel_outputs, Brsmn, CapturedPlan, Engine, EngineConfig,
+    FanoutProfile, MulticastAssignment, PlanCache, RouteScratch,
 };
 use proptest::collection::vec;
 use proptest::option;
@@ -90,6 +93,46 @@ fn relabel(a: &MulticastAssignment, (ip, op): &(Vec<usize>, Vec<usize>)) -> Mult
     relabel_inputs(&relabel_outputs(a, op), ip)
 }
 
+/// Two frames at one size from {2, 8, 64, 256}: the second is a
+/// relabeling of the first, an independent draw, or the first with one
+/// destination moved to another input (a near miss whose profile usually,
+/// but not always, differs).
+fn frame_pairs() -> impl Strategy<Value = (MulticastAssignment, MulticastAssignment)> {
+    prop_oneof![Just(2usize), Just(8), Just(64), Just(256)].prop_flat_map(|n| {
+        (
+            shaped(n),
+            shaped(n),
+            (permutation(n), permutation(n)),
+            0u8..3,
+            0usize..n,
+        )
+            .prop_map(move |(a, other, pair, kind, pick)| {
+                let b = match kind {
+                    0 => relabel(&a, &pair),
+                    1 => other,
+                    _ => {
+                        let mut sets: Vec<Vec<usize>> =
+                            (0..n).map(|i| a.dests(i).to_vec()).collect();
+                        if let Some(from) = (0..n).find(|&i| !sets[(pick + i) % n].is_empty()) {
+                            let from = (pick + from) % n;
+                            let d = sets[from].pop().unwrap();
+                            sets[(from + 1 + pick % (n - 1)) % n].push(d);
+                        }
+                        MulticastAssignment::from_sets(n, sets).unwrap()
+                    }
+                };
+                (a, b)
+            })
+    })
+}
+
+/// `true` when `map` is a bijection on `0..map.len()`.
+fn is_bijection(map: &[u32]) -> bool {
+    let mut seen = vec![false; map.len()];
+    map.iter()
+        .all(|&p| (p as usize) < map.len() && !std::mem::replace(&mut seen[p as usize], true))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -153,6 +196,106 @@ proptest! {
         let fresh = net.route(&live).unwrap();
         prop_assert_eq!(&replayed, &fresh);
         prop_assert!(replayed.realizes(&live));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Equal fanout profiles ⇔ equal canonical representatives, so keying
+    /// the tier on the profile is exactly as strong as keying it on the
+    /// representative; a representative's own profile is its class's.
+    #[test]
+    fn profile_equality_is_canonical_equality((a, b) in frame_pairs()) {
+        let (pa, pb) = (FanoutProfile::of(&a), FanoutProfile::of(&b));
+        let (ca, cb) = (canonicalize(&a), canonicalize(&b));
+        prop_assert_eq!(pa == pb, ca.canonical == cb.canonical);
+        if pa == pb {
+            prop_assert_eq!(pa.key(), pb.key());
+        }
+        prop_assert_eq!(&FanoutProfile::of(&ca.canonical), &pa);
+        // Runs: fanouts strictly descending, counts positive, totals right.
+        prop_assert!(pa.runs().windows(2).all(|w| w[0].0 > w[1].0));
+        prop_assert!(pa.runs().iter().all(|&(f, c)| f > 0 && c > 0));
+        let active: u32 = pa.runs().iter().map(|&(_, c)| c).sum();
+        let total: u32 = pa.runs().iter().map(|&(f, c)| f * c).sum();
+        prop_assert_eq!(active as usize, a.active_inputs());
+        prop_assert_eq!(total as usize, a.total_connections());
+    }
+
+    /// The counting sort behind a class hit ranks inputs and outputs
+    /// exactly as `canonicalize` does. The representative is its own
+    /// canonical form (identity permutations), so a class entry stored from
+    /// it composes with the identity and a hit leaves the bare live →
+    /// canonical maps in the scratch.
+    #[test]
+    fn counting_sort_maps_are_canonicalize_perms((n, asg, pair, _) in frame_with_relabelings()) {
+        let live = relabel(&asg, &pair);
+        let c = canonicalize(&live);
+        let cache = PlanCache::new(4);
+        cache.insert_canonical(&canonicalize(&c.canonical), Arc::new(CapturedPlan::new(n).unwrap()));
+        let mut scratch = RouteScratch::new(n).unwrap();
+        prop_assert!(cache.lookup_class(&live, &mut scratch).is_some());
+        let (im, om) = scratch.class_maps().expect("a hit leaves its maps");
+        let widen = |m: &[u32]| m.iter().map(|&p| p as usize).collect::<Vec<_>>();
+        prop_assert_eq!(widen(im), c.input_perm);
+        prop_assert_eq!(widen(om), c.output_perm);
+    }
+
+    /// A class hit's composed maps are bijections and equal the maps the
+    /// `Canonicalized` adapter composes — whether the entry was stored by
+    /// the adapter or by the engine's own insert.
+    #[test]
+    fn composed_maps_are_bijections_and_match_the_adapter(
+        (n, asg, pair1, pair2) in frame_with_relabelings(),
+    ) {
+        let donor = relabel(&asg, &pair1);
+        let live = relabel(&asg, &pair2);
+        let adapter = PlanCache::new(4);
+        adapter.insert_canonical(&canonicalize(&donor), Arc::new(CapturedPlan::new(n).unwrap()));
+        let engine = Engine::with_config(n, EngineConfig::sequential().with_plan_cache(4)).unwrap();
+        prop_assert_eq!(engine.route_batch(std::slice::from_ref(&donor)).stats.plan_misses, 1);
+        let mut scratch = RouteScratch::new(n).unwrap();
+        for cache in [&adapter, engine.plan_cache().unwrap()] {
+            let want = cache.lookup_canonical(&canonicalize(&live)).expect("adapter hit");
+            prop_assert!(cache.lookup_class(&live, &mut scratch).is_some());
+            let (im, om) = scratch.class_maps().unwrap();
+            prop_assert!(is_bijection(im) && is_bijection(om));
+            let widen = |m: &[u32]| m.iter().map(|&p| p as usize).collect::<Vec<_>>();
+            prop_assert_eq!(widen(im), want.input_map);
+            prop_assert_eq!(widen(om), want.output_map);
+        }
+        // A frame of another class misses and leaves no maps behind.
+        let other = MulticastAssignment::empty(n).unwrap();
+        if FanoutProfile::of(&other) != FanoutProfile::of(&live) {
+            prop_assert!(adapter.lookup_class(&other, &mut scratch).is_none());
+            prop_assert!(scratch.class_maps().is_none());
+        }
+    }
+
+    /// The zero-allocation pair — `lookup_class` then
+    /// `route_replay_permuted_into` — delivers exactly what fresh planning
+    /// of the live frame delivers, and rejects nothing fresh planning
+    /// accepts.
+    #[test]
+    fn class_pair_is_bit_identical_to_fresh_planning(
+        (n, asg, pair1, pair2) in frame_with_relabelings(),
+    ) {
+        let donor = relabel(&asg, &pair1);
+        let live = relabel(&asg, &pair2);
+        let net = Brsmn::new(n).unwrap();
+        let mut scratch = RouteScratch::new(n).unwrap();
+        let (_, plan) = net.route_capture(&donor, &mut scratch).unwrap();
+        let cache = PlanCache::new(8);
+        cache.insert_canonical(&canonicalize(&donor), Arc::new(plan));
+
+        let plan = cache.lookup_class(&live, &mut scratch).expect("class hit");
+        net.route_replay_permuted_into(&live, &plan, &mut scratch).unwrap();
+        let fresh = net.route(&live).unwrap();
+        for (o, src) in scratch.output_sources().enumerate() {
+            prop_assert_eq!(src, fresh.output_source(o), "output {}", o);
+        }
+        prop_assert_eq!(cache.stats().canonical_hits, 1);
     }
 }
 
