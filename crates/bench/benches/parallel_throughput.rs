@@ -27,27 +27,5 @@ fn bench_worker_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_intra_frame(c: &mut Criterion) {
-    // Concurrent-halves recursion on single large frames: latency, not
-    // throughput — the win only appears once blocks are big enough to
-    // amortize a thread spawn.
-    let mut group = c.benchmark_group("parallel_halves");
-    for n in [256usize, 1024] {
-        let batch = dense_batch(n, 1, 11);
-        for (label, cfg) in [
-            ("seq", EngineConfig::sequential()),
-            ("fork2", EngineConfig::single_frame(2)),
-        ] {
-            let engine = Engine::with_config(n, cfg).unwrap();
-            group.bench_with_input(
-                BenchmarkId::new(label, n),
-                &batch[0],
-                |b, asg| b.iter(|| black_box(engine.route_one(black_box(asg)))),
-            );
-        }
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_worker_scaling, bench_intra_frame);
+criterion_group!(benches, bench_worker_scaling);
 criterion_main!(benches);

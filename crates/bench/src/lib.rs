@@ -7,12 +7,14 @@
 
 use brsmn_baselines::{BatcherBanyan, BenesNetwork, ComplexityModel, CopyBenesMulticast, NetworkKind};
 use brsmn_core::{
-    metrics, Brsmn, Engine, EngineConfig, EngineStats, FeedbackBrsmn, MulticastAssignment,
-    PlanOpProfile,
+    metrics, with_thread_scratch, Brsmn, Engine, EngineConfig, EngineStats, FeedbackBrsmn,
+    MulticastAssignment, PlanOpProfile, RoutingResult, StageTimer,
 };
+use brsmn_rbn::par;
 use brsmn_sim::{brsmn_routing_time, feedback_routing_time, looping_routing_time};
 use brsmn_workloads::{random_multicast, random_permutation, RandomSpec};
 use serde::{Deserialize, Serialize};
+use std::time::Instant;
 
 /// One measured row of the Table 2 sweep at a concrete size.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -226,8 +228,10 @@ pub struct RoutePoint {
     pub n: usize,
     /// Worker threads used.
     pub workers: usize,
-    /// `"fast"` (scratch-arena path) or `"reference"` (PR-1 allocating
-    /// path).
+    /// What was timed: `"reference"` ([`Brsmn::route_reference`]),
+    /// `"simd-cold"` (the scalar planner, [`Brsmn::route_into_timed`]),
+    /// `"batch-cold"` (a cache-less engine), `"capture-cold"` or
+    /// `"replay-warm"` (an engine with a plan cache).
     pub path: String,
     /// Frames per second of wall time (best of the repeats).
     pub frames_per_sec: f64,
@@ -255,29 +259,140 @@ pub struct RoutePoint {
     pub plan_profile: PlanOpProfile,
 }
 
+impl RoutePoint {
+    /// The point for the best run's `stats` of `frames`-frame batches.
+    fn from_stats(path: &str, frames: usize, stats: EngineStats) -> Self {
+        RoutePoint {
+            n: stats.n,
+            workers: stats.workers,
+            path: path.into(),
+            frames_per_sec: stats.frames_per_sec(),
+            ns_per_frame: stats.wall_nanos as f64 / frames as f64,
+            scratch_bytes: stats.scratch_bytes,
+            plan_hits: stats.plan_hits,
+            plan_misses: stats.plan_misses,
+            busy_over_wall: stats.speedup(),
+            plan_profile: stats.stages.plan_profile,
+        }
+    }
+}
+
 /// Unmeasured passes each `measure_*` function runs before its timed
 /// best-of-N repeats: they populate the per-worker thread-local arenas and
 /// warm the branch predictors so the first timed repeat is not an outlier.
 pub const WARMUP_PASSES: usize = 1;
 
-/// Routes `repeats` batches of `frames` dense frames through an engine and
-/// returns the best-run measurement. `use_scratch = false` selects the PR-1
-/// allocating reference router; results are asserted identical either way.
-pub fn measure_route_path(
+/// Runs `route` over `batch` on `workers` scoped threads (the engine's
+/// worker pool, without the engine), [`WARMUP_PASSES`] times unmeasured
+/// and then `repeats` times, and returns the results with the stats of
+/// the fastest repeat. `route` gets each frame with that frame's timer and
+/// returns its result and arena footprint; the stats hold wall and busy
+/// time, the merged timers and the largest footprint.
+fn time_frames(
+    n: usize,
+    batch: &[MulticastAssignment],
+    workers: usize,
+    repeats: usize,
+    route: impl Fn(&MulticastAssignment, &mut StageTimer) -> (RoutingResult, u64) + Sync,
+) -> (Vec<RoutingResult>, EngineStats) {
+    let workers = par::effective_workers(workers).min(batch.len().max(1));
+    let mut best: Option<(Vec<RoutingResult>, EngineStats)> = None;
+    for pass in 0..WARMUP_PASSES + repeats.max(1) {
+        let wall = Instant::now();
+        let frames = par::par_map(batch, workers, |_, asg| {
+            let t0 = Instant::now();
+            let mut timer = StageTimer::new();
+            let (result, bytes) = route(asg, &mut timer);
+            (result, timer, bytes, t0.elapsed().as_nanos() as u64)
+        });
+        let mut stats = EngineStats::empty(n);
+        stats.wall_nanos = wall.elapsed().as_nanos() as u64;
+        stats.batch = batch.len();
+        stats.workers = workers;
+        stats.frames_ok = batch.len();
+        let mut results = Vec::with_capacity(frames.len());
+        for (result, timer, bytes, nanos) in frames {
+            stats.stages.merge(&timer);
+            stats.scratch_bytes = stats.scratch_bytes.max(bytes);
+            stats.busy_nanos += nanos;
+            results.push(result);
+        }
+        if pass >= WARMUP_PASSES
+            && best
+                .as_ref()
+                .is_none_or(|(_, b)| stats.wall_nanos < b.wall_nanos)
+        {
+            best = Some((results, stats));
+        }
+    }
+    best.expect("at least one repeat")
+}
+
+/// Routes `repeats` batches of `frames` dense frames through the allocating
+/// reference router ([`Brsmn::route_reference`], the recursion the fast
+/// path replaced) on `workers` threads and returns the best-run
+/// measurement; results are asserted identical to [`Brsmn::route`].
+pub fn measure_reference_path(
     n: usize,
     frames: usize,
     seed: u64,
     workers: usize,
-    use_scratch: bool,
     repeats: usize,
 ) -> RoutePoint {
     let batch = dense_batch(n, frames, seed);
-    let cfg = if use_scratch {
-        EngineConfig::batch(workers)
-    } else {
-        EngineConfig::batch(workers).without_scratch()
+    let net = Brsmn::new(n).expect("valid size");
+    let (results, stats) = time_frames(n, &batch, workers, repeats, |asg, _| {
+        (net.route_reference(asg).expect("dense workload routes"), 0)
+    });
+    for (asg, got) in batch.iter().zip(&results) {
+        assert_eq!(got, &net.route(asg).expect("dense workload routes"));
+    }
+    RoutePoint::from_stats("reference", frames, stats)
+}
+
+/// Measures pure **cold planning** throughput on a dense batch, every
+/// frame planned fresh: with `soa = false` frame by frame on the scalar
+/// planner ([`Brsmn::route_into_timed`], the `"simd-cold"` point), with
+/// `soa = true` through a cache-less engine, which plans every frame in
+/// lockstep SoA chunks (the `"batch-cold"` point). Results are asserted
+/// bit-identical to [`Brsmn::route`], and the engine is asserted to have
+/// batch-planned every frame.
+pub fn measure_cold_path(
+    n: usize,
+    frames: usize,
+    seed: u64,
+    workers: usize,
+    soa: bool,
+    repeats: usize,
+) -> RoutePoint {
+    let batch = dense_batch(n, frames, seed);
+    let net = Brsmn::new(n).expect("valid size");
+    let want: Vec<RoutingResult> = batch
+        .iter()
+        .map(|asg| net.route(asg).expect("dense workload routes"))
+        .collect();
+    let check = |results: &[RoutingResult]| {
+        assert!(
+            results.iter().eq(&want),
+            "the cold planner changed a routing result"
+        );
     };
-    let engine = Engine::with_config(n, cfg).expect("valid size");
+    if !soa {
+        let (results, stats) = time_frames(n, &batch, workers, repeats, |asg, timer| {
+            with_thread_scratch(n, |scratch| {
+                net.route_into_timed(asg, scratch, timer)
+                    .expect("dense workload routes");
+                let result = RoutingResult::new(scratch.output_sources().collect());
+                (result, scratch.footprint_bytes() as u64)
+            })
+        });
+        check(&results);
+        return RoutePoint::from_stats("simd-cold", frames, stats);
+    }
+
+    // Cold refers to the (absent) plan cache, not the arenas: unmeasured
+    // warm-up passes populate the per-worker scratch before timing.
+    let engine = Engine::with_config(n, EngineConfig::batch(workers)).expect("valid size");
     for _ in 0..WARMUP_PASSES {
         let out = engine.route_batch(&batch);
         assert!(out.results.iter().all(|r| r.is_ok()), "warm-up routes");
@@ -285,9 +400,15 @@ pub fn measure_route_path(
     let mut best: Option<EngineStats> = None;
     for _ in 0..repeats.max(1) {
         let out = engine.route_batch(&batch);
-        assert!(
-            out.results.iter().all(|r| r.is_ok()),
-            "dense workload routes"
+        let results: Vec<RoutingResult> = out
+            .results
+            .into_iter()
+            .map(|r| r.expect("dense workload routes"))
+            .collect();
+        check(&results);
+        assert_eq!(
+            out.stats.batch_planned_frames, frames as u64,
+            "a cache-less engine plans every frame in SoA chunks"
         );
         if best
             .as_ref()
@@ -296,93 +417,7 @@ pub fn measure_route_path(
             best = Some(out.stats);
         }
     }
-    let stats = best.expect("at least one repeat");
-    RoutePoint {
-        n,
-        workers: stats.workers,
-        path: if use_scratch { "fast" } else { "reference" }.into(),
-        frames_per_sec: stats.frames_per_sec(),
-        ns_per_frame: stats.wall_nanos as f64 / frames as f64,
-        scratch_bytes: stats.scratch_bytes,
-        plan_hits: stats.plan_hits,
-        plan_misses: stats.plan_misses,
-        busy_over_wall: stats.speedup(),
-        plan_profile: stats.stages.plan_profile,
-    }
-}
-
-/// Measures pure **cold planning** throughput: a cache-less engine plans
-/// every frame of a dense batch fresh, either per frame on the wide-lane
-/// kernels (`batch_plan = false`, the `"simd-cold"` point) or in lockstep
-/// SoA chunks through the `BatchPlanner` (`batch_plan = true`, the
-/// `"batch-cold"` point). Results are asserted bit-identical between the
-/// two schedules, and the returned point records how many frames the SoA
-/// driver actually batch-planned.
-pub fn measure_cold_path(
-    n: usize,
-    frames: usize,
-    seed: u64,
-    workers: usize,
-    batch_plan: bool,
-    repeats: usize,
-) -> RoutePoint {
-    let batch = dense_batch(n, frames, seed);
-    let cfg = if batch_plan {
-        EngineConfig::batch(workers)
-    } else {
-        EngineConfig::batch(workers).without_batch_plan()
-    };
-    let engine = Engine::with_config(n, cfg).expect("valid size");
-
-    // Bit-identity oracle: the same batch planned per frame.
-    let want = Engine::with_config(n, EngineConfig::batch(workers).without_batch_plan())
-        .expect("valid size")
-        .route_batch(&batch);
-
-    // Cold refers to the (absent) plan cache, not the arenas: unmeasured
-    // warm-up passes populate the per-worker scratch before timing.
-    for _ in 0..WARMUP_PASSES {
-        let out = engine.route_batch(&batch);
-        assert!(out.results.iter().all(|r| r.is_ok()), "warm-up routes");
-    }
-    let mut best: Option<EngineStats> = None;
-    for _ in 0..repeats.max(1) {
-        let out = engine.route_batch(&batch);
-        for (a, b) in want.results.iter().zip(&out.results) {
-            assert_eq!(
-                a.as_ref().expect("dense workload routes"),
-                b.as_ref().expect("dense workload routes"),
-                "batch planning changed a routing result"
-            );
-        }
-        if batch_plan {
-            assert_eq!(
-                out.stats.batch_planned_frames, frames as u64,
-                "cache-less multi-frame batches plan every frame in SoA chunks"
-            );
-        } else {
-            assert_eq!(out.stats.batch_planned_frames, 0);
-        }
-        if best
-            .as_ref()
-            .is_none_or(|b| out.stats.wall_nanos < b.wall_nanos)
-        {
-            best = Some(out.stats);
-        }
-    }
-    let stats = best.expect("at least one repeat");
-    RoutePoint {
-        n,
-        workers: stats.workers,
-        path: if batch_plan { "batch-cold" } else { "simd-cold" }.into(),
-        frames_per_sec: stats.frames_per_sec(),
-        ns_per_frame: stats.wall_nanos as f64 / frames as f64,
-        scratch_bytes: stats.scratch_bytes,
-        plan_hits: stats.plan_hits,
-        plan_misses: stats.plan_misses,
-        busy_over_wall: stats.speedup(),
-        plan_profile: stats.stages.plan_profile,
-    }
+    RoutePoint::from_stats("batch-cold", frames, best.expect("at least one repeat"))
 }
 
 /// Measures the plan-capture cache on a batch of `frames` frames cycling
@@ -458,19 +493,8 @@ pub fn measure_replay_path(
             best = Some(out.stats);
         }
     }
-    let stats = best.expect("at least one repeat");
-    RoutePoint {
-        n,
-        workers: stats.workers,
-        path: if warm { "replay-warm" } else { "capture-cold" }.into(),
-        frames_per_sec: stats.frames_per_sec(),
-        ns_per_frame: stats.wall_nanos as f64 / frames as f64,
-        scratch_bytes: stats.scratch_bytes,
-        plan_hits: stats.plan_hits,
-        plan_misses: stats.plan_misses,
-        busy_over_wall: stats.speedup(),
-        plan_profile: stats.stages.plan_profile,
-    }
+    let path = if warm { "replay-warm" } else { "capture-cold" };
+    RoutePoint::from_stats(path, frames, best.expect("at least one repeat"))
 }
 
 /// Renders rows of `(label, values…)` as a GitHub-flavored markdown table.

@@ -20,8 +20,8 @@ use std::sync::{Mutex, MutexGuard};
 
 use brsmn_bench::dense_batch;
 use brsmn_core::{
-    canonicalize, plan_fingerprint, relabel_inputs, relabel_outputs, BatchPlanner, Brsmn,
-    MulticastAssignment, PlanCache, RouteScratch, StageTimer,
+    canonicalize, plan_fingerprint, relabel_inputs, relabel_outputs, BatchPlanner, Brsmn, Engine,
+    EngineConfig, MulticastAssignment, PlanCache, RouteScratch, StageTimer,
 };
 use std::sync::Arc;
 
@@ -292,6 +292,44 @@ fn profiled_paths_stay_heap_silent() {
         0,
         "profiled carried-rank paths allocated in steady state at n={n}"
     );
+}
+
+#[test]
+fn warm_engine_batch_allocates_a_few_times_per_frame() {
+    let _serial = one_at_a_time();
+    // The engine's one dispatch path on warm traffic: 64 frames at
+    // n = 256, half of them relabelings, so the batch is half exact and
+    // half canonical hits. What may allocate is per frame (its result and
+    // its stage timer's level rows) plus a handful per batch; parking maps
+    // or results in per-frame buffers would break the bound.
+    let n = 256;
+    let distinct = dense_batch(n, 32, 11);
+    let rotate = |k: usize| -> Vec<usize> { (0..n).map(|i| (i + k) % n).collect() };
+    let mut batch = distinct.clone();
+    batch.extend(
+        distinct
+            .iter()
+            .map(|a| relabel_inputs(&relabel_outputs(a, &rotate(5)), &rotate(3))),
+    );
+    let engine = Engine::with_config(n, EngineConfig::batch(1).with_plan_cache(256)).unwrap();
+    // Cold pass: captures every class; a second pass warms the arenas on
+    // the hit path.
+    for _ in 0..2 {
+        assert!(engine.route_batch(&batch).results.iter().all(|r| r.is_ok()));
+    }
+
+    let before = allocs();
+    let out = engine.route_batch(&batch);
+    let spent = allocs() - before;
+    assert_eq!(out.stats.plan_exact_hits, 32);
+    assert_eq!(out.stats.plan_canonical_hits, 32);
+    let frames = batch.len() as u64;
+    assert!(
+        spent <= 4 * frames,
+        "a warm 64-frame batch allocated {spent} times (bound {})",
+        4 * frames
+    );
+    drop(out);
 }
 
 #[test]

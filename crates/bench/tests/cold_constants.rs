@@ -16,7 +16,7 @@
 //! * **Measured** (≥ 4 hardware threads, best of 3) — SoA lockstep cold
 //!   planning must not fall behind the per-frame wide-lane path at n = 256:
 //!   the batch-cold / simd-cold throughput ratio stays ≥ 1.0 (the committed
-//!   BENCH_route.json headline records the 1-thread box's actual ratio).
+//!   BENCH_route.json headline records 1.17× on a 2-thread box).
 //!   On smaller hosts the arm prints a skip line instead of guessing.
 
 use brsmn_bench::{dense_batch, measure_cold_path};

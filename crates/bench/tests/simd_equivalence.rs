@@ -11,15 +11,16 @@
 //!   compare equal as whole setting tensors, and traced replay through a
 //!   batch-captured plan reproduces the per-frame trace — including ragged
 //!   batches down to a single frame;
-//! * the engine's batched dispatch agrees with the per-frame driver under
-//!   **mixed cache hit/miss traffic** (duplicated frames, pre-warmed
-//!   entries) on results *and* on every cache counter, and both agree with
-//!   a cache-less engine.
+//! * the engine's batched dispatch agrees with the router frame by frame
+//!   under **mixed cache hit/miss traffic** (duplicated frames, pre-warmed
+//!   entries) on results, and with a twin engine fed one frame at a time on
+//!   every cache counter; its eviction tally matches the cache's own.
 
 use brsmn_core::{
     with_thread_batch_planner, with_thread_scratch, Brsmn, CapturedPlan, CoreError, Engine,
-    EngineConfig, MulticastAssignment, StageTimer,
+    EngineConfig, EngineStats, MulticastAssignment, StageTimer,
 };
+use brsmn_workloads::{random_multicast, RandomSpec};
 use proptest::collection::vec;
 use proptest::option;
 use proptest::prelude::*;
@@ -137,27 +138,52 @@ proptest! {
 
         let cfg = EngineConfig::batch(1).with_plan_cache(64);
         let batched = Engine::with_config(n, cfg).expect("valid size");
-        let per_frame =
-            Engine::with_config(n, cfg.without_batch_plan()).expect("valid size");
-        let oracle = Engine::with_config(n, EngineConfig::batch(1)).expect("valid size");
+        let twin = Engine::with_config(n, cfg).expect("valid size");
+        let net = Brsmn::new(n).expect("valid size");
 
         assert!(batched.route_batch(&warm).results[0].is_ok());
-        assert!(per_frame.route_batch(&warm).results[0].is_ok());
+        assert!(twin.route_batch(&warm).results[0].is_ok());
 
         let a = batched.route_batch(&batch);
-        let b = per_frame.route_batch(&batch);
-        let c = oracle.route_batch(&batch);
-        for ((x, y), z) in a.results.iter().zip(&b.results).zip(&c.results) {
-            let x = x.as_ref().expect("shaped frames route");
-            prop_assert_eq!(x, y.as_ref().expect("shaped frames route"));
-            prop_assert_eq!(x, z.as_ref().expect("shaped frames route"));
+        let mut b = EngineStats::empty(n);
+        for (asg, got) in batch.iter().zip(&a.results) {
+            let want = net.route(asg).expect("shaped frames route");
+            prop_assert_eq!(got.as_ref().expect("shaped frames route"), &want);
+            let (one, stats) = twin.route_one(asg);
+            prop_assert_eq!(&one.expect("shaped frames route"), &want);
+            b.merge(&stats);
         }
-        // The batched dispatch must preserve the per-frame driver's cache
-        // accounting exactly, not just its outputs.
-        prop_assert_eq!(a.stats.plan_hits, b.stats.plan_hits);
-        prop_assert_eq!(a.stats.plan_canonical_hits, b.stats.plan_canonical_hits);
-        prop_assert_eq!(a.stats.plan_misses, b.stats.plan_misses);
-        prop_assert_eq!(a.stats.stages.switch_settings, b.stats.stages.switch_settings);
-        prop_assert_eq!(a.stats.stages.sweep_passes, b.stats.stages.sweep_passes);
+        // The batched dispatch must preserve the cache accounting of
+        // routing one frame at a time exactly, not just its outputs.
+        prop_assert_eq!(a.stats.plan_hits, b.plan_hits);
+        prop_assert_eq!(a.stats.plan_canonical_hits, b.plan_canonical_hits);
+        prop_assert_eq!(a.stats.plan_misses, b.plan_misses);
+        prop_assert_eq!(a.stats.stages.switch_settings, b.stages.switch_settings);
+        prop_assert_eq!(a.stats.stages.sweep_passes, b.stages.sweep_passes);
     }
+}
+
+#[test]
+fn eviction_tally_matches_the_cache_under_pressure() {
+    // Sparse frames through a cache far smaller than the batch: every miss
+    // inserts into both tiers and most inserts evict. The engine's tally
+    // must count every evicted entry of either tier, whichever pass (SoA
+    // chunk or per-frame ladder) did the insert.
+    let n = 64;
+    let batch: Vec<MulticastAssignment> = (9..49)
+        .map(|seed| random_multicast(RandomSpec::sparse(n), seed))
+        .collect();
+    let engine =
+        Engine::with_config(n, EngineConfig::batch(1).with_plan_cache(8)).expect("valid size");
+    let cache = engine.plan_cache().expect("cache is on");
+    let evicted = || {
+        let s = cache.stats();
+        s.evictions + s.canonical_evictions
+    };
+    let before = evicted();
+    let out = engine.route_batch(&batch);
+    assert_eq!(out.stats.frames_ok, batch.len());
+    let grown = evicted() - before;
+    assert!(grown > 0, "a capacity-8 cache must evict");
+    assert_eq!(out.stats.plan_evictions, grown);
 }

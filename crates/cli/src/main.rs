@@ -51,14 +51,11 @@ fn usage() -> &'static str {
        gen    --n N --workload W [--seed S]            print a JSON assignment\n\
        route  (--file F | --n N --workload W [--seed S])\n\
               [--engine E] [--trace]                    route an assignment\n\
-       route  --parallel [--batch B] [--workers K] [--fork-depth D] [--no-scratch]\n\
-              [--no-batch-plan] [--cache [CAP]] [--cache-load F] [--cache-save F]\n\
-              [--stats] [--plan-profile]\n\
-              batched multi-threaded routing; --plan-profile prints per-op\n\
-              planning tallies (nanos need the plan-profile cargo feature);\n\
-              --no-batch-plan plans\n\
-              every frame individually instead of grouping cache misses into\n\
-              lockstep SoA chunks; --cache replays repeated (or\n\
+       route  --parallel [--batch B] [--workers K] [--cache [CAP]]\n\
+              [--cache-load F] [--cache-save F] [--stats] [--plan-profile]\n\
+              batched multi-threaded routing: cache misses plan in lockstep\n\
+              SoA chunks; --plan-profile prints per-op planning tallies (nanos\n\
+              need the plan-profile cargo feature); --cache replays repeated (or\n\
               relabeled) frames from the two-tier plan cache (default capacity\n\
               256); --cache-load/--cache-save persist the working set as a\n\
               snapshot JSON (each implies --cache); --stats prints EngineStats\n\
@@ -112,9 +109,6 @@ const ROUTE_PARALLEL_OPTS: &[&str] = &[
     "engine",
     "batch",
     "workers",
-    "fork-depth",
-    "no-scratch",
-    "no-batch-plan",
     "cache",
     "cache-load",
     "cache-save",
@@ -340,7 +334,6 @@ fn cmd_route_parallel(args: &Args) -> Result<(), String> {
         return Err("--batch must be >= 1".into());
     }
     let workers: usize = args.get_parse("workers")?.unwrap_or(0);
-    let fork_depth: usize = args.get_parse("fork-depth")?.unwrap_or(0);
 
     // One frame per seed `seed .. seed + batch`; a `--file` frame is
     // replicated `--batch` times (repeated-frame throughput).
@@ -369,18 +362,7 @@ fn cmd_route_parallel(args: &Args) -> Result<(), String> {
         None if args.flag("cache") || cache_load.is_some() || cache_save.is_some() => 256,
         None => 0,
     };
-    let cfg = EngineConfig {
-        workers,
-        parallel_halves: fork_depth > 0,
-        fork_depth,
-        // --no-scratch: escape hatch back to the PR-1 allocating reference
-        // router (results are bit-identical; only speed differs).
-        use_scratch: !args.flag("no-scratch"),
-        plan_cache,
-        // --no-batch-plan: per-frame planning instead of lockstep SoA
-        // chunks (results are bit-identical; only the schedule differs).
-        batch_plan: !args.flag("no-batch-plan"),
-    };
+    let cfg = EngineConfig::batch(workers).with_plan_cache(plan_cache);
     let mut engine = Engine::with_config(n, cfg).map_err(|e| e.to_string())?;
     // Snapshot persistence wants a cache handle that outlives the engine.
     let cache: Option<Arc<PlanCache>> = if plan_cache > 0 {
@@ -421,15 +403,10 @@ fn cmd_route_parallel(args: &Args) -> Result<(), String> {
     }
     let stats = &out.stats;
     eprintln!(
-        "routed {} frames of n={} on {} worker(s){}: {:.1} frames/s, speedup {:.2}x",
+        "routed {} frames of n={} on {} worker(s): {:.1} frames/s, speedup {:.2}x",
         stats.batch,
         stats.n,
         stats.workers,
-        if stats.parallel_halves {
-            " + parallel halves"
-        } else {
-            ""
-        },
         stats.frames_per_sec(),
         stats.speedup(),
     );
@@ -448,7 +425,8 @@ fn cmd_route_parallel(args: &Args) -> Result<(), String> {
     if stats.batch_planned_frames > 0 {
         eprintln!(
             "simd: lane width {} words, {} frame(s) planned in lockstep SoA chunks",
-            stats.simd_lane_width, stats.batch_planned_frames
+            brsmn_rbn::LANES,
+            stats.batch_planned_frames
         );
     }
     if args.flag("plan-profile") {
@@ -720,10 +698,10 @@ fn cmd_serve_sim(args: &Args) -> Result<(), String> {
     if plan_cache > 0 {
         eprintln!(
             "plan cache: {} hits ({} canonical), {} misses, {} snapshot-loaded",
-            report.plan_hits,
-            report.plan_canonical_hits,
-            report.plan_misses,
-            report.plan_snapshot_loaded
+            report.engine.plan_hits,
+            report.engine.plan_canonical_hits,
+            report.engine.plan_misses,
+            report.engine.plan_snapshot_loaded
         );
     }
     if let (Some(cache), Some(path)) = (&cache, &cache_save) {

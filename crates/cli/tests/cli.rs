@@ -460,4 +460,15 @@ fn bad_input_fails_cleanly() {
         "`--wrokers`",
     );
     fails_cleanly(&["info", "--n", "16", "--bogus", "3"], "`--bogus`");
+    // `route --parallel` has one dispatch path: the old routing knobs are
+    // unknown options, not silently ignored.
+    for knob in [
+        &["--no-scratch"][..],
+        &["--no-batch-plan"],
+        &["--fork-depth", "2"],
+    ] {
+        let mut args = vec!["route", "--parallel", "--n", "16", "--batch", "2"];
+        args.extend_from_slice(knob);
+        fails_cleanly(&args, &format!("`{}`", knob[0]));
+    }
 }

@@ -331,7 +331,7 @@ impl Brsmn {
 
     /// Routes `asg` with the PR-1 allocating reference engine (recursive,
     /// payload-splitting, array planners). Kept verbatim as the oracle for
-    /// the fast path and as the engine's `--no-scratch` escape hatch.
+    /// the fast path, and as the retry rung of the resilient ladder.
     pub fn route_reference(&self, asg: &MulticastAssignment) -> Result<RoutingResult, CoreError> {
         self.route_semantic_inner(asg, None).map(|(r, _)| r)
     }

@@ -172,8 +172,7 @@ impl Bsn {
     }
 
     /// The PR-1 array-planner implementation, kept verbatim as the oracle the
-    /// equivalence tests (and the engine's `--no-scratch` escape hatch)
-    /// compare against.
+    /// equivalence tests compare against.
     pub fn route_reference<P: RoutePayload>(
         &self,
         mut lines: Vec<Line<P>>,

@@ -445,21 +445,6 @@ impl ClassScratch {
         &self.output_map
     }
 
-    /// Both maps, inputs then outputs, for a caller that carries them
-    /// elsewhere (`2n` entries).
-    pub(crate) fn copy_maps_to(&self, out: &mut Vec<u32>) {
-        out.extend_from_slice(&self.input_map);
-        out.extend_from_slice(&self.output_map);
-    }
-
-    /// Loads maps carried by [`ClassScratch::copy_maps_to`].
-    pub(crate) fn set_maps(&mut self, maps: &[u32]) {
-        let (inputs, outputs) = maps.split_at(self.n);
-        self.input_map.copy_from_slice(inputs);
-        self.output_map.copy_from_slice(outputs);
-        self.maps_ready = true;
-    }
-
     /// Loads caller-supplied maps, rejecting any that is not a permutation
     /// of `0..n` (the histogram doubles as the seen-table and is cleared
     /// again either way).

@@ -1,21 +1,18 @@
 //! Batched, multi-threaded routing engine with per-stage instrumentation.
 //!
 //! The sequential router in [`crate::brsmn`] answers "is the construction
-//! correct?". This module answers "how fast can a software realization go?"
-//! by exploiting the two sources of parallelism the BRSMN has by design:
+//! correct?". This module answers "how fast can a software realization go?".
+//! Distinct multicast assignments ("frames") share no state, so a batch is
+//! spread across a scoped-thread worker pool ([`brsmn_rbn::par::par_map`]);
+//! results are reassembled by frame index, so output order is
+//! deterministic.
 //!
-//! 1. **Frame-level** — distinct multicast assignments ("frames") share no
-//!    state, so a batch is spread across a scoped-thread worker pool
-//!    ([`brsmn_rbn::par::par_map`]). Output order is deterministic: results
-//!    are reassembled by frame index.
-//! 2. **Intra-network** — after the level-`i` BSN splits a block, the upper
-//!    and lower `n/2 × n/2` sub-BRSMNs are independent (Fig. 1) and recurse
-//!    concurrently ([`brsmn_rbn::par::join`]), up to a configurable fork
-//!    depth.
-//!
-//! Both paths are **bit-identical** to the sequential engine: parallel
-//! halves compute disjoint output ranges that are concatenated in order, and
-//! the worker pool never reorders frames. Property tests in
+//! The BRSMN has no central controller: every switch setting is a pure
+//! function of the assignment (§3, §6). So the engine has one job per frame
+//! and one path that does it, [`Engine::route_batch`]: probe the plan cache
+//! and replay a hit, plan what missed both tiers in lockstep SoA chunks,
+//! then replay the frames that waited for those plans. Results are
+//! **bit-identical** to [`Brsmn::route`] on each frame; property tests in
 //! `tests/engine_equivalence.rs` pin this down.
 //!
 //! Every route is instrumented by a [`StageTimer`]: per-level wall time,
@@ -44,129 +41,72 @@
 //! assert_eq!(out.stats.frames_ok, 8);
 //! ```
 
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::assignment::{MulticastAssignment, RoutingResult};
-use crate::brsmn::{final_switch, Brsmn};
-use crate::bsn::Bsn;
+use crate::batch::{with_thread_batch_planner, MAX_BATCH_FRAMES};
+use crate::brsmn::Brsmn;
+use crate::canonical::ClassScratch;
 use crate::error::CoreError;
-use crate::payload::{RoutePayload, SelfRoutedMsg, SemanticMsg};
+use crate::fastpath::{
+    route_assignment_fast_buffered, route_assignment_replay_buffered,
+    route_assignment_replay_permuted, with_thread_scratch, RouteScratch,
+};
 use crate::plancache::{plan_fingerprint, CapturedPlan, PlanCache};
 use crate::verify::{verify_routing, FaultReport};
 use brsmn_rbn::par;
 use brsmn_rbn::PlanOpProfile;
-use brsmn_switch::{Line, Tag};
 use brsmn_topology::log2_exact;
 use serde::{Deserialize, Serialize};
-
-/// Blocks smaller than this are never forked: the spawn/join cost of a
-/// scoped thread dwarfs the work in a tiny sub-BRSMN.
-const MIN_FORK_BLOCK: usize = 32;
 
 /// Planner tree sweeps per BSN: scatter (forward + backward), ε-divide
 /// (forward + backward), bit sort (forward + backward).
 const SWEEPS_PER_BSN: u64 = 6;
 
-/// How the [`Engine`] parallelizes and which message model it routes.
+/// How many workers the [`Engine`] runs and how large its plan cache is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EngineConfig {
     /// Worker threads for frame-level parallelism; `0` = one per hardware
     /// thread.
     pub workers: usize,
-    /// Route the two sub-BRSMN halves of each split concurrently.
-    pub parallel_halves: bool,
-    /// Levels of the recursion allowed to fork when `parallel_halves` is on
-    /// (depth `d` forks at most `2^d − 1` extra threads per frame).
-    pub fork_depth: usize,
-    /// Route semantic batches on the zero-allocation fast path, each worker
-    /// reusing a thread-local [`crate::fastpath::RouteScratch`]. Off
-    /// (`--no-scratch` in the CLI) falls back to the PR-1 allocating
-    /// reference router; results are bit-identical either way.
-    pub use_scratch: bool,
     /// Capacity (in captured plans) of the shared [`PlanCache`] consulted
-    /// before planning each fast-path frame; `0` disables the cache. A hit
-    /// replays the snapshotted switch-setting planes bit-identically at
+    /// before planning each frame; `0` disables the cache. A hit replays
+    /// the snapshotted switch-setting planes bit-identically at
     /// execution-only cost; a miss plans as usual while capturing the plan
-    /// for next time. Only the fast path consults the cache — the reference
-    /// and self-routing models always plan fresh.
+    /// for next time. Only the semantic model consults the cache — the
+    /// self-routing model always plans fresh.
     pub plan_cache: usize,
-    /// Group the cache-miss frames of a multi-frame batch into SoA chunks
-    /// planned in lockstep by the [`crate::BatchPlanner`] (up to
-    /// [`crate::MAX_BATCH_FRAMES`] frames per chunk) while cache hits keep
-    /// replaying. Off (`--no-batch-plan` in the CLI) plans every frame
-    /// individually; results, stats and cache behavior are bit-identical
-    /// either way — only the planning schedule differs.
-    pub batch_plan: bool,
 }
 
 impl Default for EngineConfig {
-    /// Frame-level parallelism on every hardware thread, no intra-frame
-    /// forking — the right default for batches.
+    /// Frame-level parallelism on every hardware thread, no plan cache.
     fn default() -> Self {
         EngineConfig::batch(0)
     }
 }
 
 impl EngineConfig {
-    /// Frame-level parallelism only, across `workers` threads (`0` = auto).
-    /// Best when the batch is large relative to the worker count.
+    /// Frame-level parallelism across `workers` threads (`0` = auto), no
+    /// plan cache.
     pub fn batch(workers: usize) -> Self {
         EngineConfig {
             workers,
-            parallel_halves: false,
-            fork_depth: 0,
-            use_scratch: true,
             plan_cache: 0,
-            batch_plan: true,
         }
     }
 
-    /// Sequential reference configuration: one worker, no forking. The
-    /// engine then matches [`Brsmn::route`] exactly while still collecting
-    /// [`EngineStats`].
+    /// One worker: the engine then matches [`Brsmn::route`] frame by frame
+    /// while still collecting [`EngineStats`].
     pub fn sequential() -> Self {
-        EngineConfig {
-            workers: 1,
-            parallel_halves: false,
-            fork_depth: 0,
-            use_scratch: true,
-            plan_cache: 0,
-            batch_plan: true,
-        }
-    }
-
-    /// Intra-network parallelism for latency-sensitive single frames: the
-    /// two halves of the first `fork_depth` levels recurse concurrently.
-    pub fn single_frame(fork_depth: usize) -> Self {
-        EngineConfig {
-            workers: 1,
-            parallel_halves: true,
-            fork_depth,
-            use_scratch: true,
-            plan_cache: 0,
-            batch_plan: true,
-        }
-    }
-
-    /// Disables the scratch-arena fast path (see
-    /// [`EngineConfig::use_scratch`]).
-    pub fn without_scratch(mut self) -> Self {
-        self.use_scratch = false;
-        self
+        EngineConfig::batch(1)
     }
 
     /// Enables the plan-capture cache with room for `capacity` captured
     /// plans (see [`EngineConfig::plan_cache`]; `0` disables).
     pub fn with_plan_cache(mut self, capacity: usize) -> Self {
         self.plan_cache = capacity;
-        self
-    }
-
-    /// Disables SoA batch-parallel planning (see
-    /// [`EngineConfig::batch_plan`]).
-    pub fn without_batch_plan(mut self) -> Self {
-        self.batch_plan = false;
         self
     }
 }
@@ -176,17 +116,16 @@ impl EngineConfig {
 pub struct LevelStats {
     /// BSN blocks routed at this level (summed over the batch).
     pub blocks: u64,
-    /// Wall time spent in those blocks, nanoseconds. The fast paths read
-    /// the clock once per level per frame (once per level per lockstep
-    /// chunk in the SoA planner); the reference recursion once per block.
-    /// When halves run in parallel this sums the per-thread times, so
-    /// levels below a fork can exceed elapsed wall time.
+    /// Wall time spent in those blocks, nanoseconds: one clock pair per
+    /// level per frame (per lockstep chunk in the SoA planner). Per-worker
+    /// times are summed, so with several workers a level can exceed
+    /// elapsed wall time.
     pub nanos: u64,
 }
 
 /// Accumulates per-stage instrumentation during a route.
 ///
-/// One timer lives on each worker (and each forked half); [`StageTimer::merge`]
+/// Each frame or SoA chunk records into its own timer; [`StageTimer::merge`]
 /// folds them into the batch total. Exposed so external drivers (benches,
 /// the CLI) can instrument custom routing loops.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -196,7 +135,7 @@ pub struct StageTimer {
     /// 2×2 switches set in the final stage.
     pub final_switches: u64,
     /// Wall time in the final stage, nanoseconds — one clock pair per
-    /// frame on the fast paths, one per switch in the reference recursion.
+    /// frame (per lockstep chunk in the SoA planner).
     pub final_nanos: u64,
     /// Total 2×2 switch settings computed (both RBNs of every BSN, plus the
     /// final stage).
@@ -217,8 +156,8 @@ impl StageTimer {
     }
 
     /// Records `blocks` BSNs of `size` lines planned and routed at 1-based
-    /// `level` in `elapsed` wall time. The fast paths clock a whole level
-    /// at once; the reference recursion records one block per call.
+    /// `level` in `elapsed` wall time (the planners clock a whole level at
+    /// once).
     pub fn record_bsns(&mut self, level: usize, size: usize, blocks: u64, elapsed: Duration) {
         self.record_bsns_replayed(level, size, blocks, elapsed);
         self.sweep_passes += SWEEPS_PER_BSN * blocks;
@@ -255,7 +194,7 @@ impl StageTimer {
         self.switch_settings += switches;
     }
 
-    /// Folds another timer (a worker's or a forked half's) into this one.
+    /// Folds another timer (a frame's or a chunk's) into this one.
     pub fn merge(&mut self, other: &StageTimer) {
         if self.levels.len() < other.levels.len() {
             self.levels.resize(other.levels.len(), LevelStats::default());
@@ -281,8 +220,6 @@ pub struct EngineStats {
     pub batch: usize,
     /// Worker threads actually used for frame-level parallelism.
     pub workers: usize,
-    /// Whether sub-BRSMN halves recursed concurrently.
-    pub parallel_halves: bool,
     /// Frames routed successfully.
     pub frames_ok: usize,
     /// Frames that returned an error (or, on the resilient path, exhausted
@@ -295,26 +232,27 @@ pub struct EngineStats {
     /// Frames that recovered only via the degraded re-plan stage of the
     /// retry ladder (always 0 on the plain paths).
     pub frames_degraded: usize,
-    /// Per-stage counters summed over all frames and workers.
+    /// Per-stage counters summed over all frames and workers (empty on the
+    /// self-routing and resilient paths, which time whole frames only).
     pub stages: StageTimer,
     /// End-to-end wall time for the whole batch, nanoseconds.
     pub wall_nanos: u64,
     /// Sum of per-frame route times, nanoseconds. `busy_nanos / wall_nanos`
     /// approximates the achieved parallel speedup.
     pub busy_nanos: u64,
-    /// Frames routed on the zero-allocation fast path (0 when
-    /// [`EngineConfig::use_scratch`] is off or the model forces the
-    /// reference router).
+    /// Frames routed on the zero-allocation fast path: every frame of
+    /// [`Engine::route_batch`], none of the self-routing or resilient
+    /// paths.
     pub fastpath_frames: u64,
-    /// Largest per-worker scratch-arena footprint observed, bytes (0 on the
-    /// reference path).
+    /// Largest per-worker arena footprint observed (route scratch or SoA
+    /// planner), bytes; 0 off the fast path.
     pub scratch_bytes: u64,
     /// Frames served by replaying a captured plan from the [`PlanCache`] —
     /// exact and canonical tiers combined (0 when
     /// [`EngineConfig::plan_cache`] is 0).
     pub plan_hits: u64,
-    /// Fast-path frames that missed both cache tiers and planned fresh
-    /// while capturing (equals `fastpath_frames` when the cache is cold or
+    /// Frames that missed both cache tiers and planned fresh while
+    /// capturing (equals `batch` when the cache is cold; 0 with the cache
     /// off).
     pub plan_misses: u64,
     /// The subset of `plan_hits` served by the exact tier (the stored
@@ -324,8 +262,8 @@ pub struct EngineStats {
     /// was a *relabeling* of a cached plan's assignment, replayed through
     /// the permuted executor.
     pub plan_canonical_hits: u64,
-    /// Captured plans evicted from the cache during this batch (LRU
-    /// pressure across both tiers; 0 until the cache overflows its
+    /// Captured plans evicted from the cache during this batch, one per
+    /// evicted entry of either tier (0 until the cache overflows its
     /// capacity).
     pub plan_evictions: u64,
     /// Resident footprint of the plan cache at the end of the batch, bytes
@@ -335,15 +273,11 @@ pub struct EngineStats {
     /// (cumulative over the cache's lifetime; 0 without
     /// `PlanCache::load_snapshot`).
     pub plan_snapshot_loaded: u64,
-    /// Width, in `u64` words, of the SIMD lane blocks the fast path's
-    /// plane sweeps ran on ([`brsmn_rbn::LANES`]). 0 on the reference
-    /// path, whose array-based planners don't vectorize. Merges by max.
-    pub simd_lane_width: u64,
     /// Frames planned in lockstep SoA chunks by the
-    /// [`crate::BatchPlanner`] — a subset of `plan_misses` when the cache
-    /// is on (hits keep replaying) and of `fastpath_frames` always. 0 with
-    /// [`EngineConfig::batch_plan`] off, for single-frame batches, and for
-    /// frames that fell back to per-frame scalar planning.
+    /// [`crate::BatchPlanner`]: every frame that missed both cache tiers
+    /// (every frame with the cache off) and was the first of its
+    /// relabeling class in the batch, unless its chunk fell back to
+    /// per-frame scalar planning.
     pub batch_planned_frames: u64,
     /// Live member nodes of the distributed control plane that striped
     /// this batch (`brsmn-cluster`'s `DistributedEngine`; 0 for
@@ -381,13 +315,12 @@ impl EngineStats {
     }
 
     /// An empty stats record for an `n`-port fabric — the identity of
-    /// [`EngineStats::merge`], for accumulating shard or round totals.
+    /// [`EngineStats::merge`], and the start of every batch's record.
     pub fn empty(n: usize) -> Self {
         EngineStats {
             n,
             batch: 0,
             workers: 0,
-            parallel_halves: false,
             frames_ok: 0,
             frames_failed: 0,
             frames_retried: 0,
@@ -404,7 +337,6 @@ impl EngineStats {
             plan_evictions: 0,
             plan_cache_bytes: 0,
             plan_snapshot_loaded: 0,
-            simd_lane_width: 0,
             batch_planned_frames: 0,
             cluster_nodes: 0,
             cluster_messages: 0,
@@ -418,17 +350,19 @@ impl EngineStats {
     ///
     /// Work counters (`batch`, frame outcomes, stage counters, `busy_nanos`,
     /// `fastpath_frames`, plan-cache hit/miss/eviction tallies) and
-    /// `workers` add; `scratch_bytes` and `plan_cache_bytes` take the max
-    /// (arenas are per worker and shards share one cache, so adding would
-    /// double-count); `wall_nanos` takes the max,
-    /// which is exact for shards running concurrently — drivers that know
-    /// the true end-to-end wall time (e.g. [`ShardedEngine::route_batch`],
-    /// the serving loop) overwrite it after merging.
+    /// `workers` add — right for shards running concurrently; a caller
+    /// merging rounds that ran one after another (the serving loop) keeps
+    /// the widest round's `workers` instead. `scratch_bytes` and
+    /// `plan_cache_bytes` take the max (arenas are per worker and shards
+    /// share one cache, so adding would double-count); `wall_nanos` takes
+    /// the max, which is exact for shards running concurrently — callers
+    /// that know the true end-to-end wall time (e.g.
+    /// [`ShardedEngine::route_batch`], the serving loop) overwrite it after
+    /// merging.
     pub fn merge(&mut self, other: &EngineStats) {
         debug_assert_eq!(self.n, other.n, "merging stats across network sizes");
         self.batch += other.batch;
         self.workers += other.workers;
-        self.parallel_halves |= other.parallel_halves;
         self.frames_ok += other.frames_ok;
         self.frames_failed += other.frames_failed;
         self.frames_retried += other.frames_retried;
@@ -447,8 +381,6 @@ impl EngineStats {
         // Snapshot loads are a cache-lifetime tally shared by every shard
         // holding the cache, so max (like the footprint), not sum.
         self.plan_snapshot_loaded = self.plan_snapshot_loaded.max(other.plan_snapshot_loaded);
-        // The lane width is a property of the code path, not a tally.
-        self.simd_lane_width = self.simd_lane_width.max(other.simd_lane_width);
         self.batch_planned_frames += other.batch_planned_frames;
         // Cluster figures are cluster-wide lifetime values (every node's
         // stats record reports the same shared control plane), so max.
@@ -542,39 +474,71 @@ pub struct Engine {
     plan_cache: Option<Arc<PlanCache>>,
 }
 
-/// Pass-A verdict for one frame of a batched fast-path route
-/// ([`Engine::route_batch_fast_batched`]).
-enum FrameProbe {
-    /// Replay this already-looked-up exact-tier plan.
-    ExactHit(Arc<CapturedPlan>),
-    /// Replay this canonical-tier plan through the permuted executor, with
-    /// the composed live → plan maps pass A left at `maps` in the batch's
-    /// map buffer (`2n` entries, inputs then outputs).
-    CanonHit {
-        plan: Arc<CapturedPlan>,
-        maps: usize,
-    },
-    /// An earlier in-batch miss claimed this frame's fingerprint or
-    /// relabeling class: route after the SoA chunks land, through the
-    /// normal per-frame ladder (it then hits what the chunk inserted — or
-    /// re-plans if the chunk failed, byte-identically to scalar routing).
-    Deferred,
+/// What probing the cache did with one frame.
+enum Probe {
+    /// A hit, already replayed.
+    Hit(Result<RoutingResult, CoreError>),
+    /// Missed both tiers: the fingerprint and class key the probe computed,
+    /// for the insert of the plan that gets captured.
+    Miss { fp: u64, class: u64 },
 }
 
-/// What one SoA chunk (or its scalar fallback) produced.
-struct ChunkOut {
-    /// `(frame index, result)` for every frame of the chunk.
-    entries: Vec<(usize, Result<RoutingResult, CoreError>)>,
-    /// One captured plan per frame, in `entries` order, still to be
-    /// inserted into the cache; empty without a cache and for a chunk that
-    /// fell back to the per-frame ladder.
-    captures: Vec<CapturedPlan>,
+/// A claimed miss of [`Engine::route_batch`]: frame index, fingerprint,
+/// class key.
+type Claim = (usize, u64, u64);
+
+/// The instrumentation one unit of work (a frame or an SoA chunk)
+/// collects, folded into the batch's [`EngineStats`].
+#[derive(Default)]
+struct Work {
     timer: StageTimer,
     busy_nanos: u64,
     scratch_bytes: u64,
-    /// `[exact_hits, canonical_hits, misses, evictions]`.
-    tallies: [u64; 4],
+    exact_hits: u64,
+    canonical_hits: u64,
+    misses: u64,
+    evictions: u64,
     batch_planned: u64,
+}
+
+impl Work {
+    fn fold_into(self, stats: &mut EngineStats) {
+        stats.stages.merge(&self.timer);
+        stats.busy_nanos += self.busy_nanos;
+        stats.scratch_bytes = stats.scratch_bytes.max(self.scratch_bytes);
+        stats.plan_exact_hits += self.exact_hits;
+        stats.plan_canonical_hits += self.canonical_hits;
+        stats.plan_misses += self.misses;
+        stats.plan_evictions += self.evictions;
+        stats.batch_planned_frames += self.batch_planned;
+    }
+}
+
+/// Runs one unit of work with a fresh [`Work`] record, adding its wall
+/// time to the record's busy time.
+fn timed<R>(f: impl FnOnce(&mut Work) -> R) -> (R, Work) {
+    let t0 = Instant::now();
+    let mut work = Work::default();
+    let out = f(&mut work);
+    work.busy_nanos += t0.elapsed().as_nanos() as u64;
+    (out, work)
+}
+
+/// Inserts `plan`, captured for `asg`, into both cache tiers under the
+/// fingerprint and class key its probe computed — the one insert every
+/// miss takes. Returns the entries evicted (one per tier at most).
+fn insert_capture(
+    cache: &PlanCache,
+    (fp, class): (u64, u64),
+    asg: &MulticastAssignment,
+    plan: CapturedPlan,
+    scratch: &mut ClassScratch,
+) -> u64 {
+    let plan = Arc::new(plan);
+    let exact = cache.insert(fp, asg, Arc::clone(&plan));
+    // The same capture seeds its whole relabeling class.
+    let class = cache.insert_class(class, asg, plan, scratch);
+    u64::from(exact) + u64::from(class)
 }
 
 impl Engine {
@@ -622,521 +586,271 @@ impl Engine {
         self.plan_cache = Some(cache);
     }
 
-    /// Routes a batch of frames with the **semantic** message model.
+    /// Routes a batch of frames with the **semantic** message model, on the
+    /// zero-allocation fast path, each worker reusing its thread-local
+    /// arenas. Results come back in input order and are bit-identical to
+    /// calling [`Brsmn::route`] on each frame.
     ///
-    /// Results come back in input order and are bit-identical to calling
-    /// [`Brsmn::route`] on each frame sequentially. With
-    /// [`EngineConfig::use_scratch`] on (the default) and no intra-frame
-    /// forking, frames run on the zero-allocation fast path, each worker
-    /// reusing its thread-local arena.
+    /// Three passes, each spread across the workers:
+    ///
+    /// 1. **Probe.** With a [`PlanCache`], every frame probes the exact
+    ///    tier (assignment fingerprint), then the canonical tier
+    ///    (relabeling class, by fanout profile). A hit replays at once — a
+    ///    canonical hit from the maps its probe left in the worker's
+    ///    scratch. A miss keeps its fingerprint and class key.
+    /// 2. **Plan.** In frame order, the first miss of each relabeling class
+    ///    claims it. The claimed misses (every frame, without a cache) are
+    ///    planned in lockstep SoA chunks of up to [`MAX_BATCH_FRAMES`]
+    ///    frames by thread-local [`crate::BatchPlanner`]s, capturing a
+    ///    plan per frame; the calling thread inserts each capture into
+    ///    both tiers under the keys its probe computed. A chunk that fails
+    ///    re-routes its frames through the per-frame ladder, so error
+    ///    values stay byte-identical to scalar routing.
+    /// 3. **Deferred.** The later misses of a claimed class take the
+    ///    per-frame ladder after the inserts: they hit what the chunk
+    ///    inserted, or, if the chunk failed, plan again.
+    ///
+    /// With one worker and no eviction within the batch, results and cache
+    /// tallies equal those of routing the frames one at a time.
     pub fn route_batch(&self, batch: &[MulticastAssignment]) -> BatchOutput {
-        if self.cfg.use_scratch && !self.cfg.parallel_halves {
-            self.route_batch_fast(batch)
-        } else {
-            self.route_batch_with(batch, |_n, src, dests| {
-                SemanticMsg::new(src, dests.to_vec())
-            })
-        }
-    }
-
-    /// The fast-path batch driver: one thread-local [`RouteScratch`] per
-    /// worker, zero heap allocation per frame after warm-up (one `Vec` per
-    /// result aside). With a [`PlanCache`] configured, each frame probes
-    /// two tiers: the assignment fingerprint first (an exact hit replays
-    /// the captured setting planes verbatim — no planner sweeps at all),
-    /// then the relabeling class by fanout profile (a canonical hit replays
-    /// a class member's plan through the permuted executor, from maps the
-    /// probe wrote into the scratch). A miss in both
-    /// plans fresh while capturing, and inserts the capture into both
-    /// tiers for the next occurrence — exact or relabeled.
-    ///
-    /// Multi-frame batches with [`EngineConfig::batch_plan`] on take the
-    /// SoA batched driver instead, which plans all cache-miss frames in
-    /// lockstep; single frames and the `--no-batch-plan` escape hatch run
-    /// this per-frame loop.
-    fn route_batch_fast(&self, batch: &[MulticastAssignment]) -> BatchOutput {
-        if self.cfg.batch_plan && batch.len() > 1 {
-            return self.route_batch_fast_batched(batch);
-        }
         let n = self.net.n();
         let workers = par::effective_workers(self.cfg.workers).min(batch.len().max(1));
         let cache = self.plan_cache.as_deref();
-
         let wall_start = Instant::now();
-        let frames = par::par_map(batch, workers, |_idx, asg| {
-            let frame_start = Instant::now();
-            let mut timer = StageTimer::new();
-            let (result, bytes, tallies) = self.route_frame_cached(asg, &mut timer);
-            (
-                result,
-                timer,
-                frame_start.elapsed().as_nanos() as u64,
-                bytes,
-                tallies,
-            )
-        });
-        let wall_nanos = wall_start.elapsed().as_nanos() as u64;
+        let mut stats = EngineStats::empty(n);
 
-        let mut stages = StageTimer::new();
-        let mut busy_nanos = 0u64;
-        let mut scratch_bytes = 0u64;
-        let mut results = Vec::with_capacity(frames.len());
-        let (mut frames_ok, mut frames_failed) = (0usize, 0usize);
-        let mut cache_tallies = [0u64; 4];
-        for (result, timer, frame_nanos, bytes, tallies) in frames {
-            stages.merge(&timer);
-            busy_nanos += frame_nanos;
-            scratch_bytes = scratch_bytes.max(bytes);
-            for (acc, d) in cache_tallies.iter_mut().zip(tallies) {
-                *acc += d;
-            }
-            match &result {
-                Ok(_) => frames_ok += 1,
-                Err(_) => frames_failed += 1,
-            }
-            results.push(result);
-        }
-        let [plan_exact_hits, plan_canonical_hits, plan_misses, plan_evictions] = cache_tallies;
-
-        BatchOutput {
-            results,
-            stats: EngineStats {
-                n,
-                batch: batch.len(),
-                workers,
-                parallel_halves: false,
-                frames_ok,
-                frames_failed,
-                frames_retried: 0,
-                frames_degraded: 0,
-                stages,
-                wall_nanos,
-                busy_nanos,
-                fastpath_frames: batch.len() as u64,
-                scratch_bytes,
-                plan_hits: plan_exact_hits + plan_canonical_hits,
-                plan_misses,
-                plan_exact_hits,
-                plan_canonical_hits,
-                plan_evictions,
-                plan_cache_bytes: cache.map_or(0, |c| c.footprint_bytes() as u64),
-                plan_snapshot_loaded: cache.map_or(0, |c| c.stats().snapshot_loaded),
-                simd_lane_width: brsmn_rbn::LANES as u64,
-                batch_planned_frames: 0,
-                cluster_nodes: 0,
-                cluster_messages: 0,
-                cluster_messages_dropped: 0,
-                cluster_epoch: 0,
-            },
-        }
-    }
-
-    /// Routes one fast-path frame through the full per-frame ladder:
-    /// exact-tier replay, then canonical-tier permuted replay, then fresh
-    /// planning with capture and two-tier insertion. Returns the result,
-    /// the scratch footprint in bytes, and the cache tallies
-    /// `[exact_hits, canonical_hits, misses, evictions]`.
-    fn route_frame_cached(
-        &self,
-        asg: &MulticastAssignment,
-        timer: &mut StageTimer,
-    ) -> (Result<RoutingResult, CoreError>, u64, [u64; 4]) {
-        use crate::fastpath::{
-            route_assignment_fast_buffered, route_assignment_replay_buffered,
-            route_assignment_replay_permuted, with_thread_scratch,
-        };
-        let n = self.net.n();
-        let cache = self.plan_cache.as_deref();
-        let (mut exact_hit, mut canon_hit, mut miss, mut evict) = (0u64, 0u64, 0u64, 0u64);
-        let (result, bytes) = with_thread_scratch(n, |scratch| {
-            let r = match cache {
-                None => route_assignment_fast_buffered(
-                    n,
-                    self.net.wiring(),
-                    asg,
-                    scratch,
-                    None,
-                    Some(timer),
-                    None,
-                ),
-                Some(cache) => {
-                    let fp = plan_fingerprint(asg);
-                    if let Some(plan) = cache.lookup(fp, asg) {
-                        exact_hit = 1;
-                        route_assignment_replay_buffered(
-                            n,
-                            self.net.wiring(),
-                            asg,
-                            &plan,
-                            scratch,
-                            None,
-                            Some(timer),
-                        )
-                    } else if let Some(plan) = cache.lookup_class(asg, scratch) {
-                        canon_hit = 1;
-                        route_assignment_replay_permuted(n, asg, &plan, scratch, Some(timer))
-                            .map(|()| scratch.to_result())
-                    } else {
-                        miss = 1;
-                        // The probe left the class key in the scratch.
-                        let class = scratch.class_mut().key();
-                        match CapturedPlan::new(n) {
-                            Err(e) => Err(e),
-                            Ok(mut plan) => {
-                                let r = route_assignment_fast_buffered(
-                                    n,
-                                    self.net.wiring(),
-                                    asg,
-                                    scratch,
-                                    None,
-                                    Some(timer),
-                                    Some(&mut plan),
-                                );
-                                if r.is_ok() {
-                                    let plan = Arc::new(plan);
-                                    if cache.insert(fp, asg, Arc::clone(&plan)) {
-                                        evict = 1;
-                                    }
-                                    // The same capture seeds its whole
-                                    // relabeling class.
-                                    if cache.insert_class(class, asg, plan, scratch.class_mut()) {
-                                        evict = 1;
-                                    }
-                                }
-                                r
-                            }
-                        }
-                    }
-                }
-            };
-            (r, scratch.footprint_bytes() as u64)
-        });
-        (result, bytes, [exact_hit, canon_hit, miss, evict])
-    }
-
-    /// The batched fast-path driver ([`EngineConfig::batch_plan`]): probe
-    /// the cache once per frame, group the misses into SoA chunks planned
-    /// in lockstep by [`crate::BatchPlanner`], then serve hits by replay
-    /// and deferred duplicates through the per-frame ladder. Results,
-    /// hit/miss tallies and captured plans are identical to the per-frame
-    /// driver's — the passes only reorder *when* each frame runs, never
-    /// what it computes:
-    ///
-    /// * **Pass A** (sequential) classifies each frame: exact hit,
-    ///   canonical hit, miss, or *deferred* — an earlier miss in this
-    ///   batch already claimed the same fingerprint or relabeling class,
-    ///   so probing now would miss but by pass C the chunk's insert serves
-    ///   it, exactly like the sequential per-frame driver's later-frame
-    ///   hits.
-    /// * **Pass B** fans the misses out in chunks of up to
-    ///   [`crate::MAX_BATCH_FRAMES`] frames through thread-local
-    ///   [`crate::BatchPlanner`] arenas, then inserts each successful
-    ///   chunk's captures into both cache tiers under the fingerprint and
-    ///   class key pass A computed (the class maps are built once, at the
-    ///   insert). A
-    ///   chunk that fails re-routes every one of its frames through the
-    ///   per-frame ladder so error values stay byte-identical to scalar
-    ///   routing.
-    /// * **Pass C** replays the pass-A hits — a canonical hit from the maps
-    ///   its pass-A probe composed — and routes the deferred frames.
-    fn route_batch_fast_batched(&self, batch: &[MulticastAssignment]) -> BatchOutput {
-        use crate::batch::with_thread_batch_planner;
-        use crate::fastpath::{
-            route_assignment_replay_buffered, route_assignment_replay_permuted,
-            with_thread_scratch,
-        };
-        use std::collections::HashSet;
-
-        let n = self.net.n();
-        let workers = par::effective_workers(self.cfg.workers).min(batch.len().max(1));
-        let cache = self.plan_cache.as_deref();
-        let wiring = self.net.wiring();
-        let wall_start = Instant::now();
-
-        // Pass A: classify every frame with at most one probe per cache
-        // tier, claiming each fingerprint / relabeling class for its first
-        // miss so no plan is computed twice within the batch. Each miss
-        // keeps its fingerprint and class key for pass B's inserts; each
-        // canonical hit parks the maps its probe composed in `canon_maps`.
-        let mut probes: Vec<(usize, FrameProbe)> = Vec::new();
-        let mut miss_idx: Vec<usize> = Vec::new();
-        let mut miss_keys: Vec<(u64, u64)> = Vec::new();
-        let mut canon_maps: Vec<u32> = Vec::new();
-        match cache {
-            None => miss_idx.extend(0..batch.len()),
-            Some(cache) => with_thread_scratch(n, |scratch| {
-                let class_scratch = scratch.class_mut();
-                let mut claimed_fp: HashSet<u64> = HashSet::new();
-                let mut claimed_class: HashSet<u64> = HashSet::new();
-                for (i, asg) in batch.iter().enumerate() {
-                    let fp = plan_fingerprint(asg);
-                    if claimed_fp.contains(&fp) {
-                        probes.push((i, FrameProbe::Deferred));
-                        continue;
-                    }
-                    if let Some(plan) = cache.lookup(fp, asg) {
-                        probes.push((i, FrameProbe::ExactHit(plan)));
-                        continue;
-                    }
-                    let class = class_scratch.profile(asg);
-                    if claimed_class.contains(&class) {
-                        probes.push((i, FrameProbe::Deferred));
-                        continue;
-                    }
-                    if let Some(plan) = cache.lookup_class_profiled(asg, class_scratch) {
-                        let maps = canon_maps.len();
-                        class_scratch.copy_maps_to(&mut canon_maps);
-                        probes.push((i, FrameProbe::CanonHit { plan, maps }));
-                        continue;
-                    }
-                    claimed_fp.insert(fp);
-                    claimed_class.insert(class);
-                    miss_idx.push(i);
-                    miss_keys.push((fp, class));
-                }
-            }),
-        }
-
-        // Pass B: lockstep-plan the misses. Chunks spread across the
-        // worker pool while respecting the SoA frame cap.
-        let chunk_size = miss_idx
-            .len()
-            .div_ceil(workers.max(1))
-            .clamp(1, crate::MAX_BATCH_FRAMES);
-        let chunks: Vec<&[usize]> = miss_idx.chunks(chunk_size).collect();
-        let mut chunk_outs = par::par_map(&chunks, workers, |_ci, chunk| {
-            let chunk: &[usize] = chunk;
-            let t0 = Instant::now();
-            let mut timer = StageTimer::new();
-            let planned = with_thread_batch_planner(n, chunk.len(), |bp| {
-                let mut refs: [&MulticastAssignment; crate::MAX_BATCH_FRAMES] =
-                    [&batch[0]; crate::MAX_BATCH_FRAMES];
-                for (k, &i) in chunk.iter().enumerate() {
-                    refs[k] = &batch[i];
-                }
-                let refs = &refs[..chunk.len()];
-                let mut captures = Vec::new();
-                if cache.is_some() {
-                    captures.reserve_exact(chunk.len());
-                    for _ in 0..chunk.len() {
-                        captures.push(CapturedPlan::new(n)?);
-                    }
-                }
-                let slots = cache.map(|_| captures.as_mut_slice());
-                bp.route_frames(wiring, refs, &mut timer, slots)?;
-                let results: Vec<Result<RoutingResult, CoreError>> =
-                    (0..chunk.len()).map(|k| Ok(bp.frame_result(k))).collect();
-                Ok::<_, CoreError>((results, captures, bp.footprint_bytes() as u64))
-            });
-            match planned {
-                Ok((results, captures, bytes)) => ChunkOut {
-                    entries: chunk.iter().copied().zip(results).collect(),
-                    captures,
-                    timer,
-                    busy_nanos: t0.elapsed().as_nanos() as u64,
-                    scratch_bytes: bytes,
-                    // Misses are a cache statistic: without a cache there is
-                    // nothing to miss (matching the per-frame driver).
-                    tallies: [
-                        0,
-                        0,
-                        if cache.is_some() { chunk.len() as u64 } else { 0 },
-                        0,
-                    ],
-                    batch_planned: chunk.len() as u64,
-                },
-                Err(_) => {
-                    // All-or-nothing: any frame error reroutes the whole
-                    // chunk through the per-frame ladder, so each frame's
-                    // result — error values included — is byte-identical
-                    // to scalar routing. The partial lockstep timer is
-                    // discarded to avoid double-counting.
-                    let mut timer = StageTimer::new();
-                    let mut entries = Vec::with_capacity(chunk.len());
-                    let mut tallies = [0u64; 4];
-                    let mut bytes = 0u64;
-                    let mut busy = 0u64;
-                    for &i in chunk {
-                        let f0 = Instant::now();
-                        let (result, b, t) = self.route_frame_cached(&batch[i], &mut timer);
-                        busy += f0.elapsed().as_nanos() as u64;
-                        bytes = bytes.max(b);
-                        for (acc, d) in tallies.iter_mut().zip(t) {
-                            *acc += d;
-                        }
-                        entries.push((i, result));
-                    }
-                    ChunkOut {
-                        entries,
-                        captures: Vec::new(),
-                        timer,
-                        busy_nanos: busy,
-                        scratch_bytes: bytes,
-                        tallies,
-                        batch_planned: 0,
-                    }
-                }
-            }
-        });
-
-        // Insert every planned capture into both cache tiers, in frame
-        // order, under the keys pass A computed.
-        if let Some(cache) = cache {
-            with_thread_scratch(n, |scratch| {
-                let mut keys = miss_keys.into_iter();
-                for out in &mut chunk_outs {
-                    let t0 = Instant::now();
-                    let mut captures = std::mem::take(&mut out.captures).into_iter();
-                    for &(i, _) in &out.entries {
-                        let (fp, class) = keys.next().expect("pass A keyed every miss");
-                        // A chunk that fell back to the per-frame ladder has
-                        // no captures: its frames inserted their own.
-                        let Some(plan) = captures.next() else {
-                            continue;
-                        };
-                        let plan = Arc::new(plan);
-                        if cache.insert(fp, &batch[i], Arc::clone(&plan)) {
-                            out.tallies[3] += 1;
-                        }
-                        // The same capture seeds its whole relabeling class.
-                        if cache.insert_class(class, &batch[i], plan, scratch.class_mut()) {
-                            out.tallies[3] += 1;
-                        }
-                    }
-                    out.busy_nanos += t0.elapsed().as_nanos() as u64;
-                }
-            });
-        }
-
-        // Pass C: replay the hits; deferred frames re-probe the (now
-        // warmed) cache through the normal per-frame ladder.
-        let hit_outs = par::par_map(&probes, workers, |_k, (i, probe)| {
-            let t0 = Instant::now();
-            let mut timer = StageTimer::new();
-            let (result, bytes, tallies) = match probe {
-                FrameProbe::ExactHit(plan) => with_thread_scratch(n, |scratch| {
-                    let r = route_assignment_replay_buffered(
-                        n,
-                        wiring,
-                        &batch[*i],
-                        plan,
-                        scratch,
-                        None,
-                        Some(&mut timer),
-                    );
-                    (r, scratch.footprint_bytes() as u64, [1, 0, 0, 0])
-                }),
-                FrameProbe::CanonHit { plan, maps } => with_thread_scratch(n, |scratch| {
-                    scratch
-                        .class_mut()
-                        .set_maps(&canon_maps[*maps..*maps + 2 * n]);
-                    let r = route_assignment_replay_permuted(
-                        n,
-                        &batch[*i],
-                        plan,
-                        scratch,
-                        Some(&mut timer),
-                    )
-                    .map(|()| scratch.to_result());
-                    (r, scratch.footprint_bytes() as u64, [0, 1, 0, 0])
-                }),
-                FrameProbe::Deferred => self.route_frame_cached(&batch[*i], &mut timer),
-            };
-            (
-                *i,
-                result,
-                timer,
-                t0.elapsed().as_nanos() as u64,
-                bytes,
-                tallies,
-            )
-        });
-        let wall_nanos = wall_start.elapsed().as_nanos() as u64;
-
-        let mut stages = StageTimer::new();
-        let mut busy_nanos = 0u64;
-        let mut scratch_bytes = 0u64;
-        let mut cache_tallies = [0u64; 4];
-        let mut batch_planned_frames = 0u64;
+        // Pass 1: probe and replay the hits; claim the first miss of each
+        // class. Equal assignments share a class, so the class claim
+        // covers repeated frames too.
         let mut slots: Vec<Option<Result<RoutingResult, CoreError>>> =
-            (0..batch.len()).map(|_| None).collect();
-        for out in chunk_outs {
-            stages.merge(&out.timer);
-            busy_nanos += out.busy_nanos;
-            scratch_bytes = scratch_bytes.max(out.scratch_bytes);
-            for (acc, d) in cache_tallies.iter_mut().zip(out.tallies) {
-                *acc += d;
+            Vec::with_capacity(batch.len());
+        let mut claims: Vec<Claim> = Vec::new();
+        let mut deferred: Vec<usize> = Vec::new();
+        match cache {
+            None => {
+                slots.resize_with(batch.len(), || None);
+                claims.extend((0..batch.len()).map(|i| (i, 0, 0)));
             }
-            batch_planned_frames += out.batch_planned;
-            for (i, r) in out.entries {
-                slots[i] = Some(r);
+            Some(cache) => {
+                let probes = par::par_map(batch, workers, |_, asg| {
+                    timed(|work| {
+                        with_thread_scratch(n, |scratch| self.probe(cache, asg, scratch, work))
+                    })
+                });
+                let mut claimed: HashSet<u64> = HashSet::new();
+                for (i, (probe, work)) in probes.into_iter().enumerate() {
+                    work.fold_into(&mut stats);
+                    slots.push(match probe {
+                        Probe::Hit(result) => Some(result),
+                        Probe::Miss { fp, class } => {
+                            if claimed.insert(class) {
+                                claims.push((i, fp, class));
+                            } else {
+                                deferred.push(i);
+                            }
+                            None
+                        }
+                    });
+                }
             }
         }
-        for (i, result, timer, nanos, bytes, tallies) in hit_outs {
-            stages.merge(&timer);
-            busy_nanos += nanos;
-            scratch_bytes = scratch_bytes.max(bytes);
-            for (acc, d) in cache_tallies.iter_mut().zip(tallies) {
-                *acc += d;
+
+        // Pass 2: plan the claimed misses in SoA chunks spread across the
+        // workers, then insert the captures in frame order.
+        let chunk_len = claims.len().div_ceil(workers).clamp(1, MAX_BATCH_FRAMES);
+        let chunks: Vec<&[Claim]> = claims.chunks(chunk_len).collect();
+        let planned = par::par_map(&chunks, workers, |_, chunk| {
+            timed(|work| self.plan_chunk(batch, chunk, work))
+        });
+        for (chunk, ((results, captures), work)) in chunks.iter().zip(planned) {
+            work.fold_into(&mut stats);
+            for (&(i, ..), result) in chunk.iter().zip(results) {
+                slots[i] = Some(result);
             }
+            if let Some(cache) = cache {
+                let t0 = Instant::now();
+                with_thread_scratch(n, |scratch| {
+                    for (&(i, fp, class), plan) in chunk.iter().zip(captures) {
+                        stats.plan_evictions += insert_capture(
+                            cache,
+                            (fp, class),
+                            &batch[i],
+                            plan,
+                            scratch.class_mut(),
+                        );
+                    }
+                });
+                stats.busy_nanos += t0.elapsed().as_nanos() as u64;
+            }
+        }
+
+        // Pass 3: the later misses of each claimed class.
+        let late = par::par_map(&deferred, workers, |_, &i| {
+            timed(|work| self.route_frame_cached(&batch[i], work))
+        });
+        for (&i, (result, work)) in deferred.iter().zip(late) {
+            work.fold_into(&mut stats);
             slots[i] = Some(result);
         }
+
         let results: Vec<Result<RoutingResult, CoreError>> = slots
             .into_iter()
             .map(|s| s.expect("every frame is routed by exactly one pass"))
             .collect();
-        let (mut frames_ok, mut frames_failed) = (0usize, 0usize);
-        for r in &results {
-            match r {
-                Ok(_) => frames_ok += 1,
-                Err(_) => frames_failed += 1,
-            }
+        stats.wall_nanos = wall_start.elapsed().as_nanos() as u64;
+        stats.batch = batch.len();
+        stats.workers = workers;
+        stats.frames_ok = results.iter().filter(|r| r.is_ok()).count();
+        stats.frames_failed = batch.len() - stats.frames_ok;
+        stats.fastpath_frames = batch.len() as u64;
+        stats.plan_hits = stats.plan_exact_hits + stats.plan_canonical_hits;
+        if let Some(cache) = cache {
+            stats.plan_cache_bytes = cache.footprint_bytes() as u64;
+            stats.plan_snapshot_loaded = cache.stats().snapshot_loaded;
         }
-        let [plan_exact_hits, plan_canonical_hits, plan_misses, plan_evictions] = cache_tallies;
-
-        BatchOutput {
-            results,
-            stats: EngineStats {
-                n,
-                batch: batch.len(),
-                workers,
-                parallel_halves: false,
-                frames_ok,
-                frames_failed,
-                frames_retried: 0,
-                frames_degraded: 0,
-                stages,
-                wall_nanos,
-                busy_nanos,
-                fastpath_frames: batch.len() as u64,
-                scratch_bytes,
-                plan_hits: plan_exact_hits + plan_canonical_hits,
-                plan_misses,
-                plan_exact_hits,
-                plan_canonical_hits,
-                plan_evictions,
-                plan_cache_bytes: cache.map_or(0, |c| c.footprint_bytes() as u64),
-                plan_snapshot_loaded: cache.map_or(0, |c| c.stats().snapshot_loaded),
-                simd_lane_width: brsmn_rbn::LANES as u64,
-                batch_planned_frames,
-                cluster_nodes: 0,
-                cluster_messages: 0,
-                cluster_messages_dropped: 0,
-                cluster_epoch: 0,
-            },
-        }
+        BatchOutput { results, stats }
     }
 
-    /// Routes a batch with the **self-routing** message model (messages
-    /// reduced to `SEQ` tag streams before entering the network).
-    pub fn route_batch_self_routing(&self, batch: &[MulticastAssignment]) -> BatchOutput {
-        self.route_batch_with(batch, |n, src, dests| {
-            SelfRoutedMsg::prepare(n, src, dests)
+    /// Probes both cache tiers for `asg` and replays a hit at once: an
+    /// exact hit verbatim, a canonical hit through the permuted executor
+    /// from the maps the class probe left in `scratch`.
+    fn probe(
+        &self,
+        cache: &PlanCache,
+        asg: &MulticastAssignment,
+        scratch: &mut RouteScratch,
+        work: &mut Work,
+    ) -> Probe {
+        let n = self.net.n();
+        let fp = plan_fingerprint(asg);
+        let timer = Some(&mut work.timer);
+        let result = if let Some(plan) = cache.lookup(fp, asg) {
+            work.exact_hits += 1;
+            route_assignment_replay_buffered(n, self.net.wiring(), asg, &plan, scratch, None, timer)
+        } else if let Some(plan) = cache.lookup_class(asg, scratch) {
+            work.canonical_hits += 1;
+            route_assignment_replay_permuted(n, asg, &plan, scratch, timer)
+                .map(|()| scratch.to_result())
+        } else {
+            // The class probe left the key in the scratch.
+            let class = scratch.class_mut().key();
+            return Probe::Miss { fp, class };
+        };
+        work.scratch_bytes = work.scratch_bytes.max(scratch.footprint_bytes() as u64);
+        Probe::Hit(result)
+    }
+
+    /// Routes one frame through the per-frame ladder: probe and replay a
+    /// hit, else plan on the scalar planner — capturing the plan and
+    /// inserting it into both tiers when a cache is on.
+    fn route_frame_cached(
+        &self,
+        asg: &MulticastAssignment,
+        work: &mut Work,
+    ) -> Result<RoutingResult, CoreError> {
+        let n = self.net.n();
+        with_thread_scratch(n, |scratch| {
+            // A miss plans with capture, for the keys its probe computed.
+            let mut capture = match self.plan_cache.as_deref() {
+                None => None,
+                Some(cache) => match self.probe(cache, asg, scratch, work) {
+                    Probe::Hit(result) => return result,
+                    Probe::Miss { fp, class } => {
+                        work.misses += 1;
+                        Some((cache, (fp, class), CapturedPlan::new(n)?))
+                    }
+                },
+            };
+            let r = route_assignment_fast_buffered(
+                n,
+                self.net.wiring(),
+                asg,
+                scratch,
+                None,
+                Some(&mut work.timer),
+                capture.as_mut().map(|(.., plan)| plan),
+            );
+            work.scratch_bytes = work.scratch_bytes.max(scratch.footprint_bytes() as u64);
+            let r = r?;
+            if let Some((cache, keys, plan)) = capture {
+                work.evictions += insert_capture(cache, keys, asg, plan, scratch.class_mut());
+            }
+            Ok(r)
         })
     }
 
-    /// Routes one frame, returning its result and instrumentation. Uses
-    /// intra-network parallelism if the config enables it.
+    /// Plans one chunk of claimed misses in lockstep through this worker's
+    /// [`crate::BatchPlanner`], capturing a plan per frame when a cache is
+    /// on; returns the results and the captures still to insert. A chunk
+    /// that fails re-routes each of its frames through the per-frame
+    /// ladder, whose plans insert themselves, and returns no captures.
+    fn plan_chunk(
+        &self,
+        batch: &[MulticastAssignment],
+        chunk: &[Claim],
+        work: &mut Work,
+    ) -> (Vec<Result<RoutingResult, CoreError>>, Vec<CapturedPlan>) {
+        let n = self.net.n();
+        let capture = self.plan_cache.is_some();
+        let planned = with_thread_batch_planner(n, chunk.len(), |bp| {
+            let mut refs = [&batch[0]; MAX_BATCH_FRAMES];
+            for (slot, &(i, ..)) in refs.iter_mut().zip(chunk) {
+                *slot = &batch[i];
+            }
+            let mut captures = Vec::new();
+            if capture {
+                captures.reserve_exact(chunk.len());
+                for _ in chunk {
+                    captures.push(CapturedPlan::new(n)?);
+                }
+            }
+            let slots = capture.then_some(captures.as_mut_slice());
+            bp.route_frames(
+                self.net.wiring(),
+                &refs[..chunk.len()],
+                &mut work.timer,
+                slots,
+            )?;
+            work.scratch_bytes = bp.footprint_bytes() as u64;
+            let results = (0..chunk.len()).map(|k| Ok(bp.frame_result(k))).collect();
+            Ok::<_, CoreError>((results, captures))
+        });
+        match planned {
+            Ok(out) => {
+                work.batch_planned = chunk.len() as u64;
+                // Misses are a cache statistic: without a cache there is
+                // nothing to miss.
+                if capture {
+                    work.misses = chunk.len() as u64;
+                }
+                out
+            }
+            Err(_) => {
+                // The partial lockstep counters are dropped so no frame's
+                // stages count twice.
+                work.timer = StageTimer::new();
+                let results = chunk
+                    .iter()
+                    .map(|&(i, ..)| self.route_frame_cached(&batch[i], work))
+                    .collect();
+                (results, Vec::new())
+            }
+        }
+    }
+
+    /// Routes a batch with the **self-routing** message model: each frame
+    /// through [`Brsmn::route_self_routing`], the paper's distributed
+    /// oracle (messages reduced to `SEQ` tag streams, every switch set from
+    /// stream heads alone), across the workers. It consults no cache and
+    /// times whole frames only (`stages` stays empty).
+    pub fn route_batch_self_routing(&self, batch: &[MulticastAssignment]) -> BatchOutput {
+        let (results, mut stats) = self.route_each(batch, |asg| self.net.route_self_routing(asg));
+        stats.frames_ok = results.iter().filter(|r| r.is_ok()).count();
+        stats.frames_failed = batch.len() - stats.frames_ok;
+        BatchOutput { results, stats }
+    }
+
+    /// Routes one frame, returning its result and instrumentation.
     pub fn route_one(
         &self,
         asg: &MulticastAssignment,
@@ -1167,175 +881,52 @@ impl Engine {
     where
         R: ResilientRouter + Sync,
     {
-        let n = self.net.n();
-        let workers = par::effective_workers(self.cfg.workers).min(batch.len().max(1));
-
-        let wall_start = Instant::now();
-        let frames = par::par_map(batch, workers, |_idx, asg| {
-            let frame_start = Instant::now();
-            let (result, outcome) = route_resilient_frame(asg, router);
-            (result, outcome, frame_start.elapsed().as_nanos() as u64)
-        });
-        let wall_nanos = wall_start.elapsed().as_nanos() as u64;
-
-        let mut busy_nanos = 0u64;
-        let mut results = Vec::with_capacity(frames.len());
-        let mut outcomes = Vec::with_capacity(frames.len());
-        let (mut frames_ok, mut frames_failed) = (0usize, 0usize);
-        let (mut frames_retried, mut frames_degraded) = (0usize, 0usize);
-        for (result, outcome, frame_nanos) in frames {
-            busy_nanos += frame_nanos;
+        let (frames, mut stats) = self.route_each(batch, |asg| route_resilient_frame(asg, router));
+        let (results, outcomes): (Vec<_>, Vec<_>) = frames.into_iter().unzip();
+        for outcome in &outcomes {
             match outcome {
-                FrameOutcome::Ok => frames_ok += 1,
+                FrameOutcome::Ok => stats.frames_ok += 1,
                 FrameOutcome::Retried => {
-                    frames_ok += 1;
-                    frames_retried += 1;
+                    stats.frames_ok += 1;
+                    stats.frames_retried += 1;
                 }
                 FrameOutcome::Degraded => {
-                    frames_ok += 1;
-                    frames_degraded += 1;
+                    stats.frames_ok += 1;
+                    stats.frames_degraded += 1;
                 }
-                FrameOutcome::Failed => frames_failed += 1,
+                FrameOutcome::Failed => stats.frames_failed += 1,
             }
-            results.push(result);
-            outcomes.push(outcome);
         }
-
-        (
-            BatchOutput {
-                results,
-                stats: EngineStats {
-                    n,
-                    batch: batch.len(),
-                    workers,
-                    parallel_halves: false,
-                    frames_ok,
-                    frames_failed,
-                    frames_retried,
-                    frames_degraded,
-                    stages: StageTimer::new(),
-                    wall_nanos,
-                    busy_nanos,
-                    fastpath_frames: 0,
-                    scratch_bytes: 0,
-                    plan_hits: 0,
-                    plan_misses: 0,
-                    plan_exact_hits: 0,
-                    plan_canonical_hits: 0,
-                    plan_evictions: 0,
-                    plan_cache_bytes: 0,
-                    plan_snapshot_loaded: 0,
-                    simd_lane_width: 0,
-                    batch_planned_frames: 0,
-                    cluster_nodes: 0,
-                    cluster_messages: 0,
-                    cluster_messages_dropped: 0,
-                    cluster_epoch: 0,
-                },
-            },
-            outcomes,
-        )
+        (BatchOutput { results, stats }, outcomes)
     }
 
-    /// Shared batch driver over any payload preparation function.
-    fn route_batch_with<P, F>(&self, batch: &[MulticastAssignment], prepare: F) -> BatchOutput
-    where
-        P: RoutePayload + Send,
-        F: Fn(usize, usize, &[usize]) -> P + Sync,
-    {
-        let n = self.net.n();
-        let workers = par::effective_workers(self.cfg.workers).min(batch.len().max(1));
-        let fork_depth = if self.cfg.parallel_halves {
-            self.cfg.fork_depth
-        } else {
-            0
-        };
-
-        let wall_start = Instant::now();
-        let frames = par::par_map(batch, workers, |_idx, asg| {
-            let frame_start = Instant::now();
-            let mut timer = StageTimer::new();
-            let result = self.route_frame(asg, fork_depth, &mut timer, &prepare);
-            (result, timer, frame_start.elapsed().as_nanos() as u64)
-        });
-        let wall_nanos = wall_start.elapsed().as_nanos() as u64;
-
-        let mut stages = StageTimer::new();
-        let mut busy_nanos = 0u64;
-        let mut results = Vec::with_capacity(frames.len());
-        let (mut frames_ok, mut frames_failed) = (0usize, 0usize);
-        for (result, timer, frame_nanos) in frames {
-            stages.merge(&timer);
-            busy_nanos += frame_nanos;
-            match &result {
-                Ok(_) => frames_ok += 1,
-                Err(_) => frames_failed += 1,
-            }
-            results.push(result);
-        }
-
-        BatchOutput {
-            results,
-            stats: EngineStats {
-                n,
-                batch: batch.len(),
-                workers,
-                parallel_halves: fork_depth > 0,
-                frames_ok,
-                frames_failed,
-                frames_retried: 0,
-                frames_degraded: 0,
-                stages,
-                wall_nanos,
-                busy_nanos,
-                fastpath_frames: 0,
-                scratch_bytes: 0,
-                plan_hits: 0,
-                plan_misses: 0,
-                plan_exact_hits: 0,
-                plan_canonical_hits: 0,
-                plan_evictions: 0,
-                plan_cache_bytes: 0,
-                plan_snapshot_loaded: 0,
-                simd_lane_width: 0,
-                batch_planned_frames: 0,
-                cluster_nodes: 0,
-                cluster_messages: 0,
-                cluster_messages_dropped: 0,
-                cluster_epoch: 0,
-            },
-        }
-    }
-
-    /// Routes one frame end to end with instrumentation.
-    fn route_frame<P, F>(
+    /// Runs `route` on every frame across the workers, in input order,
+    /// timing each: the loop behind the oracle paths, which keep no cache
+    /// and no stage counters. The stats hold the batch shape and times;
+    /// the caller tallies the outcomes.
+    fn route_each<T: Send>(
         &self,
-        asg: &MulticastAssignment,
-        fork_depth: usize,
-        timer: &mut StageTimer,
-        prepare: &F,
-    ) -> Result<RoutingResult, CoreError>
-    where
-        P: RoutePayload + Send,
-        F: Fn(usize, usize, &[usize]) -> P + Sync,
-    {
-        let n = self.net.n();
-        assert_eq!(asg.n(), n, "assignment size mismatch");
-        let lines: Vec<Line<P>> = (0..n)
-            .map(|i| {
-                let dests = asg.dests(i);
-                if dests.is_empty() {
-                    Line::empty()
-                } else {
-                    Line {
-                        tag: Tag::Eps,
-                        payload: Some(prepare(n, i, dests)),
-                    }
-                }
+        batch: &[MulticastAssignment],
+        route: impl Fn(&MulticastAssignment) -> T + Sync,
+    ) -> (Vec<T>, EngineStats) {
+        let workers = par::effective_workers(self.cfg.workers).min(batch.len().max(1));
+        let wall_start = Instant::now();
+        let frames = par::par_map(batch, workers, |_, asg| {
+            let t0 = Instant::now();
+            (route(asg), t0.elapsed().as_nanos() as u64)
+        });
+        let mut stats = EngineStats::empty(self.net.n());
+        stats.wall_nanos = wall_start.elapsed().as_nanos() as u64;
+        stats.batch = batch.len();
+        stats.workers = workers;
+        let outs = frames
+            .into_iter()
+            .map(|(out, nanos)| {
+                stats.busy_nanos += nanos;
+                out
             })
             .collect();
-        let out = route_block_timed(lines, 0, 1, fork_depth, timer)?;
-        crate::brsmn::extract_result(out)
+        (outs, stats)
     }
 }
 
@@ -1524,59 +1115,6 @@ fn route_resilient_frame<R: ResilientRouter>(
     (Err(retry_failure), FrameOutcome::Failed)
 }
 
-/// Instrumented (and optionally halves-parallel) version of the recursive
-/// router in [`crate::brsmn`]. Produces exactly the same output lines: the
-/// two halves compute disjoint output ranges `[lo, lo+size/2)` and
-/// `[lo+size/2, lo+size)` and are concatenated in order.
-fn route_block_timed<P: RoutePayload + Send>(
-    lines: Vec<Line<P>>,
-    lo: usize,
-    level: usize,
-    fork_depth: usize,
-    timer: &mut StageTimer,
-) -> Result<Vec<Line<P>>, CoreError> {
-    let size = lines.len();
-    if size == 2 {
-        let t0 = Instant::now();
-        let out = final_switch(lines, lo, &mut None)?;
-        timer.record_final_stage(1, t0.elapsed());
-        return Ok(out);
-    }
-
-    let t0 = Instant::now();
-    let bsn = Bsn::new(size)?;
-    let (mut out, _trace) = bsn.route_reference(lines, lo)?;
-    for line in out.iter_mut() {
-        if line.tag != Tag::Eps {
-            let branch = line.tag;
-            let payload = line.payload.take().expect("tagged line has a payload");
-            line.payload = Some(payload.descend(branch, lo, size));
-        }
-    }
-    timer.record_bsns(level, size, 1, t0.elapsed());
-
-    let lower = out.split_off(size / 2);
-    if fork_depth > 0 && size >= MIN_FORK_BLOCK {
-        let (up, (down, lower_timer)) = par::join(
-            || route_block_timed(out, lo, level + 1, fork_depth - 1, timer),
-            || {
-                let mut lt = StageTimer::new();
-                let r = route_block_timed(lower, lo + size / 2, level + 1, fork_depth - 1, &mut lt);
-                (r, lt)
-            },
-        );
-        timer.merge(&lower_timer);
-        let mut up = up?;
-        up.extend(down?);
-        Ok(up)
-    } else {
-        let mut up = route_block_timed(out, lo, level + 1, 0, timer)?;
-        let down = route_block_timed(lower, lo + size / 2, level + 1, 0, timer)?;
-        up.extend(down);
-        Ok(up)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1602,11 +1140,7 @@ mod tests {
     fn engine_matches_sequential_router_on_paper_example() {
         let net = Brsmn::new(8).unwrap();
         let expect = net.route(&paper_assignment()).unwrap();
-        for cfg in [
-            EngineConfig::sequential(),
-            EngineConfig::batch(4),
-            EngineConfig::single_frame(3),
-        ] {
+        for cfg in [EngineConfig::sequential(), EngineConfig::batch(4)] {
             let engine = Engine::with_config(8, cfg).unwrap();
             let (result, stats) = engine.route_one(&paper_assignment());
             assert_eq!(result.unwrap(), expect);
@@ -1690,36 +1224,6 @@ mod tests {
     }
 
     #[test]
-    fn no_scratch_config_matches_fast_path() {
-        let n = 16;
-        let batch: Vec<MulticastAssignment> = (0..12)
-            .map(|f| {
-                let mut sets = vec![Vec::new(); n];
-                sets[f % n] = (0..n).step_by(f % 3 + 1).collect();
-                MulticastAssignment::from_sets(n, sets).unwrap()
-            })
-            .collect();
-        let fast = Engine::with_config(n, EngineConfig::sequential()).unwrap();
-        let slow =
-            Engine::with_config(n, EngineConfig::sequential().without_scratch()).unwrap();
-        let a = fast.route_batch(&batch);
-        let b = slow.route_batch(&batch);
-        for (x, y) in a.results.iter().zip(&b.results) {
-            assert_eq!(x.as_ref().unwrap(), y.as_ref().unwrap());
-        }
-        // The two drivers record identical work counters.
-        assert_eq!(
-            a.stats.stages.switch_settings,
-            b.stats.stages.switch_settings
-        );
-        assert_eq!(a.stats.stages.sweep_passes, b.stats.stages.sweep_passes);
-        assert_eq!(a.stats.fastpath_frames, batch.len() as u64);
-        assert!(a.stats.scratch_bytes > 0);
-        assert_eq!(b.stats.fastpath_frames, 0);
-        assert_eq!(b.stats.scratch_bytes, 0);
-    }
-
-    #[test]
     fn plan_cache_hits_are_bit_identical_and_counted() {
         let n = 16;
         let distinct: Vec<MulticastAssignment> = (0..4)
@@ -1787,7 +1291,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_plan_matches_per_frame_driver_and_counts() {
+    fn batch_matches_frames_routed_one_at_a_time() {
         let n = 16;
         // 4 distinct shapes cycled over 20 frames: duplicates exercise the
         // claim-and-defer pass, distinct frames the SoA chunks.
@@ -1799,39 +1303,62 @@ mod tests {
             })
             .collect();
         let batch: Vec<MulticastAssignment> = (0..20).map(|i| distinct[i % 4].clone()).collect();
+        let net = Brsmn::new(n).unwrap();
 
-        let batched = Engine::with_config(n, EngineConfig::sequential()).unwrap();
-        let per_frame =
-            Engine::with_config(n, EngineConfig::sequential().without_batch_plan()).unwrap();
-        let a = batched.route_batch(&batch);
-        let b = per_frame.route_batch(&batch);
-        for (x, y) in a.results.iter().zip(&b.results) {
+        // Without a cache every frame of the batch plans in an SoA chunk,
+        // and the results are the scalar router's.
+        let plain = Engine::with_config(n, EngineConfig::sequential()).unwrap();
+        let a = plain.route_batch(&batch);
+        for (asg, got) in batch.iter().zip(&a.results) {
+            assert_eq!(got.as_ref().unwrap(), &net.route(asg).unwrap());
+        }
+        assert_eq!(a.stats.batch_planned_frames, 20);
+        assert_eq!(a.stats.fastpath_frames, 20);
+        assert!(a.stats.scratch_bytes > 0);
+
+        // With a cache, only the first miss of each class is batch-planned
+        // and the tallies are those of a twin engine fed one frame at a
+        // time; a warm pass replays everything.
+        let cfg = EngineConfig::sequential().with_plan_cache(64);
+        let cached = Engine::with_config(n, cfg).unwrap();
+        let twin = Engine::with_config(n, cfg).unwrap();
+        let cold = cached.route_batch(&batch);
+        let mut one_at_a_time = EngineStats::empty(n);
+        for asg in &batch {
+            let (result, stats) = twin.route_one(asg);
+            assert!(result.is_ok());
+            one_at_a_time.merge(&stats);
+        }
+        for (x, y) in a.results.iter().zip(&cold.results) {
             assert_eq!(x.as_ref().unwrap(), y.as_ref().unwrap());
         }
-        // Same work, different schedule: identical stage counters either way.
-        assert_eq!(
-            a.stats.stages.switch_settings,
-            b.stats.stages.switch_settings
-        );
-        assert_eq!(a.stats.stages.sweep_passes, b.stats.stages.sweep_passes);
-        // Without a cache every frame of the batch plans in an SoA chunk.
-        assert_eq!(a.stats.batch_planned_frames, 20);
-        assert_eq!(b.stats.batch_planned_frames, 0);
-        assert_eq!(a.stats.simd_lane_width, brsmn_rbn::LANES as u64);
-        assert_eq!(b.stats.simd_lane_width, brsmn_rbn::LANES as u64);
-        // The reference path reports no lane width at all.
-        let reference =
-            Engine::with_config(n, EngineConfig::sequential().without_scratch()).unwrap();
-        let c = reference.route_batch(&batch);
-        assert_eq!(c.stats.simd_lane_width, 0);
-        assert_eq!(c.stats.batch_planned_frames, 0);
-
-        // With a cache, only the misses are batch-planned — hits replay.
-        let cached =
-            Engine::with_config(n, EngineConfig::sequential().with_plan_cache(64)).unwrap();
-        let cold = cached.route_batch(&batch);
         assert_eq!(cold.stats.plan_misses, 4);
         assert_eq!(cold.stats.batch_planned_frames, 4);
+        for (name, got, want) in [
+            (
+                "exact hits",
+                cold.stats.plan_exact_hits,
+                one_at_a_time.plan_exact_hits,
+            ),
+            (
+                "canonical hits",
+                cold.stats.plan_canonical_hits,
+                one_at_a_time.plan_canonical_hits,
+            ),
+            ("misses", cold.stats.plan_misses, one_at_a_time.plan_misses),
+            (
+                "switch settings",
+                cold.stats.stages.switch_settings,
+                one_at_a_time.stages.switch_settings,
+            ),
+            (
+                "sweep passes",
+                cold.stats.stages.sweep_passes,
+                one_at_a_time.stages.sweep_passes,
+            ),
+        ] {
+            assert_eq!(got, want, "{name}");
+        }
         let warm = cached.route_batch(&batch);
         assert_eq!(warm.stats.plan_hits, 20);
         assert_eq!(warm.stats.batch_planned_frames, 0);
@@ -1859,19 +1386,5 @@ mod tests {
         let again = sharded.route_batch(&batch);
         assert_eq!(again.stats.plan_hits, 16);
         assert_eq!(again.stats.plan_misses, 0);
-    }
-
-    #[test]
-    fn parallel_halves_match_sequential_at_n64() {
-        let n = 64;
-        let mut sets = vec![Vec::new(); n];
-        sets[0] = (0..n).collect(); // full broadcast exercises every split
-        sets[1] = vec![]; // idle
-        let asg = MulticastAssignment::from_sets(n, sets).unwrap();
-        let seq = Engine::with_config(n, EngineConfig::sequential()).unwrap();
-        let par = Engine::with_config(n, EngineConfig::single_frame(4)).unwrap();
-        let (a, _) = seq.route_one(&asg);
-        let (b, _) = par.route_one(&asg);
-        assert_eq!(a.unwrap(), b.unwrap());
     }
 }

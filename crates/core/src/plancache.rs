@@ -493,20 +493,10 @@ impl PlanCache {
         asg: &MulticastAssignment,
         scratch: &mut RouteScratch,
     ) -> Option<Arc<CapturedPlan>> {
-        scratch.ensure(asg.n());
+        let n = asg.n();
+        scratch.ensure(n);
         let class = scratch.class_mut();
         class.profile(asg);
-        self.lookup_class_profiled(asg, class)
-    }
-
-    /// [`PlanCache::lookup_class`] for an `asg` already profiled into
-    /// `class` (the batched driver profiles first to claim classes).
-    pub(crate) fn lookup_class_profiled(
-        &self,
-        asg: &MulticastAssignment,
-        class: &mut ClassScratch,
-    ) -> Option<Arc<CapturedPlan>> {
-        let n = asg.n();
         let (shard, at) = self.probe_class(class.key(), n, class.runs())?;
         let e = &shard.entries[at];
         let (inputs, outputs) = e.from_canon.split_at(n);

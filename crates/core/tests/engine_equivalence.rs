@@ -1,6 +1,6 @@
 //! Acceptance property: the parallel batched engine is **bit-identical** to
-//! the sequential router, for every configuration, message model, network
-//! size in {8, 16, 64}, and batches of ≥ 32 random frames.
+//! the sequential router, for both message models, network sizes in
+//! {8, 16, 64}, and batches of ≥ 32 random frames.
 
 use brsmn_core::{Brsmn, Engine, EngineConfig, MulticastAssignment};
 use proptest::collection::vec;
@@ -41,21 +41,21 @@ proptest! {
         let net = Brsmn::new(n).unwrap();
         let reference: Vec<_> = batch.iter().map(|asg| net.route(asg).unwrap()).collect();
 
-        // Frame-level parallelism across 4 workers.
-        let pooled = Engine::with_config(n, EngineConfig::batch(4)).unwrap();
-        let out = pooled.route_batch(&batch);
-        prop_assert_eq!(out.results.len(), batch.len());
-        for (got, want) in out.results.iter().zip(&reference) {
-            prop_assert_eq!(got.as_ref().unwrap(), want);
-        }
-        prop_assert_eq!(out.stats.frames_ok, batch.len());
-        prop_assert_eq!(out.stats.frames_failed, 0);
-
-        // Intra-network parallelism (concurrent halves) per frame.
-        let forked = Engine::with_config(n, EngineConfig::single_frame(3)).unwrap();
-        for (asg, want) in batch.iter().zip(&reference) {
-            let (got, _) = forked.route_one(asg);
-            prop_assert_eq!(&got.unwrap(), want);
+        // Frame-level parallelism across 1, 2 and 4 workers, with the plan
+        // cache off and on (frames repeat within a batch only by chance, so
+        // the cached engine mostly plans).
+        for workers in [1, 2, 4] {
+            for cache in [0, 64] {
+                let cfg = EngineConfig::batch(workers).with_plan_cache(cache);
+                let pooled = Engine::with_config(n, cfg).unwrap();
+                let out = pooled.route_batch(&batch);
+                prop_assert_eq!(out.results.len(), batch.len());
+                for (got, want) in out.results.iter().zip(&reference) {
+                    prop_assert_eq!(got.as_ref().unwrap(), want);
+                }
+                prop_assert_eq!(out.stats.frames_ok, batch.len());
+                prop_assert_eq!(out.stats.frames_failed, 0);
+            }
         }
     }
 

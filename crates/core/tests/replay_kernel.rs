@@ -12,7 +12,7 @@
 
 use brsmn_core::{
     canonicalize, relabel_inputs, relabel_outputs, BatchPlanner, Brsmn, Engine, EngineConfig,
-    MulticastAssignment, PlanCache, RouteScratch, StageTimer,
+    EngineStats, MulticastAssignment, PlanCache, RouteScratch, StageTimer,
 };
 use std::sync::Arc;
 
@@ -198,6 +198,17 @@ fn assert_counts(timer: &StageTimer, n: usize, frames: u64, ctx: &str) {
     );
 }
 
+/// Routes `batch` through `engine` one frame per call, merging the stats.
+fn route_one_at_a_time(engine: &Engine, batch: &[MulticastAssignment]) -> EngineStats {
+    let mut total = EngineStats::empty(engine.n());
+    for asg in batch {
+        let (result, stats) = engine.route_one(asg);
+        result.unwrap();
+        total.merge(&stats);
+    }
+    total
+}
+
 #[test]
 fn stage_counts_are_per_frame_closed_form_on_every_path() {
     let n = 64;
@@ -233,30 +244,49 @@ fn stage_counts_are_per_frame_closed_form_on_every_path() {
         .unwrap();
     assert_counts(&timer, n, frames, "BatchPlanner::route_frames");
 
-    // Every engine driver, cold and warm.
+    // The engine, cold and warm: without a cache (every frame in SoA
+    // chunks), with one (misses in SoA chunks, relabelings deferred to the
+    // per-frame ladder), and one frame at a time through a twin engine
+    // (single-frame chunks, then per-frame hits).
     let configs = [
-        ("per-frame", EngineConfig::sequential().without_batch_plan()),
-        ("batched", EngineConfig::sequential()),
-        ("reference", EngineConfig::sequential().without_scratch()),
+        ("plain", EngineConfig::sequential()),
+        ("cached", EngineConfig::sequential().with_plan_cache(64)),
         (
-            "per-frame cached",
-            EngineConfig::sequential()
-                .without_batch_plan()
-                .with_plan_cache(64),
-        ),
-        (
-            "batched cached",
-            EngineConfig::sequential().with_plan_cache(64),
+            "cached, 2 workers",
+            EngineConfig::batch(2).with_plan_cache(64),
         ),
     ];
     for (name, cfg) in configs {
         let engine = Engine::with_config(n, cfg).unwrap();
+        let twin = Engine::with_config(n, cfg).unwrap();
         let cold = engine.route_batch(&batch);
         assert_eq!(cold.stats.frames_ok, batch.len(), "{name}");
         assert_counts(&cold.stats.stages, n, frames, &format!("{name}, cold"));
+        let one_at_a_time = route_one_at_a_time(&twin, &batch);
+        assert_counts(
+            &one_at_a_time.stages,
+            n,
+            frames,
+            &format!("{name}, one at a time"),
+        );
         let warm = engine.route_batch(&batch);
         assert_counts(&warm.stats.stages, n, frames, &format!("{name}, warm"));
         if cfg.plan_cache > 0 {
+            for (tally, got, want) in [
+                ("misses", cold.stats.plan_misses, one_at_a_time.plan_misses),
+                (
+                    "canonical hits",
+                    cold.stats.plan_canonical_hits,
+                    one_at_a_time.plan_canonical_hits,
+                ),
+                (
+                    "exact hits",
+                    cold.stats.plan_exact_hits,
+                    one_at_a_time.plan_exact_hits,
+                ),
+            ] {
+                assert_eq!(got, want, "{name}: {tally} vs one frame at a time");
+            }
             assert_eq!(cold.stats.plan_misses, distinct.len() as u64, "{name}");
             assert_eq!(
                 cold.stats.plan_canonical_hits,

@@ -1,14 +1,9 @@
 //! Dependency-free scoped-thread parallelism helpers.
 //!
-//! The batched routing engine (`brsmn-core::engine`) exploits two sources of
-//! parallelism that exist in the BRSMN by construction:
-//!
-//! 1. **Frame-level** — distinct multicast assignments ("frames") are
-//!    completely independent, so a batch can be spread across a worker pool
-//!    ([`par_map`]);
-//! 2. **Intra-network** — after a BSN splits a block, the upper and lower
-//!    `n/2 × n/2` sub-BRSMNs share no state and can recurse concurrently
-//!    ([`join`]).
+//! The batched routing engine (`brsmn-core::engine`) exploits the
+//! frame-level parallelism the BRSMN has by construction: distinct
+//! multicast assignments ("frames") are completely independent, so a batch
+//! can be spread across a worker pool ([`par_map`]).
 //!
 //! Everything here is built on [`std::thread::scope`] — no external thread
 //! pool. Workers pull indices from a shared atomic counter, so load balances
@@ -39,30 +34,6 @@ pub fn resolve_workers(requested: usize, detected: Option<usize>) -> usize {
     } else {
         requested
     }
-}
-
-/// Runs two closures concurrently and returns both results.
-///
-/// `fa` runs on the calling thread while `fb` runs on a scoped thread, so
-/// the cost is a single spawn/join. Panics are propagated to the caller.
-///
-/// ```
-/// let (a, b) = brsmn_rbn::par::join(|| 2 + 2, || "ok");
-/// assert_eq!((a, b), (4, "ok"));
-/// ```
-pub fn join<RA, RB, FA, FB>(fa: FA, fb: FB) -> (RA, RB)
-where
-    RA: Send,
-    RB: Send,
-    FA: FnOnce() -> RA + Send,
-    FB: FnOnce() -> RB + Send,
-{
-    thread::scope(|s| {
-        let hb = s.spawn(fb);
-        let ra = fa();
-        let rb = hb.join().unwrap_or_else(|e| panic::resume_unwind(e));
-        (ra, rb)
-    })
 }
 
 /// Maps `f` over `items` on `workers` scoped threads, returning results in
@@ -128,19 +99,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn join_returns_both() {
-        let (a, b) = join(|| 1 + 1, || vec![3usize; 2]);
-        assert_eq!(a, 2);
-        assert_eq!(b, vec![3, 3]);
-    }
-
-    #[test]
-    fn join_nests() {
-        let ((a, b), (c, d)) = join(|| join(|| 1, || 2), || join(|| 3, || 4));
-        assert_eq!((a, b, c, d), (1, 2, 3, 4));
-    }
 
     #[test]
     fn par_map_preserves_order() {

@@ -554,26 +554,6 @@ pub struct ServeReport {
     pub wall_nanos: u64,
     /// Served requests per second of serving-thread wall time.
     pub frames_per_sec: f64,
-    /// Served requests whose switch settings replayed from the plan cache
-    /// (0 with the cache off or a non-BRSMN backend).
-    pub plan_hits: u64,
-    /// Fast-path requests that planned fresh (and captured) because their
-    /// assignment was not resident in the plan cache.
-    pub plan_misses: u64,
-    /// Subset of `plan_hits` served by the canonical tier: the exact
-    /// fingerprint missed, but a relabeling-equivalent plan replayed through
-    /// the permuted executor.
-    pub plan_canonical_hits: u64,
-    /// Plans resident at startup from a warm-start snapshot
-    /// ([`Server::start_warm`]); 0 for cold starts.
-    pub plan_snapshot_loaded: u64,
-    /// Width, in `u64` words, of the SIMD lane blocks the fast path's
-    /// plane sweeps ran on (0 with a non-fast-path backend).
-    pub simd_lane_width: u64,
-    /// Served requests planned in lockstep SoA batches by the engine's
-    /// `BatchPlanner` (cache misses grouped per round; 0 with
-    /// `--no-batch-plan` or a non-BRSMN backend).
-    pub batch_planned_frames: u64,
     /// Order-independent FNV digest over every served request's (id,
     /// delivered source table): two runs of the same trace are bit-identical
     /// iff their hashes match, regardless of round composition.
@@ -584,7 +564,9 @@ pub struct ServeReport {
     pub histogram: LatencyHistogram,
     /// Per-tenant accounting (one entry per configured tenant).
     pub tenants: Vec<TenantReport>,
-    /// Merged fabric instrumentation (wall set to the serving-thread wall).
+    /// Merged fabric instrumentation over every round: plan-cache hits,
+    /// misses and snapshot loads, SoA-planned frames, stage timings. Wall
+    /// time is the serving thread's, and `workers` the widest round's.
     pub engine: EngineStats,
     /// Per-request completion log (populated when
     /// [`ServeConfig::record_outputs`] is set).
@@ -1295,12 +1277,6 @@ impl Server {
             rounds: outcome.rounds,
             wall_nanos: outcome.wall_nanos,
             frames_per_sec,
-            plan_hits: engine.plan_hits,
-            plan_misses: engine.plan_misses,
-            plan_canonical_hits: engine.plan_canonical_hits,
-            plan_snapshot_loaded: engine.plan_snapshot_loaded,
-            simd_lane_width: engine.simd_lane_width,
-            batch_planned_frames: engine.batch_planned_frames,
             output_hash: outcome.output_hash,
             latency: LatencySummary::from_histogram(&outcome.histogram),
             histogram: outcome.histogram,
@@ -1414,7 +1390,11 @@ fn serve_loop(
         }
         // Merging sums round wall times into a running total we overwrite
         // below with the true thread lifetime; work counters accumulate.
+        // Rounds run one after another, so the fabric's worker count is
+        // the widest round's, not the sum over rounds.
+        let workers = out.engine.workers.max(stats.workers);
         out.engine.merge(&stats);
+        out.engine.workers = workers;
         out.rounds += 1;
     }
     out.wall_nanos = start.elapsed().as_nanos() as u64;
@@ -1785,6 +1765,28 @@ mod tests {
     }
 
     #[test]
+    fn merged_rounds_report_the_fabric_worker_count() {
+        // Rounds run one after another, so the merged report's worker count
+        // is the fabric's (shards × workers per shard at most), not the sum
+        // over rounds.
+        let mut cfg = small_cfg(16);
+        cfg.shards = 2;
+        cfg.workers_per_shard = 1;
+        cfg.queue_capacity = 2;
+        cfg.batch_window = 2;
+        let trace = Trace::generate(cfg.queue, 9, 40).unwrap();
+        let report = serve_trace(cfg, &trace).unwrap();
+        assert!(report.rounds > 1, "{} rounds", report.rounds);
+        assert!(report.engine.workers >= 1);
+        assert!(
+            report.engine.workers <= report.shards * report.workers_per_shard,
+            "{} workers after {} rounds",
+            report.engine.workers,
+            report.rounds
+        );
+    }
+
+    #[test]
     fn every_backend_kind_serves_the_same_trace() {
         let trace = Trace::generate(
             QueueConfig {
@@ -1902,20 +1904,18 @@ mod tests {
         // relabeling class. Only first occurrences racing across the two
         // shards can plan fresh; later first occurrences land in the
         // canonical tier and every repeat is an exact hit.
-        assert!(a.plan_misses >= 1 && a.plan_misses <= 4, "{}", a.plan_misses);
-        assert!(a.plan_canonical_hits >= 2, "{}", a.plan_canonical_hits);
-        assert!(a.plan_canonical_hits <= a.plan_hits);
-        assert_eq!(a.plan_hits + a.plan_misses, 32);
-        assert_eq!(b.plan_hits, 0);
-        assert_eq!(b.plan_misses, 0);
-        assert_eq!(b.plan_canonical_hits, 0);
-        // SIMD/SoA instrumentation rides along: the BRSMN fast path always
-        // reports its lane width, and the cache-less server batch-plans
-        // every multi-frame round while the cached one only plans misses.
-        assert_eq!(a.simd_lane_width, brsmn_rbn::LANES as u64);
-        assert_eq!(b.simd_lane_width, brsmn_rbn::LANES as u64);
-        assert!(a.batch_planned_frames <= a.plan_misses);
-        assert!(b.batch_planned_frames <= 32);
+        let (ea, eb) = (&a.engine, &b.engine);
+        assert!(ea.plan_misses >= 1 && ea.plan_misses <= 4, "{}", ea.plan_misses);
+        assert!(ea.plan_canonical_hits >= 2, "{}", ea.plan_canonical_hits);
+        assert!(ea.plan_canonical_hits <= ea.plan_hits);
+        assert_eq!(ea.plan_hits + ea.plan_misses, 32);
+        assert_eq!(eb.plan_hits, 0);
+        assert_eq!(eb.plan_misses, 0);
+        assert_eq!(eb.plan_canonical_hits, 0);
+        // SoA instrumentation rides along: the cache-less server
+        // batch-plans every frame while the cached one only plans misses.
+        assert!(ea.batch_planned_frames <= ea.plan_misses);
+        assert_eq!(eb.batch_planned_frames, 32);
         let key = |r: &ServeReport| {
             let mut v: Vec<(u64, RoutingResult)> = r
                 .completions
@@ -1944,7 +1944,7 @@ mod tests {
         // captured working set survives the server.
         let source = Arc::new(PlanCache::new(64));
         let cold = serve_trace_warm(cfg.clone(), &trace, Arc::clone(&source)).unwrap();
-        assert!(cold.plan_misses > 0);
+        assert!(cold.engine.plan_misses > 0);
 
         // Round-trip the snapshot through JSON like the CLI does.
         let json = serde_json::to_string(&source.snapshot()).unwrap();
@@ -1954,13 +1954,13 @@ mod tests {
         assert!(stats.loaded > 0);
 
         let warm = serve_trace_warm(cfg, &trace, warmed).unwrap();
-        assert_eq!(warm.plan_misses, 0, "{warm:?}");
+        assert_eq!(warm.engine.plan_misses, 0, "{warm:?}");
         assert_eq!(
-            warm.plan_hits,
+            warm.engine.plan_hits,
             warm.accepted + warm.drained,
             "every served request must replay"
         );
-        assert_eq!(warm.plan_snapshot_loaded, stats.loaded);
+        assert_eq!(warm.engine.plan_snapshot_loaded, stats.loaded);
 
         let key = |r: &ServeReport| {
             let mut v: Vec<(u64, RoutingResult)> = r

@@ -56,9 +56,8 @@ fn main() {
 
     // Sustained traffic: a parallel machine does not route one assignment
     // and stop — communication phases arrive back to back. The batched
-    // engine spreads independent frames across a worker pool (and can fork
-    // the two half-network recursions), bit-identical to the sequential
-    // router, with per-stage instrumentation.
+    // engine spreads independent frames across a worker pool, bit-identical
+    // to the sequential router, with per-stage instrumentation.
     let frames: Vec<_> = (0..64)
         .map(|f| random_multicast(RandomSpec::dense(n), 100 + f))
         .collect();
