@@ -1,9 +1,9 @@
 //! `bench_report` — records the fast-path bench trajectory as
 //! `BENCH_route.json`: frames/s and ns/frame for the allocating reference
-//! router, the cache-less cold planners (the scalar planner frame by frame,
-//! `simd-cold`, vs the engine's SoA lockstep chunks, `batch-cold`), and the
-//! plan-capture cache (cold capture / warm replay) at n ∈ {64, 256, 1024},
-//! sequential and on 4 workers, over dense 64-frame batches.
+//! router, the cache-less cold path (`batch-cold`: every frame planned by
+//! the engine's level pass), and the plan-capture cache (cold capture /
+//! warm replay) at n ∈ {64, 256, 1024}, sequential and on 4 workers, over
+//! dense 64-frame batches.
 //!
 //! ```text
 //! cargo run --release -p brsmn-bench --bin bench_report             # writes ./BENCH_route.json
@@ -18,11 +18,8 @@
 //!   n = 1024;
 //! * `speedup_replay_warm_vs_batch_cold_seq_n256` — warm plan-cache replay
 //!   over the engine's cold path at n = 256 (the plan-cache acceptance bar:
-//!   ≥ 2×);
-//! * `speedup_batch_cold_vs_simd_cold_seq_n256` — SoA lockstep planning
-//!   over the scalar planner frame by frame at n = 256 (how much the batch
-//!   transpose buys with no replay to hide behind; the 1.5× cold-vs-warm
-//!   target itself is gated by `tests/cold_speedup.rs`).
+//!   ≥ 2×; the 1.5× cold-vs-warm target itself is gated by
+//!   `tests/cold_speedup.rs`).
 //!
 //! `hardware_threads` records the host's available parallelism: when it is
 //! 1, the 4-worker points time-slice one core and their throughput matching
@@ -58,14 +55,9 @@ struct RouteBenchReport {
     /// Warm plan-cache replay over batch-cold at n = 256, sequential — the
     /// plan-cache acceptance headline.
     speedup_replay_warm_vs_batch_cold_seq_n256: f64,
-    /// SoA lockstep batch planning over the scalar planner frame by frame
-    /// at n = 256, sequential — the batch-planner headline.
-    speedup_batch_cold_vs_simd_cold_seq_n256: f64,
     /// Where cold planning time goes, per op category, at n = 256
-    /// sequential on the scalar planner. Op counts are always exact;
-    /// nanosecond columns need the `plan-profile` cargo feature.
-    plan_profile_simd_cold_seq_n256: PlanOpProfile,
-    /// The same breakdown on the SoA lockstep batch planner.
+    /// sequential. Op counts are always exact; nanosecond columns need the
+    /// `plan-profile` cargo feature.
     plan_profile_batch_cold_seq_n256: PlanOpProfile,
     /// One measurement per (n, workers, path); every point also embeds its
     /// own `plan_profile`.
@@ -84,15 +76,13 @@ fn main() {
     for n in [64usize, 256, 1024] {
         for workers in [1usize, 4] {
             points.push(measure_reference_path(n, FRAMES, SEED, workers, repeats));
-            for soa in [false, true] {
-                points.push(measure_cold_path(n, FRAMES, SEED, workers, soa, repeats));
-            }
+            points.push(measure_cold_path(n, FRAMES, SEED, workers, repeats));
             for warm in [false, true] {
                 points.push(measure_replay_path(
                     n, FRAMES, SEED, workers, DISTINCT, warm, repeats,
                 ));
             }
-            for p in &points[points.len() - 5..] {
+            for p in &points[points.len() - 4..] {
                 print_point(p);
             }
         }
@@ -120,8 +110,6 @@ fn main() {
         speedup_batch_cold_vs_reference_seq_n256: ratio(256, "batch-cold", "reference"),
         speedup_batch_cold_vs_reference_seq_n1024: ratio(1024, "batch-cold", "reference"),
         speedup_replay_warm_vs_batch_cold_seq_n256: ratio(256, "replay-warm", "batch-cold"),
-        speedup_batch_cold_vs_simd_cold_seq_n256: ratio(256, "batch-cold", "simd-cold"),
-        plan_profile_simd_cold_seq_n256: seq(256, "simd-cold").plan_profile.clone(),
         plan_profile_batch_cold_seq_n256: seq(256, "batch-cold").plan_profile.clone(),
         points,
     };
@@ -129,11 +117,10 @@ fn main() {
     std::fs::write(out_path, format!("{json}\n")).expect("write report");
     eprintln!(
         "wrote {out_path}: batch-cold/reference n=256 = {:.2}x, n=1024 = {:.2}x, \
-         replay-warm/batch-cold n=256 = {:.2}x, batch-cold/simd-cold n=256 = {:.2}x",
+         replay-warm/batch-cold n=256 = {:.2}x",
         report.speedup_batch_cold_vs_reference_seq_n256,
         report.speedup_batch_cold_vs_reference_seq_n1024,
         report.speedup_replay_warm_vs_batch_cold_seq_n256,
-        report.speedup_batch_cold_vs_simd_cold_seq_n256,
     );
 }
 

@@ -7,7 +7,7 @@
 
 use brsmn_baselines::{BatcherBanyan, BenesNetwork, ComplexityModel, CopyBenesMulticast, NetworkKind};
 use brsmn_core::{
-    metrics, with_thread_scratch, Brsmn, Engine, EngineConfig, EngineStats, FeedbackBrsmn,
+    metrics, Brsmn, Engine, EngineConfig, EngineStats, FeedbackBrsmn,
     MulticastAssignment, PlanOpProfile, RoutingResult, StageTimer,
 };
 use brsmn_rbn::par;
@@ -229,9 +229,8 @@ pub struct RoutePoint {
     /// Worker threads used.
     pub workers: usize,
     /// What was timed: `"reference"` ([`Brsmn::route_reference`]),
-    /// `"simd-cold"` (the scalar planner, [`Brsmn::route_into_timed`]),
-    /// `"batch-cold"` (a cache-less engine), `"capture-cold"` or
-    /// `"replay-warm"` (an engine with a plan cache).
+    /// `"batch-cold"` (a cache-less engine: every frame planned fresh),
+    /// `"capture-cold"` or `"replay-warm"` (an engine with a plan cache).
     pub path: String,
     /// Frames per second of wall time (best of the repeats).
     pub frames_per_sec: f64,
@@ -351,18 +350,14 @@ pub fn measure_reference_path(
 }
 
 /// Measures pure **cold planning** throughput on a dense batch, every
-/// frame planned fresh: with `soa = false` frame by frame on the scalar
-/// planner ([`Brsmn::route_into_timed`], the `"simd-cold"` point), with
-/// `soa = true` through a cache-less engine, which plans every frame in
-/// lockstep SoA chunks (the `"batch-cold"` point). Results are asserted
-/// bit-identical to [`Brsmn::route`], and the engine is asserted to have
-/// batch-planned every frame.
+/// frame planned fresh through a cache-less engine (the `"batch-cold"`
+/// point). Results are asserted bit-identical to [`Brsmn::route`], and the
+/// engine is asserted to have batch-planned every frame.
 pub fn measure_cold_path(
     n: usize,
     frames: usize,
     seed: u64,
     workers: usize,
-    soa: bool,
     repeats: usize,
 ) -> RoutePoint {
     let batch = dense_batch(n, frames, seed);
@@ -377,18 +372,6 @@ pub fn measure_cold_path(
             "the cold planner changed a routing result"
         );
     };
-    if !soa {
-        let (results, stats) = time_frames(n, &batch, workers, repeats, |asg, timer| {
-            with_thread_scratch(n, |scratch| {
-                net.route_into_timed(asg, scratch, timer)
-                    .expect("dense workload routes");
-                let result = RoutingResult::new(scratch.output_sources().collect());
-                (result, scratch.footprint_bytes() as u64)
-            })
-        });
-        check(&results);
-        return RoutePoint::from_stats("simd-cold", frames, stats);
-    }
 
     // Cold refers to the (absent) plan cache, not the arenas: unmeasured
     // warm-up passes populate the per-worker scratch before timing.
@@ -408,7 +391,7 @@ pub fn measure_cold_path(
         check(&results);
         assert_eq!(
             out.stats.batch_planned_frames, frames as u64,
-            "a cache-less engine plans every frame in SoA chunks"
+            "a cache-less engine batch-plans every frame"
         );
         if best
             .as_ref()

@@ -1,32 +1,22 @@
 //! Acceptance gate for the cold-path constant shrink: carried-rank sweeps
 //! must cut the per-planning-op constants, verified from the profiler's
-//! exact op tallies (machine-independent) plus a measured arm on capable
-//! hosts.
+//! exact op tallies (machine-independent).
 //!
-//! * **Always** — the planners' own op counters model the shrink: the
-//!   pre-carried scatter wave answered every node's forward value through
-//!   three `(l, type)` evaluations of 4 rank queries each (12 per settled
-//!   node, plus 4 per tie-walk step), and the fused quasisort wave issued 4
-//!   plane-rank queries per node. The carried form issues 2 aligned segment
-//!   counts per scatter node (+2 per tie-walk step) and 2 per quasisort
-//!   node — everything else rides down from the parent. The profiler
-//!   records the *actual* query count (`rank_ops`) and the settled-node
-//!   counts (`scatter_ops`, `quasisort_ops`), so the modeled old-to-new
-//!   query ratio is computed from a real run and must stay ≥ 2×.
-//! * **Measured** (≥ 4 hardware threads, best of 3) — SoA lockstep cold
-//!   planning must not fall behind the per-frame wide-lane path at n = 256:
-//!   the batch-cold / simd-cold throughput ratio stays ≥ 1.0 (the committed
-//!   BENCH_route.json headline records 1.17× on a 2-thread box).
-//!   On smaller hosts the arm prints a skip line instead of guessing.
+//! The planners' own op counters model the shrink: the pre-carried
+//! scatter wave answered every node's forward value through three `(l,
+//! type)` evaluations of 4 rank queries each (12 per settled node, plus 4
+//! per tie-walk step), and the fused quasisort wave issued 4 plane-rank
+//! queries per node. The carried form issues 2 aligned segment counts per
+//! scatter node (+2 per tie-walk step) and 2 per quasisort node —
+//! everything else rides down from the parent. The profiler records the
+//! *actual* query count (`rank_ops`) and the settled-node counts
+//! (`scatter_ops`, `quasisort_ops`), so the modeled old-to-new query ratio
+//! is computed from a real run and must stay ≥ 2×.
 
-use brsmn_bench::{dense_batch, measure_cold_path};
+use brsmn_bench::dense_batch;
 use brsmn_core::{Brsmn, MulticastAssignment, RouteScratch, StageTimer};
 
 const SEED: u64 = 7;
-
-fn hardware_threads() -> usize {
-    std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
-}
 
 #[test]
 fn carried_rank_sweeps_shrink_planning_queries_at_least_2x() {
@@ -57,28 +47,4 @@ fn carried_rank_sweeps_shrink_planning_queries_at_least_2x() {
             p.quasisort_ops
         );
     }
-}
-
-#[test]
-fn batch_cold_holds_against_simd_cold_on_capable_hosts() {
-    if hardware_threads() < 4 {
-        eprintln!(
-            "skipping measured cold-constants assertion: only {} hardware thread(s)",
-            hardware_threads()
-        );
-        return;
-    }
-    let n = 256;
-    let best = (0..3)
-        .map(|_| {
-            let simd = measure_cold_path(n, 64, SEED, 1, false, 1);
-            let batch = measure_cold_path(n, 64, SEED, 1, true, 1);
-            batch.frames_per_sec / simd.frames_per_sec
-        })
-        .fold(0.0f64, f64::max);
-    assert!(
-        best >= 1.0,
-        "n={n}: batch-cold fell to {best:.2}x of simd-cold on {} hardware threads",
-        hardware_threads()
-    );
 }

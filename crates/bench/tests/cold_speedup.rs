@@ -1,28 +1,27 @@
-//! Acceptance check for the cold planning path: SoA batch planning keeps a
-//! cold (cache-less) frame within ~1.5× of replay-warm throughput at
-//! n ∈ {256, 1024}.
+//! Acceptance check for the cold planning path: a cold (cache-less) frame,
+//! planned by the engine's level pass, stays within ~1.5× of replay-warm
+//! throughput at n ∈ {256, 1024}.
 //!
 //! Like `serve_speedup.rs`, the gate has a machine-independent arm that
 //! always runs and a measured arm gated on hardware threads:
 //!
-//! * **Always** — bit-identity of the SoA lockstep schedule against the
-//!   per-frame wide-lane path (asserted inside `measure_cold_path`), plus a
-//!   *modeled* ratio built from structural operation counts: both cold and
-//!   warm runs apply every switch setting (the execution work, read off the
-//!   engine's `switch_settings` counter), and cold planning adds two tree
-//!   waves per block — scatter and fused quasisort — each visiting at most
-//!   2·s node slots for a size-s block, amortized `LANES`-wide by the
-//!   node-major frame-minor SoA layout (the word-packed plane derivations
-//!   touch s/64 words per plane and are negligible next to the waves). This
-//!   is the op-count argument the paper's hardware realizes with parallel
-//!   column sweeps; single-thread software pays extra constant factors per
-//!   planning op (tag derivation, rank queries), which the measured arm
-//!   tracks.
-//! * **Measured** (≥ 4 hardware threads, best of 3) — a 4-worker SoA
-//!   batch-planning engine must hold cold throughput within 1.5× of a
-//!   single warm replay stream, the serving-loop scenario the batch planner
-//!   exists for: cold traffic bursts must not fall behind steady-state
-//!   replay.
+//! * **Always** — the cold path routes every frame bit-identically to
+//!   [`Brsmn::route`](brsmn_core::Brsmn::route) and batch-plans all of
+//!   them (asserted inside `measure_cold_path`), plus a *modeled* ratio
+//!   built from structural operation counts: both cold and warm runs apply
+//!   every switch setting (the execution work, read off the engine's
+//!   `switch_settings` counter), and cold planning adds two tree waves per
+//!   level — scatter and fused quasisort, each a forest sweep over the
+//!   level's blocks — charged at most 2·s node slots per size-s block and
+//!   divided by `LANES`, the lane-block width of the packed tag planes the
+//!   waves count over. The model is the op-count argument the paper's
+//!   hardware realizes with parallel column sweeps and stays fixed as the
+//!   gate; single-thread software pays extra constant factors per planning
+//!   op (tag derivation, segment counts), which the measured arm tracks.
+//! * **Measured** (≥ 4 hardware threads, best of 3) — a 4-worker
+//!   cache-less engine must hold cold throughput within 1.5× of a single
+//!   warm replay stream: cold traffic bursts must not fall behind
+//!   steady-state replay.
 
 use brsmn_bench::{measure_cold_path, measure_replay_path};
 use brsmn_core::{Engine, EngineConfig, MulticastAssignment};
@@ -53,17 +52,17 @@ fn exec_ops_per_frame(n: usize) -> f64 {
     out.stats.stages.switch_settings as f64
 }
 
-/// Planning-wave node slots per frame at size `n`: per level, `n/s` blocks
-/// of size `s` each run a scatter wave and a fused quasisort wave over at
-/// most `2·s` tree-node slots — `4·n` slots per level across the
+/// Planning-wave node slots per frame at size `n`: per level, the scatter
+/// and fused quasisort forest sweeps cover `n/s` blocks of size `s` with at
+/// most `2·s` tree-node slots each — `4·n` slots per level across the
 /// `log2(n) − 1` BSN levels.
 fn plan_ops_per_frame(n: usize) -> f64 {
     let levels = (n.trailing_zeros() as usize).saturating_sub(1);
     (4 * n * levels) as f64
 }
 
-/// Modeled cold-over-warm time ratio of the SoA batch planner: execution
-/// work plus lane-amortized planning waves, over execution work alone.
+/// Modeled cold-over-warm time ratio: execution work plus the planning
+/// waves' node slots per lane block, over execution work alone.
 fn modeled_cold_over_warm(n: usize) -> f64 {
     let exec = exec_ops_per_frame(n);
     1.0 + plan_ops_per_frame(n) / (LANES as f64) / exec
@@ -72,13 +71,10 @@ fn modeled_cold_over_warm(n: usize) -> f64 {
 #[test]
 fn cold_batch_planning_holds_within_1p5x_of_warm_replay() {
     for n in [256usize, 1024] {
-        // Always: the SoA lockstep schedule is bit-identical to the
-        // per-frame path (asserted inside measure_cold_path), and every
-        // frame of a cache-less multi-frame batch goes through the
-        // BatchPlanner.
-        let simd = measure_cold_path(n, FRAMES, SEED, 1, false, 1);
-        let batch = measure_cold_path(n, FRAMES, SEED, 1, true, 1);
-        assert_eq!(simd.path, "simd-cold");
+        // Always: the cold path is bit-identical to the router (asserted
+        // inside measure_cold_path), and every frame of a cache-less
+        // multi-frame batch goes through the BatchPlanner.
+        let batch = measure_cold_path(n, FRAMES, SEED, 1, 1);
         assert_eq!(batch.path, "batch-cold");
 
         // Always: the modeled ratio meets the 1.5× target.
@@ -97,12 +93,12 @@ fn cold_batch_planning_holds_within_1p5x_of_warm_replay() {
         return;
     }
 
-    // Measured, best of 3: a 4-worker batch-planning engine keeps cold
-    // traffic within 1.5× of a single warm replay stream.
+    // Measured, best of 3: a 4-worker cache-less engine keeps cold traffic
+    // within 1.5× of a single warm replay stream.
     for n in [256usize, 1024] {
         let best = (0..3)
             .map(|_| {
-                let cold = measure_cold_path(n, 64, SEED, 4, true, 1);
+                let cold = measure_cold_path(n, 64, SEED, 4, 1);
                 let warm = measure_replay_path(n, 64, SEED, 1, 8, true, 1);
                 cold.frames_per_sec / warm.frames_per_sec
             })

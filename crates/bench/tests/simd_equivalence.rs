@@ -1,16 +1,18 @@
-//! Property suite pinning the tentpole invariant of the wide-lane/SoA PR:
-//! neither the `[u64; 4]` lane kernels nor the lockstep `BatchPlanner`
-//! schedule may change a single observable bit. Three angles:
+//! Property suite pinning that neither the `[u64; 4]` lane kernels nor the
+//! batch planner may change a single observable bit. Three angles:
 //!
 //! * the wide-lane fast path agrees with the allocating reference router on
 //!   every routing result across dense, sparse, and α-heavy shapes at
 //!   n ∈ {8, 16, 64, 256} (the word-level scalar loops themselves are
 //!   oracle-checked in `brsmn-rbn`'s unit tests);
-//! * the SoA batch planner is bit-identical to per-frame planning on
-//!   **results, switch settings, and per-level traces** — captured plans
+//! * `BatchPlanner::route_frames` agrees with routing each frame on its own
+//!   on **results, switch settings, and per-level traces** — captured plans
 //!   compare equal as whole setting tensors, and traced replay through a
 //!   batch-captured plan reproduces the per-frame trace — including ragged
-//!   batches down to a single frame;
+//!   batches down to a single frame. Both run the same level pass, so this
+//!   pins the batch bookkeeping (slots, captures, timers);
+//!   `crates/core/tests/capture_fixture.rs` pins the planner itself
+//!   against committed bytes;
 //! * the engine's batched dispatch agrees with the router frame by frame
 //!   under **mixed cache hit/miss traffic** (duplicated frames, pre-warmed
 //!   entries) on results, and with a twin engine fed one frame at a time on
@@ -98,7 +100,7 @@ proptest! {
             bp.route_frames(net.wiring(), &refs, &mut timer, Some(&mut caps))?;
             Ok::<_, CoreError>((0..fr).map(|f| bp.frame_result(f)).collect::<Vec<_>>())
         })
-        .expect("lockstep batch routes");
+        .expect("batch routes");
 
         for (f, asg) in frames.iter().enumerate() {
             let (want_r, want_plan) =
@@ -167,7 +169,7 @@ proptest! {
 fn eviction_tally_matches_the_cache_under_pressure() {
     // Sparse frames through a cache far smaller than the batch: every miss
     // inserts into both tiers and most inserts evict. The engine's tally
-    // must count every evicted entry of either tier, whichever pass (SoA
+    // must count every evicted entry of either tier, whichever pass (batch
     // chunk or per-frame ladder) did the insert.
     let n = 64;
     let batch: Vec<MulticastAssignment> = (9..49)

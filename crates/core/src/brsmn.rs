@@ -126,7 +126,6 @@ impl Brsmn {
         let r = with_thread_scratch(self.n, |s| {
             fastpath::route_assignment_fast_buffered(
                 self.n,
-                &self.wiring,
                 asg,
                 s,
                 Some(&mut trace),
@@ -145,7 +144,7 @@ impl Brsmn {
         asg: &MulticastAssignment,
         scratch: &mut RouteScratch,
     ) -> Result<(), CoreError> {
-        fastpath::route_assignment_fast(self.n, &self.wiring, asg, scratch, None, None, None)
+        fastpath::route_assignment_fast(self.n, asg, scratch, None, None, None)
     }
 
     /// [`Brsmn::route_into`] with per-stage instrumentation: the frame's
@@ -158,7 +157,7 @@ impl Brsmn {
         scratch: &mut RouteScratch,
         timer: &mut StageTimer,
     ) -> Result<(), CoreError> {
-        fastpath::route_assignment_fast(self.n, &self.wiring, asg, scratch, None, Some(timer), None)
+        fastpath::route_assignment_fast(self.n, asg, scratch, None, Some(timer), None)
     }
 
     /// [`Brsmn::route_into`] plus collecting the delivery into a fresh
@@ -170,7 +169,6 @@ impl Brsmn {
     ) -> Result<RoutingResult, CoreError> {
         fastpath::route_assignment_fast_buffered(
             self.n,
-            &self.wiring,
             asg,
             scratch,
             None,
@@ -194,7 +192,6 @@ impl Brsmn {
         let mut plan = CapturedPlan::new(self.n)?;
         let r = fastpath::route_assignment_fast_buffered(
             self.n,
-            &self.wiring,
             asg,
             scratch,
             None,

@@ -135,7 +135,7 @@ impl Bsn {
 
         // Scatter network: eliminate αs (Theorem 2; nα ≤ nε by Eq. 3).
         let mut split = |p: P| p.split(lo, n);
-        sweep.plan_scatter(0, base, settings);
+        sweep.plan_scatter(0, n, base, settings);
         settings.run_block_wired(lines, base, n, wiring, &mut split)?;
         if let Some(t) = trace.as_deref_mut() {
             t.after_scatter.clear();

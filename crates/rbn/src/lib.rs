@@ -41,7 +41,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod batchplan;
 pub mod bitplan;
 pub mod distributed;
 pub mod fabric;
@@ -53,7 +52,6 @@ pub mod profile;
 pub mod sequence;
 pub mod setting;
 
-pub use batchplan::{BatchSweep, MAX_BATCH_FRAMES};
 pub use bitplan::{BitVec, SweepScratch, TagPlane, TagVec, LANES};
 pub use distributed::{
     distributed_bitsort, distributed_eps_divide, distributed_scatter, SweepStats,

@@ -106,10 +106,24 @@ impl PackedSettings {
         *w = (*w & !(3u64 << sh)) | (setting_code(s) << sh);
     }
 
-    /// Packs `src` into positions `[offset, offset + src.len())`.
+    /// Packs `src` into positions `[offset, offset + src.len())`. When
+    /// both the offset and the length are multiples of 32 (a full-width
+    /// stage plane of an `n ≥ 64` network), whole words are packed and
+    /// stored at once; otherwise setting by setting.
     pub fn store_slice(&mut self, offset: usize, src: &[SwitchSetting]) {
-        for (k, &s) in src.iter().enumerate() {
-            self.set(offset + k, s);
+        debug_assert!(offset + src.len() <= self.len);
+        if offset.is_multiple_of(32) && src.len().is_multiple_of(32) {
+            let words = &mut self.words[offset / 32..(offset + src.len()) / 32];
+            for (w, chunk) in words.iter_mut().zip(src.chunks_exact(32)) {
+                *w = chunk
+                    .iter()
+                    .enumerate()
+                    .fold(0, |acc, (t, &s)| acc | setting_code(s) << (2 * t));
+            }
+        } else {
+            for (k, &s) in src.iter().enumerate() {
+                self.set(offset + k, s);
+            }
         }
     }
 

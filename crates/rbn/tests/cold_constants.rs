@@ -1,10 +1,11 @@
 //! Oracle-equivalence suite for the cold-path constant shrink: the
 //! carried-rank sweeps and the branchless code packing must be bit-identical
 //! to the retained oracles (`rank_scalar`, from-assignment derivation) at
-//! awkward lengths — word boundaries, single bits, partial tail words — and
-//! across ragged SoA batches.
+//! awkward lengths — word boundaries, single bits, partial tail words. The
+//! forest form of the sweeps (a whole BSN level at once) is checked against
+//! the per-block calls in `brsmn-core`'s `tests/level_pass.rs`.
 
-use brsmn_rbn::{BatchSweep, BitVec, RbnSettings, SweepScratch};
+use brsmn_rbn::{BitVec, SweepScratch};
 use brsmn_switch::Tag;
 use proptest::prelude::*;
 
@@ -65,7 +66,7 @@ proptest! {
     }
 
     /// Branchless discriminant packing (the incremental derivation) equals
-    /// the from-assignment match oracle, scalar and SoA.
+    /// the from-assignment match oracle.
     #[test]
     fn code_packing_matches_from_assignment(raw in proptest::collection::vec(0u8..4, 256)) {
         for &len in &LENS {
@@ -75,61 +76,6 @@ proptest! {
             got.set_tags_from_codes(len, |i| tag_of(raw[i]) as u8);
             prop_assert_eq!(want.tags(), got.tags(), "len={}", len);
             prop_assert_eq!(want.counts(), got.counts(), "len={}", len);
-        }
-    }
-
-    /// Carried-rank scalar scatter + fused quasisort settings are
-    /// bit-identical per frame to the ragged SoA lockstep planner, at every
-    /// frame count (the SoA layout has no partial-batch special case to
-    /// hide in).
-    #[test]
-    fn ragged_batches_match_per_frame_sweeps(
-        raw in proptest::collection::vec(0u8..4, 64 * 256),
-        frames_idx in 0usize..4,
-        n_idx in 0usize..3,
-    ) {
-        let frames = [1usize, 3, 7, 64][frames_idx];
-        let n = [4usize, 64, 256][n_idx];
-        let mut batch = BatchSweep::new();
-        let mut scratch = SweepScratch::new();
-        let tags: Vec<Vec<Tag>> = (0..frames)
-            .map(|f| (0..n).map(|i| tag_of(raw[f * 256 + i])).collect())
-            .collect();
-        batch.begin(frames, n);
-        for (f, t) in tags.iter().enumerate() {
-            batch.load_frame_codes(f, |i| t[i] as u8);
-        }
-        let mut got: Vec<RbnSettings> = (0..frames).map(|_| RbnSettings::identity(n)).collect();
-        batch.plan_scatter_all(0, 0, &mut got);
-        for (f, t) in tags.iter().enumerate() {
-            let mut want = RbnSettings::identity(n);
-            scratch.set_tags(n, |i| t[i]);
-            scratch.plan_scatter(0, 0, &mut want);
-            prop_assert_eq!(&got[f], &want, "scatter n={} frames={} f={}", n, frames, f);
-        }
-
-        // Quasisort needs α-free frames within the half-capacity bound;
-        // remap α → ε and skip infeasible draws.
-        let qtags: Vec<Vec<Tag>> = tags
-            .iter()
-            .map(|t| t.iter().map(|&x| if x == Tag::Alpha { Tag::Eps } else { x }).collect())
-            .collect();
-        let feasible = qtags.iter().all(|t| {
-            let n0 = t.iter().filter(|&&x| x == Tag::Zero).count();
-            let n1 = t.iter().filter(|&&x| x == Tag::One).count();
-            n0 <= n / 2 && n1 <= n / 2
-        });
-        if feasible {
-            for (f, t) in qtags.iter().enumerate() {
-                batch.load_frame_codes(f, |i| t[i] as u8);
-            }
-            batch.plan_quasisort_fused_all(0, &mut got).unwrap();
-            for (f, t) in qtags.iter().enumerate() {
-                let mut want = RbnSettings::identity(n);
-                scratch.set_tags(n, |i| t[i]);
-                scratch.plan_quasisort_fused(0, &mut want).unwrap();
-                prop_assert_eq!(&got[f], &want, "quasisort n={} frames={} f={}", n, frames, f);
-            }
         }
     }
 }
