@@ -53,8 +53,8 @@ fn usage() -> &'static str {
               [--engine E] [--trace]                    route an assignment\n\
        route  --parallel [--batch B] [--workers K] [--cache [CAP]]\n\
               [--cache-load F] [--cache-save F] [--stats] [--plan-profile]\n\
-              batched multi-threaded routing: cache misses plan in lockstep\n\
-              SoA chunks; --plan-profile prints per-op planning tallies (nanos\n\
+              batched multi-threaded routing: cache misses plan a BSN level\n\
+              at a time; --plan-profile prints per-op planning tallies (nanos\n\
               need the plan-profile cargo feature); --cache replays repeated (or\n\
               relabeled) frames from the two-tier plan cache (default capacity\n\
               256); --cache-load/--cache-save persist the working set as a\n\
@@ -424,8 +424,7 @@ fn cmd_route_parallel(args: &Args) -> Result<(), String> {
     }
     if stats.batch_planned_frames > 0 {
         eprintln!(
-            "simd: lane width {} words, {} frame(s) planned in lockstep SoA chunks",
-            brsmn_rbn::LANES,
+            "planner: {} frame(s) batch-planned, one level pass per BSN level",
             stats.batch_planned_frames
         );
     }

@@ -7,20 +7,20 @@
 //! * **op counts are always on** — they are closed-form per wave (so many
 //!   plane words packed, so many segment counts per level, so many tree
 //!   nodes settled) plus an increment per tie-resolution walk step, and cost
-//!   a handful of adds per *block*, not per op;
+//!   a handful of adds per *sweep*, not per op;
 //! * **nanosecond totals are feature-gated** behind the `plan-profile`
 //!   cargo feature. Without the feature every timestamp read compiles to a
 //!   zero constant, keeping the planners byte-for-byte as fast as before
 //!   (pinned by the `alloc-count` gate running with the feature both on and
 //!   off). With the feature, each phase is timed at *wave* granularity — one
-//!   clock read per phase per block — so the profile overhead never
-//!   perturbs the ops it measures.
+//!   clock read per phase per sweep call (a whole level on the fast path) —
+//!   so the profile overhead never perturbs the ops it measures.
 //!
 //! Category map (documented here once; the planners reference it):
 //!
 //! | category     | ops                                            | nanos |
 //! |--------------|------------------------------------------------|-------|
-//! | `tag_derive` | tags packed into the two bit planes            | plane-packing fills (`set_tags` / SoA `load_frame`) |
+//! | `tag_derive` | tags packed into the two bit planes            | plane-packing fills (`set_tags` / `set_tags_from_codes`) |
 //! | `rank`       | segment-count queries issued by the waves (incl. tie-walk steps) | plane extraction / derivation (the rank infrastructure the queries run on) |
 //! | `scatter`    | tree nodes settled by Table 4 waves            | scatter backward waves |
 //! | `quasisort`  | tree nodes settled by Table 6 + 3 fused waves  | quasisort backward waves (incl. the Eq. 2 pre-checks) |
