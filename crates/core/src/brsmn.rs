@@ -17,7 +17,7 @@ use crate::bsn::{Bsn, BsnTrace};
 use crate::engine::StageTimer;
 use crate::error::CoreError;
 use crate::fastpath::{self, with_thread_scratch, RouteScratch};
-use crate::payload::{RoutePayload, SelfRoutedMsg, SemanticMsg};
+use crate::payload::{payload_lines, RoutePayload, SelfRoutedMsg, SemanticMsg};
 use crate::plancache::CapturedPlan;
 use brsmn_rbn::RbnWiring;
 use brsmn_switch::{Line, SwitchSetting, Tag};
@@ -52,7 +52,9 @@ pub struct RouteTrace {
 }
 
 impl RouteTrace {
-    pub(crate) fn new(n: usize) -> Self {
+    /// An empty trace of an `n × n` network, ready to be filled by a traced
+    /// route (such as [`Brsmn::route_lines`]).
+    pub fn new(n: usize) -> Self {
         let m = log2_exact(n) as usize;
         RouteTrace {
             n,
@@ -71,9 +73,10 @@ impl RouteTrace {
 
 /// The `n × n` binary radix sorting multicast network.
 ///
-/// Construction precomputes the shuffle/exchange wiring of every level once
-/// (shared via [`Arc`], so cloning a network for worker threads is cheap);
-/// routing then never re-derives stage geometry.
+/// Construction precomputes the shuffle/exchange wiring table once (shared
+/// via [`Arc`], so cloning a network for worker threads is cheap). Routing
+/// does not walk it: the level pass and the replay kernel derive each
+/// switch's line pair from the same address formula.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Brsmn {
     n: usize,
@@ -213,15 +216,7 @@ impl Brsmn {
         plan: &CapturedPlan,
         scratch: &mut RouteScratch,
     ) -> Result<RoutingResult, CoreError> {
-        fastpath::route_assignment_replay_buffered(
-            self.n,
-            &self.wiring,
-            asg,
-            plan,
-            scratch,
-            None,
-            None,
-        )
+        fastpath::route_assignment_replay_buffered(self.n, asg, plan, scratch, None, None)
     }
 
     /// [`Brsmn::route_replay`] without the result allocation: the delivery
@@ -234,7 +229,7 @@ impl Brsmn {
         plan: &CapturedPlan,
         scratch: &mut RouteScratch,
     ) -> Result<(), CoreError> {
-        fastpath::route_assignment_replay(self.n, &self.wiring, asg, plan, scratch, None, None)
+        fastpath::route_assignment_replay(self.n, asg, plan, scratch, None, None)
     }
 
     /// [`Brsmn::route_replay`] with a full per-level trace. The trace (and
@@ -249,7 +244,6 @@ impl Brsmn {
         let mut trace = RouteTrace::new(self.n);
         let r = fastpath::route_assignment_replay_buffered(
             self.n,
-            &self.wiring,
             asg,
             plan,
             scratch,
@@ -326,11 +320,11 @@ impl Brsmn {
         fastpath::route_assignment_replay_permuted(self.n, asg, plan, scratch, None)
     }
 
-    /// Routes `asg` with the PR-1 allocating reference engine (recursive,
+    /// Routes `asg` with the allocating reference engine (recursive,
     /// payload-splitting, array planners). Kept verbatim as the oracle for
     /// the fast path, and as the retry rung of the resilient ladder.
     pub fn route_reference(&self, asg: &MulticastAssignment) -> Result<RoutingResult, CoreError> {
-        self.route_semantic_inner(asg, None).map(|(r, _)| r)
+        extract_result(self.route_lines_reference(semantic_lines(asg), None)?)
     }
 
     /// Routes `asg` with the reference engine, returning a full per-level
@@ -340,8 +334,8 @@ impl Brsmn {
         asg: &MulticastAssignment,
     ) -> Result<(RoutingResult, RouteTrace), CoreError> {
         let mut trace = RouteTrace::new(self.n);
-        let (r, _) = self.route_semantic_inner(asg, Some(&mut trace))?;
-        Ok((r, trace))
+        let out = self.route_lines_reference(semantic_lines(asg), Some(&mut trace))?;
+        Ok((extract_result(out)?, trace))
     }
 
     /// Routes `asg` with the **self-routing** engine: every message is
@@ -351,118 +345,49 @@ impl Brsmn {
         &self,
         asg: &MulticastAssignment,
     ) -> Result<RoutingResult, CoreError> {
-        assert_eq!(asg.n(), self.n, "assignment size mismatch");
-        let lines: Vec<Line<SelfRoutedMsg>> = (0..self.n)
-            .map(|i| {
-                let dests = asg.dests(i);
-                if dests.is_empty() {
-                    Line::empty()
-                } else {
-                    Line {
-                        tag: Tag::Eps, // set on BSN entry
-                        payload: Some(SelfRoutedMsg::prepare(self.n, i, dests)),
-                    }
-                }
-            })
-            .collect();
-        let out = self.route_lines(lines, None)?;
-        self.extract(out)
+        let lines = payload_lines(asg, |i, dests| SelfRoutedMsg::prepare(self.n, i, dests));
+        extract_result(self.route_lines(lines, None)?)
     }
 
-    fn route_semantic_inner(
-        &self,
-        asg: &MulticastAssignment,
-        mut trace: Option<&mut RouteTrace>,
-    ) -> Result<(RoutingResult, ()), CoreError> {
-        assert_eq!(asg.n(), self.n, "assignment size mismatch");
-        let lines: Vec<Line<SemanticMsg>> = (0..self.n)
-            .map(|i| {
-                let dests = asg.dests(i);
-                if dests.is_empty() {
-                    Line::empty()
-                } else {
-                    Line {
-                        tag: Tag::Eps,
-                        payload: Some(SemanticMsg::new(i, dests.to_vec())),
-                    }
-                }
-            })
-            .collect();
-        let out = route_block(lines, 0, 1, &mut trace)?;
-        Ok((self.extract(out)?, ()))
-    }
-
-    /// Routes pre-built lines (exposed for the workload and timing crates).
-    /// Thin wrapper over [`Brsmn::route_lines_into`] using this thread's
-    /// scratch arena.
+    /// Routes pre-built lines (one per input; exposed for custom payloads
+    /// and the workload and timing crates) through the level pass, on this
+    /// thread's scratch arena: per BSN level, each line's entry tag comes
+    /// from [`RoutePayload::entry_tag`], every block is planned and run at
+    /// once, and each α payload is [`RoutePayload::split`] once into the
+    /// copies that reach its two outputs; every payload then
+    /// [`RoutePayload::descend`]s into its half. Pass a [`RouteTrace::new`]
+    /// to record the route.
+    ///
+    /// Results and traces are [`Brsmn::route_lines_reference`]'s on the
+    /// same lines, and so is the error of a load whose faults lie on one
+    /// chain of nested blocks (one doubly claimed output, say). Faults in
+    /// several subtrees are met level by level here, depth first there.
     pub fn route_lines<P: RoutePayload>(
         &self,
-        mut lines: Vec<Line<P>>,
+        lines: Vec<Line<P>>,
+        trace: Option<&mut RouteTrace>,
+    ) -> Result<Vec<Line<P>>, CoreError> {
+        assert_eq!(lines.len(), self.n, "line count mismatch");
+        with_thread_scratch(self.n, |s| fastpath::route_payload_lines(lines, s, trace))
+    }
+
+    /// Routes pre-built lines with the reference engine's recursion, block
+    /// by block with the array planners: the oracle of
+    /// [`Brsmn::route_lines`].
+    pub fn route_lines_reference<P: RoutePayload>(
+        &self,
+        lines: Vec<Line<P>>,
         mut trace: Option<&mut RouteTrace>,
     ) -> Result<Vec<Line<P>>, CoreError> {
-        with_thread_scratch(self.n, |s| {
-            self.route_lines_into(&mut lines, s, trace.as_deref_mut())
-        })?;
-        Ok(lines)
-    }
-
-    /// Routes pre-built lines in place, planning every BSN with the arena's
-    /// packed scratch and the precomputed wiring. The only allocations are
-    /// the payloads' own [`RoutePayload::split`]/[`RoutePayload::descend`]
-    /// work (none for tag-only payloads) and, when tracing, the trace
-    /// snapshots.
-    pub fn route_lines_into<P: RoutePayload>(
-        &self,
-        lines: &mut [Line<P>],
-        scratch: &mut RouteScratch,
-        mut trace: Option<&mut RouteTrace>,
-    ) -> Result<(), CoreError> {
         assert_eq!(lines.len(), self.n, "line count mismatch");
-        scratch.ensure(self.n);
-        let (sweep, settings) = scratch.planner_parts();
-
-        // Levels 1 … m−1: BSNs of halving size, blocks left to right (the
-        // order the reference's depth-first recursion fills trace levels).
-        let mut size = self.n;
-        let mut level = 1usize;
-        while size > 2 {
-            let bsn = Bsn::new(size)?;
-            for b in 0..self.n / size {
-                let base = b * size;
-                let mut bt = trace.as_ref().map(|_| BsnTrace {
-                    input_tags: Vec::new(),
-                    after_scatter: Vec::new(),
-                    output_tags: Vec::new(),
-                });
-                bsn.route_into(lines, base, base, sweep, settings, &self.wiring, bt.as_mut())?;
-                if let (Some(t), Some(bt)) = (trace.as_deref_mut(), bt) {
-                    t.levels[level - 1].blocks.push(bt);
-                }
-                // Hand each message to its half (consumes one SEQ tag in the
-                // self-routing engine).
-                for line in lines[base..base + size].iter_mut() {
-                    if line.tag != Tag::Eps {
-                        let branch = line.tag;
-                        let payload = line.payload.take().expect("tagged line has a payload");
-                        line.payload = Some(payload.descend(branch, base, size));
-                    }
-                }
-            }
-            size /= 2;
-            level += 1;
-        }
-
-        // Final level: n/2 plain 2×2 switches.
-        for lo in (0..self.n).step_by(2) {
-            final_switch_into(lines, lo, &mut trace)?;
-        }
-        Ok(())
+        route_block(lines, 0, 1, &mut trace)
     }
+}
 
-    /// Collapses output lines into a [`RoutingResult`], verifying delivery.
-    fn extract<P: RoutePayload>(&self, out: Vec<Line<P>>) -> Result<RoutingResult, CoreError> {
-        extract_result(out)
-    }
+/// The reference engine's input: one [`SemanticMsg`] per live input of
+/// `asg`, carrying its destination set.
+fn semantic_lines(asg: &MulticastAssignment) -> Vec<Line<SemanticMsg>> {
+    payload_lines(asg, |i, dests| SemanticMsg::new(i, dests.to_vec()))
 }
 
 /// Collapses output lines into a [`RoutingResult`], verifying that every
@@ -573,51 +498,6 @@ pub(crate) fn final_switch<P: RoutePayload>(
         }
     };
     Ok(vec![out.0, out.1])
-}
-
-/// In-place variant of [`final_switch`] over `lines[lo]` / `lines[lo + 1]`:
-/// identical setting table, errors and trace writes, no buffer churn.
-fn final_switch_into<P: RoutePayload>(
-    lines: &mut [Line<P>],
-    lo: usize,
-    trace: &mut Option<&mut RouteTrace>,
-) -> Result<(), CoreError> {
-    use SwitchSetting::*;
-    for line in lines[lo..lo + 2].iter_mut() {
-        line.tag = match &line.payload {
-            Some(p) => p.entry_tag(lo, 2),
-            None => Tag::Eps,
-        };
-    }
-    let (tu, tl) = (lines[lo].tag, lines[lo + 1].tag);
-    let setting = match (tu, tl) {
-        (Tag::Alpha, Tag::Eps) => UpperBroadcast,
-        (Tag::Eps, Tag::Alpha) => LowerBroadcast,
-        (Tag::Alpha, _) | (_, Tag::Alpha) => {
-            return Err(CoreError::OutputConflict { output: lo });
-        }
-        (Tag::Zero, Tag::Zero) => return Err(CoreError::OutputConflict { output: lo }),
-        (Tag::One, Tag::One) => return Err(CoreError::OutputConflict { output: lo + 1 }),
-        (Tag::Zero, _) | (Tag::Eps, Tag::One) | (Tag::Eps, Tag::Eps) => Parallel,
-        (Tag::One, _) | (Tag::Eps, Tag::Zero) => Crossing,
-    };
-    if let Some(t) = trace {
-        t.final_tags[lo] = tu;
-        t.final_tags[lo + 1] = tl;
-        t.final_settings[lo / 2] = setting;
-    }
-    match setting {
-        Parallel => {}
-        Crossing => lines.swap(lo, lo + 1),
-        UpperBroadcast | LowerBroadcast => {
-            let alpha = if setting == UpperBroadcast { lo } else { lo + 1 };
-            let p = lines[alpha].payload.take().expect("α line has a payload");
-            let (p0, p1) = p.split(lo, 2);
-            lines[lo] = Line::with(Tag::Zero, p0);
-            lines[lo + 1] = Line::with(Tag::One, p1);
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -10,8 +10,7 @@
 
 use crate::error::CoreError;
 use crate::payload::RoutePayload;
-use brsmn_rbn::bitplan::SweepScratch;
-use brsmn_rbn::{plan_quasisort, plan_scatter, RbnSettings, RbnWiring};
+use brsmn_rbn::{plan_quasisort, plan_scatter};
 use brsmn_switch::tag::TagCounts;
 use brsmn_switch::{Line, Tag};
 use brsmn_topology::check_size;
@@ -51,128 +50,16 @@ impl Bsn {
         2 * brsmn_topology::stage::rbn_switch_count(self.n)
     }
 
-    /// Routes one load of lines through the BSN. `lo` is the absolute output
-    /// address of this BSN's first output (the BSN at level `i`, block `b`
-    /// of a BRSMN spans outputs `[lo, lo + n)`).
+    /// Routes one load of lines through the BSN with the array planners —
+    /// the block step of the reference router, and the oracle the level
+    /// pass is compared against. `lo` is the absolute output address of
+    /// this BSN's first output (the BSN at level `i`, block `b` of a BRSMN
+    /// spans outputs `[lo, lo + n)`).
     ///
     /// On return: upper-half lines carry tags in `{0, ε}`, lower-half lines
     /// in `{1, ε}`; `α` payloads have been split via
     /// [`RoutePayload::split`]; **no** [`RoutePayload::descend`] has happened
     /// yet (the BRSMN engine descends when handing lines to the next level).
-    ///
-    /// Thin wrapper over [`Bsn::route_into`] that allocates fresh planner
-    /// scratch per call; the engines thread a reused
-    /// [`RouteScratch`](crate::fastpath::RouteScratch) instead.
-    pub fn route<P: RoutePayload>(
-        &self,
-        mut lines: Vec<Line<P>>,
-        lo: usize,
-    ) -> Result<(Vec<Line<P>>, BsnTrace), CoreError> {
-        let mut sweep = SweepScratch::new();
-        let mut settings = RbnSettings::identity(self.n);
-        let wiring = RbnWiring::new(self.n);
-        let mut trace = BsnTrace {
-            input_tags: Vec::new(),
-            after_scatter: Vec::new(),
-            output_tags: Vec::new(),
-        };
-        self.route_into(
-            &mut lines,
-            0,
-            lo,
-            &mut sweep,
-            &mut settings,
-            &wiring,
-            Some(&mut trace),
-        )?;
-        Ok((lines, trace))
-    }
-
-    /// Routes the block of lines `[base, base + n)` in place, planning both
-    /// sweeps with the caller's packed scratch and writing settings into the
-    /// caller's table at block offset `base` — no heap allocation beyond
-    /// whatever [`RoutePayload::split`] itself performs.
-    ///
-    /// `base` addresses the block inside `lines`/`settings`/`wiring`; `lo` is
-    /// the absolute output address of the block's first output (they coincide
-    /// inside a BRSMN). When `trace` is provided, its vectors are refilled
-    /// with the three tag snapshots.
-    #[allow(clippy::too_many_arguments)]
-    pub fn route_into<P: RoutePayload>(
-        &self,
-        lines: &mut [Line<P>],
-        base: usize,
-        lo: usize,
-        sweep: &mut SweepScratch,
-        settings: &mut RbnSettings,
-        wiring: &RbnWiring,
-        mut trace: Option<&mut BsnTrace>,
-    ) -> Result<(), CoreError> {
-        let n = self.n;
-        for line in lines[base..base + n].iter_mut() {
-            line.tag = match &line.payload {
-                Some(p) => p.entry_tag(lo, n),
-                None => Tag::Eps,
-            };
-        }
-        sweep.set_tags(n, |i| lines[base + i].tag);
-
-        // Eq. (2): a realizable load never requests more than n/2 outputs
-        // per half.
-        let counts = sweep.counts();
-        if !counts.satisfies_bsn_input_constraints() {
-            return Err(CoreError::HalfCapacityExceeded {
-                n,
-                n0: counts.n0,
-                n1: counts.n1,
-                na: counts.na,
-            });
-        }
-        if let Some(t) = trace.as_deref_mut() {
-            t.input_tags.clear();
-            t.input_tags.extend(lines[base..base + n].iter().map(|l| l.tag));
-        }
-
-        // Scatter network: eliminate αs (Theorem 2; nα ≤ nε by Eq. 3).
-        let mut split = |p: P| p.split(lo, n);
-        sweep.plan_scatter(0, n, base, settings);
-        settings.run_block_wired(lines, base, n, wiring, &mut split)?;
-        if let Some(t) = trace.as_deref_mut() {
-            t.after_scatter.clear();
-            t.after_scatter
-                .extend(lines[base..base + n].iter().map(|l| l.tag));
-        }
-
-        // Quasisorting network: ε-divide then bit-sort (only unicast
-        // settings, so the splitter is never invoked).
-        sweep.set_tags(n, |i| lines[base + i].tag);
-        sweep.plan_quasisort(base, settings)?;
-        settings.run_block_wired(lines, base, n, wiring, &mut split)?;
-
-        // Eq. (4) postconditions, cheap enough to keep on in release builds.
-        for (pos, line) in lines[base..base + n].iter().enumerate() {
-            let t = line.tag;
-            let ok = if pos < n / 2 {
-                t != Tag::One && t != Tag::Alpha
-            } else {
-                t != Tag::Zero && t != Tag::Alpha
-            };
-            if !ok {
-                return Err(CoreError::Internal(format!(
-                    "BSN postcondition violated: tag {t} at output {pos} of {n}"
-                )));
-            }
-        }
-        if let Some(t) = trace {
-            t.output_tags.clear();
-            t.output_tags
-                .extend(lines[base..base + n].iter().map(|l| l.tag));
-        }
-        Ok(())
-    }
-
-    /// The PR-1 array-planner implementation, kept verbatim as the oracle the
-    /// equivalence tests compare against.
     pub fn route_reference<P: RoutePayload>(
         &self,
         mut lines: Vec<Line<P>>,
@@ -258,7 +145,7 @@ mod tests {
         let mut lines: Vec<Line<SemanticMsg>> = (0..n).map(|_| Line::empty()).collect();
         for (src, dests) in sets {
             lines[*src] = Line {
-                tag: Tag::Eps, // overwritten by Bsn::route
+                tag: Tag::Eps, // overwritten by Bsn::route_reference
                 payload: Some(SemanticMsg::new(*src, dests.clone())),
             };
         }
@@ -278,7 +165,7 @@ mod tests {
                 (7, vec![5, 6]),
             ],
         );
-        let (out, trace) = bsn.route(lines, 0).unwrap();
+        let (out, trace) = bsn.route_reference(lines, 0).unwrap();
         assert_eq!(
             trace.input_tags,
             vec![
@@ -313,7 +200,7 @@ mod tests {
         // Input 7 has {5,6}: both in the lower half → tag 1, single connection.
         let bsn = Bsn::new(8).unwrap();
         let lines = inject(8, &[(7, vec![5, 6])]);
-        let (_, trace) = bsn.route(lines, 0).unwrap();
+        let (_, trace) = bsn.route_reference(lines, 0).unwrap();
         assert_eq!(trace.input_tags[7], Tag::One);
     }
 
@@ -321,7 +208,7 @@ mod tests {
     fn full_broadcast_from_one_input() {
         let bsn = Bsn::new(8).unwrap();
         let lines = inject(8, &[(3, vec![0, 1, 2, 3, 4, 5, 6, 7])]);
-        let (out, _) = bsn.route(lines, 0).unwrap();
+        let (out, _) = bsn.route_reference(lines, 0).unwrap();
         // One α split into exactly two copies.
         let msgs: Vec<&SemanticMsg> = out.iter().filter_map(|l| l.payload.as_ref()).collect();
         assert_eq!(msgs.len(), 2);
@@ -344,7 +231,7 @@ mod tests {
             ],
         );
         // 5 × tag 0 in an 8-wide BSN exceeds n/2 = 4.
-        let err = bsn.route(lines, 0).unwrap_err();
+        let err = bsn.route_reference(lines, 0).unwrap_err();
         assert!(matches!(err, CoreError::HalfCapacityExceeded { n0: 5, .. }));
     }
 
@@ -357,7 +244,7 @@ mod tests {
             tag: Tag::Eps,
             payload: Some(SemanticMsg::new(9, vec![4, 7])),
         };
-        let (out, trace) = bsn.route(lines, 4).unwrap();
+        let (out, trace) = bsn.route_reference(lines, 4).unwrap();
         assert_eq!(trace.input_tags[1], Tag::Alpha);
         let upper: Vec<&SemanticMsg> = out[..2].iter().filter_map(|l| l.payload.as_ref()).collect();
         let lower: Vec<&SemanticMsg> = out[2..].iter().filter_map(|l| l.payload.as_ref()).collect();

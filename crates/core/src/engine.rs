@@ -735,7 +735,7 @@ impl Engine {
         let timer = Some(&mut work.timer);
         let result = if let Some(plan) = cache.lookup(fp, asg) {
             work.exact_hits += 1;
-            route_assignment_replay_buffered(n, self.net.wiring(), asg, &plan, scratch, None, timer)
+            route_assignment_replay_buffered(n, asg, &plan, scratch, None, timer)
         } else if let Some(plan) = cache.lookup_class(asg, scratch) {
             work.canonical_hits += 1;
             route_assignment_replay_permuted(n, asg, &plan, scratch, timer)

@@ -1,43 +1,52 @@
-//! The zero-allocation routing fast path.
+//! The zero-allocation routing fast path, and the one executor of a BSN
+//! level.
 //!
 //! [`crate::brsmn`]'s reference router allocates on every frame: fresh
 //! `Vec<Line<P>>` buffers per level, `Vec<Vec<usize>>` sweep state per plan,
-//! and a settings table per RBN. This module routes the **semantic** model
-//! with none of that:
+//! and a settings table per RBN. This module routes with none of that:
 //!
-//! * a message is a `FastLine` — just its current four-value tag and its
-//!   source input. Destination sets never travel: the set of a message at a
-//!   block `[lo, lo + size)` is implicitly `dests(src) ∩ [lo, lo + size)`,
-//!   answered by binary search on the assignment, and a broadcast "split"
-//!   is a plain `Copy` of the source id;
-//! * fresh planning runs one **level pass** per BSN level (`route_level`).
-//!   By §7.3 / Fig. 13 the `2^(i−1)` sub-RBNs of level `i` are the first
-//!   `m−i+1` stages of one `n`-wide array, so the pass treats the level as
-//!   one unit: it derives the entry tags of all `n` lines, plans the
-//!   scatter and the fused quasisort of every block as one forest sweep
-//!   each ([`brsmn_rbn::bitplan::SweepScratch`], packed words + popcount,
-//!   writing into one persistent [`RbnSettings`] table), runs each stage
-//!   plane once across all blocks, and captures the level's planes whole;
+//! * a semantic message is a `FastLine` — just its current four-value tag
+//!   and its source input. Destination sets never travel: the set of a
+//!   message at a block `[lo, lo + size)` is implicitly `dests(src) ∩ [lo,
+//!   lo + size)`, answered by binary search on the assignment, and a
+//!   broadcast "split" is a plain `Copy` of the source id;
+//! * every BSN level is one **level pass** (`route_level`). By §7.3 /
+//!   Fig. 13 the `2^(i−1)` sub-RBNs of level `i` are the first `m−i+1`
+//!   stages of one `n`-wide array, so the pass treats the level as one
+//!   unit: it derives the entry tags of all `n` lines, plans the scatter
+//!   and the fused quasisort of every block as one forest sweep each
+//!   ([`brsmn_rbn::bitplan::SweepScratch`], packed words + popcount,
+//!   writing into one persistent [`RbnSettings`] table) or loads the
+//!   level's planes whole from a [`CapturedPlan`], runs each stage plane
+//!   once across all blocks, and captures the level's planes whole;
 //! * execution moves *tokens*, not lines: at level entry line `i` holds
 //!   the `u32` `(i << 2) | tag`. A stage pass applies one matching of
 //!   disjoint 2×2 exchanges to the tokens, branch-free, and after the
 //!   quasisort output `o` gathers the level-entry line its token names
 //!   (`run_tokens`).
 //!
-//! Replaying a captured plan needs even less. Until delivery only the
-//! source id on each line matters, so the untraced replay of both cache
+//! The level pass has three callers, which differ only at its two ends
+//! (`LevelLines`). Fresh semantic routes and traced replays move
+//! `FastLine`s. Generic payload routes
+//! ([`Brsmn::route_lines`](crate::Brsmn::route_lines), and so the
+//! self-routing engine) move [`Line`]s: a line's entry tag comes from
+//! [`RoutePayload::entry_tag`], and the gather splits each α payload once
+//! and descends every payload.
+//!
+//! Replaying a captured plan untraced needs even less. Until delivery only
+//! the source id on each line matters, so the untraced replay of both cache
 //! tiers moves one `u32` per line through the captured planes, a whole
 //! level's blocks per stage pass, 32 switches per packed word (see
-//! `replay_sources`). The traced replay keeps full `FastLine`s, executes
-//! block by block on the precomputed [`RbnWiring`], and is the oracle of
-//! both kernels.
+//! `replay_sources`). The traced replay, the level pass on loaded planes, is
+//! the kernel's oracle.
 //!
 //! Everything lives in a [`RouteScratch`] arena sized once from `n`; after
-//! the first frame at a given size, routing performs **zero** heap
+//! the first frame at a given size, semantic routing performs **zero** heap
 //! allocations (pinned by the `alloc-count` test in `brsmn-bench`). The
 //! result is bit-identical to the reference router — same routing result,
 //! same trace, same final settings — which the equivalence property tests
-//! in `brsmn-core/tests/fastpath_equivalence.rs` verify.
+//! in `brsmn-core/tests/fastpath_equivalence.rs` and `level_pass.rs`
+//! verify.
 
 use std::cell::RefCell;
 use std::time::Instant;
@@ -48,10 +57,11 @@ use crate::bsn::BsnTrace;
 use crate::canonical::ClassScratch;
 use crate::engine::StageTimer;
 use crate::error::CoreError;
+use crate::payload::RoutePayload;
 use crate::plancache::{CapturedPlan, PHASE_QUASISORT, PHASE_SCATTER};
 use brsmn_rbn::bitplan::SweepScratch;
-use brsmn_rbn::{PackedSettings, RbnSettings, RbnWiring};
-use brsmn_switch::{SwitchError, SwitchSetting, Tag};
+use brsmn_rbn::{PackedSettings, PlanError, RbnSettings};
+use brsmn_switch::{Line, SwitchError, SwitchSetting, Tag};
 use brsmn_topology::{check_size, log2_exact};
 
 /// Sentinel source id of an empty line.
@@ -246,12 +256,6 @@ impl RouteScratch {
         RoutingResult::new(self.output_sources().collect())
     }
 
-    /// The planner halves of the arena (packed sweep scratch + settings
-    /// table), borrowed together for the generic line-level router.
-    pub(crate) fn planner_parts(&mut self) -> (&mut SweepScratch, &mut RbnSettings) {
-        (&mut self.sweep, &mut self.settings)
-    }
-
     /// The live switch-settings table, as left by the last routing call.
     /// After a traced plan replay this is bit-identical to the table a fresh
     /// plan of the same assignment would leave (the plan-cache property
@@ -356,100 +360,6 @@ fn entry_tag_line(asg: &MulticastAssignment, line: &mut FastLine, mid: usize) ->
     tag
 }
 
-/// Executes stages `[0, log2 size)` of the settings table on the fast lines
-/// of `[base, base + size)`, walking the precomputed wiring. Splitting an α
-/// copies the source id; the broadcast legality checks match
-/// [`RbnSettings::run_block`] exactly. The traced replay's executor, and the
-/// oracle of the level pass's token kernel.
-fn run_block_fast(
-    lines: &mut [FastLine],
-    base: usize,
-    size: usize,
-    settings: &RbnSettings,
-    wiring: &RbnWiring,
-) -> Result<(), SwitchError> {
-    let k = log2_exact(size) as usize;
-    for j in 0..k {
-        let stage = settings.stage(j);
-        let pairs = wiring.stage(j);
-        for idx in base / 2..(base + size) / 2 {
-            let (u, l) = pairs[idx];
-            let (u, l) = (u as usize, l as usize);
-            match stage[idx] {
-                SwitchSetting::Parallel => {}
-                SwitchSetting::Crossing => lines.swap(u, l),
-                setting @ SwitchSetting::UpperBroadcast => {
-                    if lines[u].tag != Tag::Alpha || lines[l].tag != Tag::Eps {
-                        return Err(SwitchError {
-                            setting,
-                            found: (lines[u].tag, lines[l].tag),
-                        });
-                    }
-                    // Both copies inherit the α's destination range; each
-                    // narrows to its own half after the block.
-                    let a = lines[u];
-                    lines[u] = FastLine { tag: Tag::Zero, ..a };
-                    lines[l] = FastLine { tag: Tag::One, ..a };
-                }
-                setting @ SwitchSetting::LowerBroadcast => {
-                    if lines[u].tag != Tag::Eps || lines[l].tag != Tag::Alpha {
-                        return Err(SwitchError {
-                            setting,
-                            found: (lines[u].tag, lines[l].tag),
-                        });
-                    }
-                    let a = lines[l];
-                    lines[u] = FastLine { tag: Tag::Zero, ..a };
-                    lines[l] = FastLine { tag: Tag::One, ..a };
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Computes entry tags (and midpoint splits) for the live lines of
-/// `[base, base + size)` from their retained destination ranges.
-fn enter_block(asg: &MulticastAssignment, lines: &mut [FastLine], base: usize, size: usize) {
-    let mid = base + size / 2;
-    for line in lines[base..base + size].iter_mut() {
-        if line.src == NO_SRC {
-            line.tag = Tag::Eps;
-        } else {
-            let tag = entry_tag_line(asg, line, mid);
-            debug_assert_eq!(tag, entry_tag_fast(asg.dests(line.src as usize), base, size));
-        }
-    }
-}
-
-/// Eq. (4) postcondition check plus the level-transition handoff: each live
-/// line narrows its destination range to the half it landed in, so the next
-/// level's entry tags derive from the retained range.
-fn leave_block(lines: &mut [FastLine], base: usize, size: usize) -> Result<(), CoreError> {
-    let half = size / 2;
-    for (pos, line) in lines[base..base + size].iter_mut().enumerate() {
-        let t = line.tag;
-        let ok = if pos < half {
-            t != Tag::One && t != Tag::Alpha
-        } else {
-            t != Tag::Zero && t != Tag::Alpha
-        };
-        if !ok {
-            return Err(CoreError::Internal(format!(
-                "BSN postcondition violated: tag {t} at output {pos} of {size}"
-            )));
-        }
-        if line.src != NO_SRC {
-            if pos < half {
-                line.d_hi = line.d_mid;
-            } else {
-                line.d_lo = line.d_mid;
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Tags by discriminant code (`tag as u32`): the low two bits of a token.
 const TAG_OF_CODE: [Tag; 4] = [Tag::Zero, Tag::One, Tag::Alpha, Tag::Eps];
 
@@ -464,106 +374,321 @@ fn token_tags(tokens: &[u32]) -> Vec<Tag> {
     tokens.iter().map(|&t| token_tag(t)).collect()
 }
 
+/// The two ends of a level pass, which depend on what the lines carry: the
+/// entry tag of each line, and the gather that hands what the level-entry
+/// lines carry to the outputs their tokens reached. The final 2×2 stage
+/// derives its tags with the same entry step at block size 2.
+trait LevelLines {
+    /// Sets and returns the entry tag of line `i` at its block of `size`
+    /// lines (the block starting at `i` rounded down to a multiple of
+    /// `size`).
+    fn enter(&mut self, i: usize, size: usize) -> Tag;
+
+    /// Ends a level pass over blocks of `size` lines: output `o` takes
+    /// what the level-entry line its token names carries, with the token's
+    /// tag. A block whose tags break Eq. (4) fails with
+    /// [`postcondition_error`].
+    fn gather(&mut self, tokens: &[u32], size: usize) -> Result<(), CoreError>;
+
+    /// Applies a final-stage setting to the output pair `{lo, lo + 1}`.
+    fn apply_final(&mut self, lo: usize, setting: SwitchSetting);
+}
+
+/// A frame's semantic lines: the lines of the current level (the delivery,
+/// once routed) and the buffer the gather fills.
+struct FastLines<'a> {
+    asg: &'a MulticastAssignment,
+    lines: &'a mut [FastLine],
+    next: &'a mut [FastLine],
+}
+
+impl LevelLines for FastLines<'_> {
+    /// The entry tag from the line's retained range at its block's
+    /// midpoint.
+    #[inline]
+    fn enter(&mut self, i: usize, size: usize) -> Tag {
+        let line = &mut self.lines[i];
+        if line.src == NO_SRC {
+            line.tag = Tag::Eps;
+            return Tag::Eps;
+        }
+        let base = i & !(size - 1);
+        let tag = entry_tag_line(self.asg, line, base + size / 2);
+        debug_assert_eq!(
+            tag,
+            entry_tag_fast(self.asg.dests(line.src as usize), base, size)
+        );
+        tag
+    }
+
+    fn gather(&mut self, tokens: &[u32], size: usize) -> Result<(), CoreError> {
+        gather_fast(self.lines, self.next, tokens, size)?;
+        std::mem::swap(&mut self.lines, &mut self.next);
+        Ok(())
+    }
+
+    fn apply_final(&mut self, lo: usize, setting: SwitchSetting) {
+        use SwitchSetting::*;
+        let lines = &mut *self.lines;
+        match setting {
+            Parallel => {}
+            Crossing => lines.swap(lo, lo + 1),
+            UpperBroadcast | LowerBroadcast => {
+                let a = if setting == UpperBroadcast {
+                    lines[lo]
+                } else {
+                    lines[lo + 1]
+                };
+                lines[lo] = FastLine { tag: Tag::Zero, ..a };
+                lines[lo + 1] = FastLine { tag: Tag::One, ..a };
+            }
+        }
+    }
+}
+
+/// Generic payload lines: the lines of the current level (the delivery,
+/// once routed) and the buffer the gather fills.
+struct PayloadLines<P> {
+    lines: Vec<Line<P>>,
+    next: Vec<Line<P>>,
+}
+
+impl<P: RoutePayload> LevelLines for PayloadLines<P> {
+    fn enter(&mut self, i: usize, size: usize) -> Tag {
+        let base = i & !(size - 1);
+        let line = &mut self.lines[i];
+        line.tag = line
+            .payload
+            .as_ref()
+            .map_or(Tag::Eps, |p| p.entry_tag(base, size));
+        line.tag
+    }
+
+    /// Splits each α entry line once, with [`RoutePayload::split`] at its
+    /// block: the first of its two outputs takes its own copy (the 0-copy
+    /// for the 0-tagged output, the 1-copy for the 1-tagged one), and the
+    /// other copy waits on the entry line for the other output. Every
+    /// payload then descends into the half it landed in.
+    fn gather(&mut self, tokens: &[u32], size: usize) -> Result<(), CoreError> {
+        let blocks = self
+            .next
+            .chunks_exact_mut(size)
+            .zip(tokens.chunks_exact(size));
+        for (b, (outs, toks)) in blocks.enumerate() {
+            if toks
+                .iter()
+                .enumerate()
+                .any(|(pos, &t)| misplaced(pos, t, size))
+            {
+                return Err(postcondition_error(toks, size));
+            }
+            let base = b * size;
+            for (out, &t) in outs.iter_mut().zip(toks) {
+                let tag = token_tag(t);
+                let entry = &mut self.lines[(t >> 2) as usize];
+                let payload = if entry.tag == Tag::Alpha {
+                    let alpha = entry.payload.take().expect("α line has a payload");
+                    let (p0, p1) = alpha.split(base, size);
+                    let (own, other, other_tag) = if tag == Tag::Zero {
+                        (p0, p1, Tag::One)
+                    } else {
+                        (p1, p0, Tag::Zero)
+                    };
+                    *entry = Line::with(other_tag, other);
+                    Some(own)
+                } else {
+                    entry.payload.take()
+                };
+                *out = Line {
+                    tag,
+                    payload: payload.map(|p| p.descend(tag, base, size)),
+                };
+            }
+        }
+        std::mem::swap(&mut self.lines, &mut self.next);
+        Ok(())
+    }
+
+    fn apply_final(&mut self, lo: usize, setting: SwitchSetting) {
+        use SwitchSetting::*;
+        match setting {
+            Parallel => {}
+            Crossing => self.lines.swap(lo, lo + 1),
+            UpperBroadcast | LowerBroadcast => {
+                let alpha = if setting == UpperBroadcast {
+                    lo
+                } else {
+                    lo + 1
+                };
+                let p = self.lines[alpha]
+                    .payload
+                    .take()
+                    .expect("α line has a payload");
+                let (p0, p1) = p.split(lo, 2);
+                self.lines[lo] = Line::with(Tag::Zero, p0);
+                self.lines[lo + 1] = Line::with(Tag::One, p1);
+            }
+        }
+    }
+}
+
+/// Where a level pass takes each phase's stage planes from.
+enum Planes<'a> {
+    /// Swept by the planner, and stored whole into the plan when one is
+    /// given.
+    Sweep(Option<&'a mut CapturedPlan>),
+    /// Loaded whole from a captured plan (the traced replay).
+    Load(&'a CapturedPlan),
+}
+
+impl Planes<'_> {
+    /// Programs `(level, phase)` into the live table: `sweep` plans it,
+    /// and a capture stores it whole, or the plan's planes are loaded
+    /// whole.
+    fn program(
+        &mut self,
+        level: usize,
+        phase: usize,
+        settings: &mut RbnSettings,
+        sweep: impl FnOnce(&mut RbnSettings) -> Result<(), PlanError>,
+    ) -> Result<(), PlanError> {
+        match self {
+            Planes::Sweep(capture) => {
+                sweep(settings)?;
+                if let Some(plan) = capture {
+                    plan.store_phase(level, phase, settings);
+                }
+            }
+            Planes::Load(plan) => plan.load_phase(level, phase, settings),
+        }
+        Ok(())
+    }
+}
+
 /// Routes every BSN block of one level — `n / size` blocks of `size`
 /// lines — in one pass: entry tags of all `n` lines, the Eq. (2) capacity
 /// check per block, the scatter and the fused quasisort each planned as one
-/// forest sweep and run stage plane by stage plane across all blocks, then
-/// the gather, the Eq. (4) postcondition and the range narrowing per block.
-/// Step for step (and error value for error value, per check) what routing
-/// the blocks one at a time does; it allocates only for a trace.
+/// forest sweep (or loaded whole) and run stage plane by stage plane across
+/// all blocks, then the gather with the Eq. (4) postcondition per block. It
+/// allocates only for a trace.
 ///
-/// When `capture` is given, each phase's freshly planned stages are
+/// The error is the one a block-by-block walk stops at. A swept level
+/// checks Eq. (2) for every block before anything else, and when Eq. (2)
+/// holds in a block its scatter leaves no α and its quasisort cannot
+/// overflow (Theorem 2, Eqs. 3–4), so no later check fails. A loaded level
+/// skips the capacity check: the kernel's broadcast checks, the gather's
+/// postcondition and the frame's delivery verification reject a plan that
+/// does not fit the lines.
+///
+/// When `planes` captures, each phase's freshly planned stages are
 /// snapshotted whole, right after the phase's sweep (the settings table is
 /// a shared scratch, overwritten per phase). A traced route records each
 /// block's [`BsnTrace`] from slices of the level's token tags, blocks left
 /// to right.
 #[allow(clippy::too_many_arguments)]
 fn route_level(
-    asg: &MulticastAssignment,
-    lines: &mut Vec<FastLine>,
-    next: &mut Vec<FastLine>,
+    lines: &mut impl LevelLines,
     tokens: &mut [u32],
     sweep: &mut SweepScratch,
     settings: &mut RbnSettings,
+    planes: &mut Planes<'_>,
     level: usize,
     size: usize,
     trace: Option<&mut RouteTrace>,
-    mut capture: Option<&mut CapturedPlan>,
 ) -> Result<(), CoreError> {
-    let n = lines.len();
+    let n = tokens.len();
     let k = log2_exact(size) as usize;
 
-    // Entry tags fused with the sweep's tag packing and the tokens: one
-    // pass derives each line's tag from its retained range at its block's
-    // midpoint, packs it into the planner's bit planes, and starts the
-    // line's token.
-    sweep.set_tags_from_codes(n, |i| {
-        let line = &mut lines[i];
-        let tag = if line.src == NO_SRC {
-            line.tag = Tag::Eps;
-            Tag::Eps
-        } else {
-            let base = i & !(size - 1);
-            let tag = entry_tag_line(asg, line, base + size / 2);
-            debug_assert_eq!(tag, entry_tag_fast(asg.dests(line.src as usize), base, size));
-            tag
-        };
+    // Entry tags with the tokens: one pass derives each line's tag at its
+    // block and starts the line's token; a swept level packs the tags into
+    // the planner's bit planes in the same pass.
+    let mut enter = |i: usize| {
+        let tag = lines.enter(i, size);
         tokens[i] = (i as u32) << 2 | tag as u32;
         tag as u8
-    });
-
-    // Eq. (2): a realizable load never requests more than size/2 outputs
-    // per half of any block.
-    if let Some(c) = sweep.first_overloaded_block(size) {
-        return Err(CoreError::HalfCapacityExceeded {
-            n: size,
-            n0: c.n0,
-            n1: c.n1,
-            na: c.na,
+    };
+    if let Planes::Sweep(_) = planes {
+        sweep.set_tags_from_codes(n, enter);
+        // Eq. (2): a realizable load never requests more than size/2
+        // outputs per half of any block.
+        if let Some(c) = sweep.first_overloaded_block(size) {
+            return Err(CoreError::HalfCapacityExceeded {
+                n: size,
+                n0: c.n0,
+                n1: c.n1,
+                na: c.na,
+            });
+        }
+    } else {
+        (0..n).for_each(|i| {
+            enter(i);
         });
     }
     let input_tags = trace.is_some().then(|| token_tags(tokens));
 
     // Scatter networks: eliminate αs (Theorem 2; nα ≤ nε by Eq. 3).
-    sweep.plan_scatter(0, size, 0, settings);
-    if let Some(plan) = capture.as_deref_mut() {
-        plan.store_phase(level, PHASE_SCATTER, settings);
-    }
+    planes.program(level, PHASE_SCATTER, settings, |s| {
+        sweep.plan_scatter(0, size, 0, s);
+        Ok(())
+    })?;
     run_tokens(tokens, settings, k)?;
     let after_scatter = trace.is_some().then(|| token_tags(tokens));
 
     // Quasisorting networks: ε-divide + bit-sort, both backward waves fused
     // into one pass (unicast only), planes reloaded from the token tags.
-    sweep.set_tags_from_codes(n, |i| (tokens[i] & 3) as u8);
-    sweep.plan_quasisort_fused(size, 0, settings)?;
-    if let Some(plan) = capture {
-        plan.store_phase(level, PHASE_QUASISORT, settings);
-    }
+    planes.program(level, PHASE_QUASISORT, settings, |s| {
+        sweep.set_tags_from_codes(n, |i| (tokens[i] & 3) as u8);
+        sweep.plan_quasisort_fused(size, 0, s)
+    })?;
     run_tokens(tokens, settings, k)?;
+    let output_tags = trace.is_some().then(|| token_tags(tokens));
 
-    gather(lines, next, tokens, size)?;
-    std::mem::swap(lines, next);
+    lines.gather(tokens, size)?;
 
-    if let (Some(t), Some(input_tags), Some(after_scatter)) = (trace, input_tags, after_scatter) {
+    if let (Some(t), Some(input_tags), Some(after_scatter), Some(output_tags)) =
+        (trace, input_tags, after_scatter, output_tags)
+    {
         for base in (0..n).step_by(size) {
             t.levels[level - 1].blocks.push(BsnTrace {
                 input_tags: input_tags[base..base + size].to_vec(),
                 after_scatter: after_scatter[base..base + size].to_vec(),
-                output_tags: lines[base..base + size].iter().map(|l| l.tag).collect(),
+                output_tags: output_tags[base..base + size].to_vec(),
             });
         }
     }
     Ok(())
 }
 
-/// The end of a level pass, block by block: output `o` takes the
-/// level-entry line its token names, with the token's tag, then the
-/// [`leave_block`] steps — the Eq. (4) postcondition and the range
-/// narrowing to the half the line landed in. Both copies of a broadcast
-/// inherit the α's range and narrow to their own halves. The checks
-/// accumulate without a branch, and a failing block is rescanned for its
-/// first bad output, the error `leave_block` returns.
-fn gather(
+/// Whether output `pos` of a block of `size` lines holds a token whose tag
+/// Eq. (4) forbids there: α anywhere, 1 in the upper half, 0 in the lower.
+#[inline]
+fn misplaced(pos: usize, token: u32, size: usize) -> bool {
+    match token & 3 {
+        2 => true,
+        c => c != 3 && (pos < size / 2) == (c == 1),
+    }
+}
+
+/// The error of a block whose output tokens `toks` break Eq. (4): it names
+/// the first misplaced tag.
+fn postcondition_error(toks: &[u32], size: usize) -> CoreError {
+    let pos = (0..size)
+        .find(|&pos| misplaced(pos, toks[pos], size))
+        .expect("a bad output");
+    CoreError::Internal(format!(
+        "BSN postcondition violated: tag {} at output {pos} of {size}",
+        token_tag(toks[pos])
+    ))
+}
+
+/// The end of a level pass over semantic lines, block by block: output `o`
+/// takes the level-entry line its token names, with the token's tag, and
+/// narrows its destination range to the half it landed in, so the next
+/// level's entry tags derive from the retained range. Both copies of a
+/// broadcast inherit the α's range and narrow to their own halves. The
+/// Eq. (4) checks accumulate without a branch, and a failing block is
+/// rescanned for its first bad output ([`postcondition_error`]).
+fn gather_fast(
     lines: &[FastLine],
     next: &mut [FastLine],
     tokens: &[u32],
@@ -589,17 +714,7 @@ fn gather(
             *out = line;
         }
         if bad != 0 {
-            let misplaced = |pos: usize, t: u32| match t & 3 {
-                2 => true,
-                c => c != 3 && (pos < half) == (c == 1),
-            };
-            let pos = (0..size)
-                .find(|&pos| misplaced(pos, toks[pos]))
-                .expect("a bad output");
-            return Err(CoreError::Internal(format!(
-                "BSN postcondition violated: tag {} at output {pos} of {size}",
-                token_tag(toks[pos])
-            )));
+            return Err(postcondition_error(toks, size));
         }
     }
     Ok(())
@@ -612,10 +727,10 @@ fn gather(
 ///
 /// A token is `(entry line << 2) | tag`. Parallel keeps, crossing swaps,
 /// and a broadcast copies the α's token to both outputs with the tags
-/// forced to 0 (upper) and 1 (lower) — what [`run_block_fast`] does to
-/// whole lines, on one `u32` each. Every broadcast's input pair is checked
-/// before its stage writes anything, and a violation returns the
-/// [`SwitchError`] [`run_block_fast`] builds for it.
+/// forced to 0 (upper) and 1 (lower) — what [`RbnSettings::run_block`]
+/// does to whole lines, on one `u32` each. Every broadcast's input pair is
+/// checked before its stage writes anything, and a violation returns the
+/// [`SwitchError`] [`RbnSettings::run_block`] builds for it.
 fn run_tokens(tokens: &mut [u32], settings: &RbnSettings, k: usize) -> Result<(), SwitchError> {
     for j in 0..k {
         let stage = settings.stage(j);
@@ -676,19 +791,13 @@ fn run_token_stage(stage: &[SwitchSetting], j: usize, tokens: &mut [u32]) {
     }
 }
 
-/// The final 2×2 switch over outputs `{lo, lo+1}`, in place. The setting
-/// table and error values match [`crate::brsmn`]'s `final_switch` exactly.
-/// Returns the chosen setting so the capture path can record it.
-fn final_switch_fast(
-    asg: &MulticastAssignment,
-    lines: &mut [FastLine],
-    lo: usize,
-    trace: &mut Option<&mut RouteTrace>,
-) -> Result<SwitchSetting, CoreError> {
+/// The setting of the final 2×2 switch over outputs `{lo, lo+1}` for its
+/// entry tags `(tu, tl)`, or the [`CoreError::OutputConflict`] of two
+/// messages claiming one output. The reference router's `final_switch`
+/// keeps its own copy of this table as the oracle.
+fn final_setting(tu: Tag, tl: Tag, lo: usize) -> Result<SwitchSetting, CoreError> {
     use SwitchSetting::*;
-    enter_block(asg, lines, lo, 2);
-    let (tu, tl) = (lines[lo].tag, lines[lo + 1].tag);
-    let setting = match (tu, tl) {
+    Ok(match (tu, tl) {
         (Tag::Alpha, Tag::Eps) => UpperBroadcast,
         (Tag::Eps, Tag::Alpha) => LowerBroadcast,
         (Tag::Alpha, _) | (_, Tag::Alpha) => {
@@ -698,34 +807,83 @@ fn final_switch_fast(
         (Tag::One, Tag::One) => return Err(CoreError::OutputConflict { output: lo + 1 }),
         (Tag::Zero, _) | (Tag::Eps, Tag::One) | (Tag::Eps, Tag::Eps) => Parallel,
         (Tag::One, _) | (Tag::Eps, Tag::Zero) => Crossing,
-    };
-    if let Some(t) = trace {
-        t.final_tags[lo] = tu;
-        t.final_tags[lo + 1] = tl;
-        t.final_settings[lo / 2] = setting;
-    }
-    apply_final_setting(lines, lo, setting);
-    Ok(setting)
+    })
 }
 
-/// Applies a final-stage setting to the pair `{lo, lo+1}` — shared by the
-/// fresh path (setting just derived from tags) and plan replay (setting read
-/// from the captured arena).
-fn apply_final_setting(lines: &mut [FastLine], lo: usize, setting: SwitchSetting) {
-    use SwitchSetting::*;
-    match setting {
-        Parallel => {}
-        Crossing => lines.swap(lo, lo + 1),
-        UpperBroadcast | LowerBroadcast => {
-            let a = if setting == UpperBroadcast {
-                lines[lo]
+/// Routes `lines` through every level of a BRSMN of `tokens.len()` lines:
+/// one level pass per BSN level (traces list each level's blocks left to
+/// right, the order the reference's depth-first recursion pushes them),
+/// then the `n/2` final 2×2 switches, each phase taken from `planes`. A
+/// timer gets one clock pair per level and one for the final stage. The
+/// sweep's per-op profile is drained at the end, so it never leaks into a
+/// later, unrelated route, and folded into the timer.
+fn route_network(
+    lines: &mut impl LevelLines,
+    tokens: &mut [u32],
+    sweep: &mut SweepScratch,
+    settings: &mut RbnSettings,
+    mut planes: Planes<'_>,
+    mut trace: Option<&mut RouteTrace>,
+    mut timer: Option<&mut StageTimer>,
+) -> Result<(), CoreError> {
+    let n = tokens.len();
+    let mut size = n;
+    let mut level = 1;
+    while size > 2 {
+        let t0 = timer.as_ref().map(|_| Instant::now());
+        route_level(
+            lines,
+            tokens,
+            sweep,
+            settings,
+            &mut planes,
+            level,
+            size,
+            trace.as_deref_mut(),
+        )?;
+        if let (Some(tm), Some(t0)) = (timer.as_deref_mut(), t0) {
+            let blocks = (n / size) as u64;
+            if let Planes::Load(_) = planes {
+                tm.record_bsns_replayed(level, size, blocks, t0.elapsed());
             } else {
-                lines[lo + 1]
-            };
-            lines[lo] = FastLine { tag: Tag::Zero, ..a };
-            lines[lo + 1] = FastLine { tag: Tag::One, ..a };
+                tm.record_bsns(level, size, blocks, t0.elapsed());
+            }
         }
+        size /= 2;
+        level += 1;
     }
+
+    let t0 = timer.as_ref().map(|_| Instant::now());
+    for lo in (0..n).step_by(2) {
+        let (tu, tl) = (lines.enter(lo, 2), lines.enter(lo + 1, 2));
+        let setting = match &mut planes {
+            Planes::Sweep(capture) => {
+                let setting = final_setting(tu, tl, lo)?;
+                if let Some(plan) = capture {
+                    plan.set_final(lo / 2, setting);
+                }
+                setting
+            }
+            // The captured setting is the one the tags imply; the trace
+            // records the tags all the same.
+            Planes::Load(plan) => plan.final_setting(lo / 2),
+        };
+        if let Some(t) = trace.as_deref_mut() {
+            t.final_tags[lo] = tu;
+            t.final_tags[lo + 1] = tl;
+            t.final_settings[lo / 2] = setting;
+        }
+        lines.apply_final(lo, setting);
+    }
+    if let (Some(tm), Some(t0)) = (timer.as_deref_mut(), t0) {
+        tm.record_final_stage((n / 2) as u64, t0.elapsed());
+    }
+
+    let profile = sweep.take_profile();
+    if let Some(tm) = timer {
+        tm.plan_profile.merge(&profile);
+    }
+    Ok(())
 }
 
 /// Loads a frame's input lines into the arena: idle inputs get
@@ -783,20 +941,15 @@ pub(crate) fn verify_delivery(
     Ok(())
 }
 
-/// Routes `asg` end to end on the fast path — one level pass per BSN
-/// level (`route_level`), the only fresh-planning path — leaving the
-/// delivered lines in `scratch` (read them via
-/// [`RouteScratch::output_sources`]). Optionally fills a [`RouteTrace`]
-/// and/or a [`StageTimer`] (the timer records exactly what the reference
-/// engine's instrumented recursion records), and/or snapshots every planned
-/// setting into a [`CapturedPlan`] for later replay.
-pub(crate) fn route_assignment_fast(
+/// Routes `asg` end to end on semantic lines, each level's phases taken
+/// from `planes`, and leaves the delivered lines in `scratch`.
+fn route_semantic(
     n: usize,
     asg: &MulticastAssignment,
     scratch: &mut RouteScratch,
-    mut trace: Option<&mut RouteTrace>,
-    mut timer: Option<&mut StageTimer>,
-    mut capture: Option<&mut CapturedPlan>,
+    planes: Planes<'_>,
+    trace: Option<&mut RouteTrace>,
+    timer: Option<&mut StageTimer>,
 ) -> Result<(), CoreError> {
     assert_eq!(asg.n(), n, "assignment size mismatch");
     scratch.ensure(n);
@@ -810,55 +963,38 @@ pub(crate) fn route_assignment_fast(
         ..
     } = scratch;
     *delivered = Delivery::Lines;
-
     init_lines(asg, lines);
-
-    // Levels 1 … m−1: BSNs of halving size, each level's blocks in one
-    // pass (traces list them left to right, the order the reference's
-    // depth-first recursion pushes them). One clock pair per level.
-    let mut size = n;
-    let mut level = 1;
-    while size > 2 {
-        let t0 = timer.as_ref().map(|_| Instant::now());
-        route_level(
-            asg,
-            lines,
-            next_lines,
-            tokens,
-            sweep,
-            settings,
-            level,
-            size,
-            trace.as_deref_mut(),
-            capture.as_deref_mut(),
-        )?;
-        if let (Some(tm), Some(t0)) = (timer.as_deref_mut(), t0) {
-            tm.record_bsns(level, size, (n / size) as u64, t0.elapsed());
-        }
-        size /= 2;
-        level += 1;
+    let next_ptr = next_lines.as_ptr();
+    let mut fast = FastLines {
+        asg,
+        lines,
+        next: next_lines,
+    };
+    route_network(&mut fast, tokens, sweep, settings, planes, trace, timer)?;
+    // Each level's gather fills the other buffer; keep the delivery in
+    // `lines`.
+    if std::ptr::eq(fast.lines.as_ptr(), next_ptr) {
+        std::mem::swap(lines, next_lines);
     }
-
-    // Final level: n/2 plain 2×2 switches, one clock pair for the stage.
-    let t0 = timer.as_ref().map(|_| Instant::now());
-    for lo in (0..n).step_by(2) {
-        let setting = final_switch_fast(asg, lines, lo, &mut trace)?;
-        if let Some(plan) = capture.as_deref_mut() {
-            plan.set_final(lo / 2, setting);
-        }
-    }
-    if let (Some(tm), Some(t0)) = (timer.as_deref_mut(), t0) {
-        tm.record_final_stage((n / 2) as u64, t0.elapsed());
-    }
-
-    // Drain the sweep's per-op profile unconditionally (so it never leaks
-    // into a later, unrelated route) and fold it into the frame's timer.
-    let profile = sweep.take_profile();
-    if let Some(tm) = timer.as_deref_mut() {
-        tm.plan_profile.merge(&profile);
-    }
-
     verify_delivery(asg, lines.iter().map(|l| l.src))
+}
+
+/// Routes `asg` end to end on the fast path — one level pass per BSN
+/// level, the only fresh-planning path — leaving the delivered lines in
+/// `scratch` (read them via [`RouteScratch::output_sources`]). Optionally
+/// fills a [`RouteTrace`] and/or a [`StageTimer`] (the timer records
+/// exactly what the reference engine's instrumented recursion records),
+/// and/or snapshots every planned setting into a [`CapturedPlan`] for later
+/// replay.
+pub(crate) fn route_assignment_fast(
+    n: usize,
+    asg: &MulticastAssignment,
+    scratch: &mut RouteScratch,
+    trace: Option<&mut RouteTrace>,
+    timer: Option<&mut StageTimer>,
+    capture: Option<&mut CapturedPlan>,
+) -> Result<(), CoreError> {
+    route_semantic(n, asg, scratch, Planes::Sweep(capture), trace, timer)
 }
 
 /// Routes and collects the result (one `Vec` allocation for the result).
@@ -874,95 +1010,45 @@ pub(crate) fn route_assignment_fast_buffered(
     Ok(scratch.to_result())
 }
 
-/// Replays one BSN block from the captured plan with full tracing: entry
-/// tags are derived exactly like the fresh path (the trace must be
-/// bit-identical), but both phases' settings are *loaded* from the plan into
-/// the live table instead of planned, and executed through the same
-/// [`run_block_fast`] (whose broadcast legality checks double as replay
-/// integrity checks). The oracle for the untraced [`replay_sources`].
-#[allow(clippy::too_many_arguments)]
-fn replay_bsn_traced(
-    asg: &MulticastAssignment,
-    lines: &mut [FastLine],
-    settings: &mut RbnSettings,
-    wiring: &RbnWiring,
-    plan: &CapturedPlan,
-    base: usize,
-    size: usize,
-    level: usize,
-    trace: &mut RouteTrace,
-) -> Result<(), CoreError> {
-    enter_block(asg, lines, base, size);
-    let input_tags: Vec<Tag> = lines[base..base + size].iter().map(|l| l.tag).collect();
-
-    plan.load_phase(level, PHASE_SCATTER, base, size, settings);
-    run_block_fast(lines, base, size, settings, wiring)?;
-    let after_scatter: Vec<Tag> = lines[base..base + size].iter().map(|l| l.tag).collect();
-
-    plan.load_phase(level, PHASE_QUASISORT, base, size, settings);
-    run_block_fast(lines, base, size, settings, wiring)?;
-
-    leave_block(lines, base, size)?;
-    trace.levels[level - 1].blocks.push(BsnTrace {
-        input_tags,
-        after_scatter,
-        output_tags: lines[base..base + size].iter().map(|l| l.tag).collect(),
-    });
-    Ok(())
-}
-
-/// Traced replay: the plan's settings executed on full [`FastLine`]s with
-/// tags, trace records and the settings table reproduced exactly as fresh
-/// planning leaves them. Delivery stays in `lines`.
-#[allow(clippy::too_many_arguments)]
-fn replay_traced(
-    n: usize,
-    wiring: &RbnWiring,
-    asg: &MulticastAssignment,
-    plan: &CapturedPlan,
-    lines: &mut [FastLine],
-    settings: &mut RbnSettings,
-    trace: &mut RouteTrace,
-    mut timer: Option<&mut StageTimer>,
-) -> Result<(), CoreError> {
-    init_lines(asg, lines);
-    let mut size = n;
-    let mut level = 1;
-    while size > 2 {
-        let t0 = timer.as_ref().map(|_| Instant::now());
-        for b in 0..n / size {
-            let base = b * size;
-            replay_bsn_traced(asg, lines, settings, wiring, plan, base, size, level, trace)?;
-        }
-        if let (Some(tm), Some(t0)) = (timer.as_deref_mut(), t0) {
-            tm.record_bsns_replayed(level, size, (n / size) as u64, t0.elapsed());
-        }
-        size /= 2;
-        level += 1;
-    }
-
-    let t0 = timer.as_ref().map(|_| Instant::now());
-    for lo in (0..n).step_by(2) {
-        let setting = plan.final_setting(lo / 2);
-        // The trace records entry tags; derive them exactly like the fresh
-        // path (the captured setting matches what they imply).
-        enter_block(asg, lines, lo, 2);
-        trace.final_tags[lo] = lines[lo].tag;
-        trace.final_tags[lo + 1] = lines[lo + 1].tag;
-        trace.final_settings[lo / 2] = setting;
-        apply_final_setting(lines, lo, setting);
-    }
-    if let (Some(tm), Some(t0)) = (timer, t0) {
-        tm.record_final_stage((n / 2) as u64, t0.elapsed());
-    }
-    verify_delivery(asg, lines.iter().map(|l| l.src))
+/// Routes pre-built payload lines end to end through the level pass —
+/// the generic route behind [`Brsmn::route_lines`](crate::Brsmn::route_lines)
+/// — planning with `scratch`'s sweep and settings table. The only
+/// allocations are the gather's second line buffer, the payloads' own
+/// [`RoutePayload::split`]/[`RoutePayload::descend`] work and, when
+/// tracing, the trace snapshots.
+pub(crate) fn route_payload_lines<P: RoutePayload>(
+    lines: Vec<Line<P>>,
+    scratch: &mut RouteScratch,
+    trace: Option<&mut RouteTrace>,
+) -> Result<Vec<Line<P>>, CoreError> {
+    let n = lines.len();
+    scratch.ensure(n);
+    let RouteScratch {
+        tokens,
+        sweep,
+        settings,
+        ..
+    } = scratch;
+    let next = (0..n).map(|_| Line::empty()).collect();
+    let mut payloads = PayloadLines { lines, next };
+    route_network(
+        &mut payloads,
+        tokens,
+        sweep,
+        settings,
+        Planes::Sweep(None),
+        trace,
+        None,
+    )?;
+    Ok(payloads.lines)
 }
 
 /// Applies one full-width stage plane of a captured plan — the `n/2` codes
 /// starting at setting `off` — to the source ids. Switch `idx` of stage `j`
 /// joins lines `u = ((idx >> j) << (j + 1)) | (idx mod 2^j)` and
-/// `u + 2^j` (the [`RbnWiring`] formula), and its 2-bit code selects,
-/// without a branch, what each output reads ([`LaneMasks::from_codes`]).
+/// `u + 2^j` (the [`RbnWiring`](brsmn_rbn::RbnWiring) formula), and its
+/// 2-bit code selects, without a branch, what each output reads
+/// ([`LaneMasks::from_codes`]).
 /// Codes are read 32 to a word, and a zero word — 32 parallel switches —
 /// is skipped whole.
 ///
@@ -1206,14 +1292,15 @@ fn check_plan_size(plan: &CapturedPlan, n: usize) -> Result<(), CoreError> {
 /// Replays a captured plan for `asg` end to end, leaving the delivery in
 /// `scratch`. Bit-identical to fresh routing of the same assignment: same
 /// result, same trace (when requested), same final settings table (on the
-/// traced path). The untraced path puts input `i` on line `i` and runs the
-/// source-id kernel ([`replay_sources`]) — the warm-cache fast path.
+/// traced path). The traced path is the level pass with every phase loaded
+/// whole from the plan, on full semantic lines. The untraced path puts
+/// input `i` on line `i` and runs the source-id kernel
+/// ([`replay_sources`]) — the warm-cache fast path.
 ///
 /// The plan must have been captured for an equal assignment; the frame-final
 /// delivery verification rejects replays against a different one.
 pub(crate) fn route_assignment_replay(
     n: usize,
-    wiring: &RbnWiring,
     asg: &MulticastAssignment,
     plan: &CapturedPlan,
     scratch: &mut RouteScratch,
@@ -1222,19 +1309,13 @@ pub(crate) fn route_assignment_replay(
 ) -> Result<(), CoreError> {
     assert_eq!(asg.n(), n, "assignment size mismatch");
     check_plan_size(plan, n)?;
+    if trace.is_some() {
+        return route_semantic(n, asg, scratch, Planes::Load(plan), trace, timer);
+    }
     scratch.ensure(n);
     let RouteScratch {
-        lines,
-        srcs,
-        delivered,
-        settings,
-        ..
+        srcs, delivered, ..
     } = scratch;
-
-    if let Some(trace) = trace {
-        *delivered = Delivery::Lines;
-        return replay_traced(n, wiring, asg, plan, lines, settings, trace, timer);
-    }
     *delivered = Delivery::Srcs;
     for (src, (i, w)) in srcs.iter_mut().zip(asg.offsets().windows(2).enumerate()) {
         *src = if w[0] == w[1] { NO_SRC } else { i as u32 };
@@ -1297,25 +1378,24 @@ pub(crate) fn route_assignment_replay_permuted(
 /// Replays and collects the result (one `Vec` allocation for the result).
 pub(crate) fn route_assignment_replay_buffered(
     n: usize,
-    wiring: &RbnWiring,
     asg: &MulticastAssignment,
     plan: &CapturedPlan,
     scratch: &mut RouteScratch,
     trace: Option<&mut RouteTrace>,
     timer: Option<&mut StageTimer>,
 ) -> Result<RoutingResult, CoreError> {
-    route_assignment_replay(n, wiring, asg, plan, scratch, trace, timer)?;
+    route_assignment_replay(n, asg, plan, scratch, trace, timer)?;
     Ok(scratch.to_result())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use brsmn_rbn::{clone_split, RbnWiring};
 
     #[test]
     fn entry_tag_matches_semantic() {
         use crate::payload::SemanticMsg;
-        use crate::RoutePayload;
         let dests = vec![2usize, 5];
         let msg = SemanticMsg::new(0, dests.clone());
         assert_eq!(entry_tag_fast(&dests, 0, 8), msg.entry_tag(0, 8));
@@ -1353,10 +1433,39 @@ mod tests {
             .collect()
     }
 
+    /// The oracle executor: every block of `size` lines through
+    /// [`RbnSettings::run_block`], each line carrying the index of its
+    /// entry line (a broadcast clones it), read back as the entry lines
+    /// with the tags the blocks left.
+    fn run_blocks(
+        entry: &[FastLine],
+        table: &RbnSettings,
+        size: usize,
+    ) -> Result<Vec<FastLine>, SwitchError> {
+        let mut lines: Vec<Line<usize>> = entry
+            .iter()
+            .enumerate()
+            .map(|(i, l)| Line {
+                tag: l.tag,
+                payload: Some(i),
+            })
+            .collect();
+        for base in (0..entry.len()).step_by(size) {
+            table.run_block(&mut lines, base, size, &mut clone_split)?;
+        }
+        Ok(lines
+            .iter()
+            .map(|l| FastLine {
+                tag: l.tag,
+                ..entry[l.payload.expect("every line carries its entry")]
+            })
+            .collect())
+    }
+
     /// Stages `[0, k)` of every block of `size` lines, chosen at random but
     /// legal stage by stage: a broadcast only where its inputs are (α, ε)
     /// or (ε, α) after the stages before it. Each stage's inputs come from
-    /// `run_block_fast` itself, run with the later stages still parallel.
+    /// the oracle executor, run with the later stages still parallel.
     fn legal_settings(
         entry: &[FastLine],
         size: usize,
@@ -1367,10 +1476,7 @@ mod tests {
         let k = log2_exact(size) as usize;
         let mut table = RbnSettings::identity(n);
         for j in 0..k {
-            let mut cur = entry.to_vec();
-            for base in (0..n).step_by(size) {
-                run_block_fast(&mut cur, base, size, &table, wiring).unwrap();
-            }
+            let cur = run_blocks(entry, &table, size).unwrap();
             for (idx, &(u, l)) in wiring.stage(j).iter().enumerate() {
                 use SwitchSetting::*;
                 let pick = next() % 3;
@@ -1408,7 +1514,7 @@ mod tests {
     }
 
     #[test]
-    fn token_kernel_matches_run_block_fast_on_legal_settings() {
+    fn token_kernel_matches_run_block_on_legal_settings() {
         let mut next = rng(0xC0FF_EE11);
         for m in 1..=10u32 {
             let n = 1usize << m;
@@ -1418,10 +1524,7 @@ mod tests {
                 for _ in 0..3 {
                     let entry = entry_lines(n, &mut next);
                     let table = legal_settings(&entry, size, &wiring, &mut next);
-                    let mut want = entry.clone();
-                    for base in (0..n).step_by(size) {
-                        run_block_fast(&mut want, base, size, &table, &wiring).unwrap();
-                    }
+                    let want = run_blocks(&entry, &table, size).unwrap();
                     let got = run_level_tokens(&entry, &table, k).unwrap();
                     assert_eq!(got, want, "n={n} size={size}");
                 }
@@ -1430,7 +1533,7 @@ mod tests {
     }
 
     #[test]
-    fn token_kernel_reports_an_illegal_broadcast_like_run_block_fast() {
+    fn token_kernel_reports_an_illegal_broadcast_like_run_block() {
         let mut next = rng(0xBAD_B0A7);
         for (n, size) in [(4usize, 4usize), (16, 8), (64, 64), (256, 16), (256, 256)] {
             let wiring = RbnWiring::new(n);
@@ -1441,14 +1544,11 @@ mod tests {
                 // One switch turned into the broadcast its inputs forbid:
                 // an upper broadcast unless the inputs are (α, ε).
                 let (j, idx) = ((next() as usize) % k, (next() as usize) % (n / 2));
-                let mut cur = entry.clone();
                 let mut before = table.clone();
                 for jj in j..k {
                     before.stage_mut(jj).fill(SwitchSetting::Parallel);
                 }
-                for base in (0..n).step_by(size) {
-                    run_block_fast(&mut cur, base, size, &before, &wiring).unwrap();
-                }
+                let cur = run_blocks(&entry, &before, size).unwrap();
                 let (u, l) = wiring.stage(j)[idx];
                 let found = (cur[u as usize].tag, cur[l as usize].tag);
                 let setting = if found == (Tag::Alpha, Tag::Eps) {
@@ -1457,11 +1557,7 @@ mod tests {
                     SwitchSetting::UpperBroadcast
                 };
                 table.stage_mut(j)[idx] = setting;
-                let mut want = entry.clone();
-                let want_err = (0..n)
-                    .step_by(size)
-                    .find_map(|base| run_block_fast(&mut want, base, size, &table, &wiring).err())
-                    .expect("the block holding the switch fails");
+                let want_err = run_blocks(&entry, &table, size).unwrap_err();
                 assert_eq!(want_err, SwitchError { setting, found });
                 assert_eq!(
                     run_level_tokens(&entry, &table, k).unwrap_err(),
@@ -1470,6 +1566,34 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The gather's oracle, one block of the copied lines at a time: the
+    /// Eq. (4) postcondition check, then each live line's range narrowed
+    /// to the half it landed in.
+    fn leave_block(lines: &mut [FastLine], base: usize, size: usize) -> Result<(), CoreError> {
+        let half = size / 2;
+        for (pos, line) in lines[base..base + size].iter_mut().enumerate() {
+            let t = line.tag;
+            let ok = if pos < half {
+                t != Tag::One && t != Tag::Alpha
+            } else {
+                t != Tag::Zero && t != Tag::Alpha
+            };
+            if !ok {
+                return Err(CoreError::Internal(format!(
+                    "BSN postcondition violated: tag {t} at output {pos} of {size}"
+                )));
+            }
+            if line.src != NO_SRC {
+                if pos < half {
+                    line.d_hi = line.d_mid;
+                } else {
+                    line.d_lo = line.d_mid;
+                }
+            }
+        }
+        Ok(())
     }
 
     #[test]
@@ -1506,7 +1630,7 @@ mod tests {
                         .step_by(size)
                         .try_for_each(|base| leave_block(&mut want, base, size));
                     let mut got = vec![FastLine::EMPTY; n];
-                    let got_res = gather(&entry, &mut got, &tokens, size);
+                    let got_res = gather_fast(&entry, &mut got, &tokens, size);
                     assert_eq!(
                         format!("{got_res:?}"),
                         format!("{want_res:?}"),
@@ -1522,6 +1646,46 @@ mod tests {
             }
         }
         assert!(ok > 100 && failed > 20, "ok {ok}, failed {failed}");
+    }
+
+    /// A payload whose entry tag is fixed, to drive the reference final
+    /// switch with any tag pair.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Fixed(Tag);
+
+    impl RoutePayload for Fixed {
+        fn source(&self) -> usize {
+            0
+        }
+        fn entry_tag(&self, _lo: usize, _size: usize) -> Tag {
+            self.0
+        }
+        fn split(&self, _lo: usize, _size: usize) -> (Self, Self) {
+            (Fixed(Tag::Zero), Fixed(Tag::One))
+        }
+        fn descend(self, _branch: Tag, _lo: usize, _size: usize) -> Self {
+            self
+        }
+        fn delivered_ok(&self, _o: usize) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn final_setting_matches_the_reference_final_switch() {
+        for tu in TAG_OF_CODE {
+            for tl in TAG_OF_CODE {
+                let line = |t: Tag| Line {
+                    tag: Tag::Eps,
+                    payload: (t != Tag::Eps).then_some(Fixed(t)),
+                };
+                let mut trace = RouteTrace::new(8);
+                let want =
+                    crate::brsmn::final_switch(vec![line(tu), line(tl)], 6, &mut Some(&mut trace))
+                        .map(|_| trace.final_settings[3]);
+                assert_eq!(final_setting(tu, tl, 6), want, "({tu}, {tl})");
+            }
+        }
     }
 
     #[test]

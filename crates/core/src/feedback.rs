@@ -22,7 +22,7 @@ use crate::assignment::{MulticastAssignment, RoutingResult};
 use crate::brsmn::{extract_result, final_switch};
 use crate::error::CoreError;
 use crate::metrics;
-use crate::payload::{RoutePayload, SelfRoutedMsg, SemanticMsg};
+use crate::payload::{payload_lines, RoutePayload, SelfRoutedMsg, SemanticMsg};
 use brsmn_rbn::{plan_quasisort, plan_scatter, RbnSettings};
 use brsmn_switch::tag::TagCounts;
 use brsmn_switch::{Line, Tag};
@@ -71,19 +71,7 @@ impl FeedbackBrsmn {
         asg: &MulticastAssignment,
     ) -> Result<(RoutingResult, FeedbackStats), CoreError> {
         assert_eq!(asg.n(), self.n);
-        let lines: Vec<Line<SemanticMsg>> = (0..self.n)
-            .map(|i| {
-                let dests = asg.dests(i);
-                if dests.is_empty() {
-                    Line::empty()
-                } else {
-                    Line {
-                        tag: Tag::Eps,
-                        payload: Some(SemanticMsg::new(i, dests.to_vec())),
-                    }
-                }
-            })
-            .collect();
+        let lines = payload_lines(asg, |i, dests| SemanticMsg::new(i, dests.to_vec()));
         let (out, stats) = self.route_lines(lines)?;
         Ok((extract_result(out)?, stats))
     }
@@ -94,19 +82,7 @@ impl FeedbackBrsmn {
         asg: &MulticastAssignment,
     ) -> Result<(RoutingResult, FeedbackStats), CoreError> {
         assert_eq!(asg.n(), self.n);
-        let lines: Vec<Line<SelfRoutedMsg>> = (0..self.n)
-            .map(|i| {
-                let dests = asg.dests(i);
-                if dests.is_empty() {
-                    Line::empty()
-                } else {
-                    Line {
-                        tag: Tag::Eps,
-                        payload: Some(SelfRoutedMsg::prepare(self.n, i, dests)),
-                    }
-                }
-            })
-            .collect();
+        let lines = payload_lines(asg, |i, dests| SelfRoutedMsg::prepare(self.n, i, dests));
         let (out, stats) = self.route_lines(lines)?;
         Ok((extract_result(out)?, stats))
     }

@@ -93,7 +93,7 @@ pub use brsmn_rbn::PlanOpProfile;
 pub use error::CoreError;
 pub use fastpath::{with_thread_scratch, RouteScratch};
 pub use feedback::{FeedbackBrsmn, FeedbackStats};
-pub use payload::{RoutePayload, SelfRoutedMsg, SemanticMsg};
+pub use payload::{payload_lines, RoutePayload, SelfRoutedMsg, SemanticMsg};
 pub use plancache::{
     fingerprint_inputs, plan_fingerprint, CanonicalHit, CapturedPlan, PlanCache, PlanCacheSnapshot,
     PlanCacheStats, PlanSnapshotEntry, SnapshotError, SnapshotLoadStats, SNAPSHOT_VERSION,

@@ -16,8 +16,9 @@
 //! every message is [`RoutePayload::descend`]ed into its half by its final
 //! tag (`0` or `1`).
 
+use crate::assignment::MulticastAssignment;
 use crate::tags::{seq_for_dests, TagSeq};
-use brsmn_switch::Tag;
+use brsmn_switch::{Line, Tag};
 use serde::{Deserialize, Serialize};
 
 /// The message-model protocol used by the routing engines (see module docs).
@@ -41,6 +42,24 @@ pub trait RoutePayload: Sized + Clone {
     /// Whether the message, having reached output `o`, is the one that
     /// belongs there (used for end-to-end verification).
     fn delivered_ok(&self, o: usize) -> bool;
+}
+
+/// The input lines of `asg` for a payload routing engine: an idle input's
+/// line is empty, and live input `i` carries `make(i, asg.dests(i))`, its
+/// tag left `ε` until a BSN tags it.
+pub fn payload_lines<P>(
+    asg: &MulticastAssignment,
+    mut make: impl FnMut(usize, &[usize]) -> P,
+) -> Vec<Line<P>> {
+    (0..asg.n())
+        .map(|i| match asg.dests(i) {
+            [] => Line::empty(),
+            dests => Line {
+                tag: Tag::Eps,
+                payload: Some(make(i, dests)),
+            },
+        })
+        .collect()
 }
 
 /// Reference payload: the absolute destination set travels with the message.

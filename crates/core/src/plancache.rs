@@ -192,22 +192,15 @@ impl CapturedPlan {
         }
     }
 
-    /// Restores the stages at `(level, phase)` of the block `[base, base +
-    /// size)` into the live settings table — the traced replay's
-    /// block-by-block inverse of [`CapturedPlan::store_phase`].
-    pub(crate) fn load_phase(
-        &self,
-        level: usize,
-        phase: usize,
-        base: usize,
-        size: usize,
-        settings: &mut RbnSettings,
-    ) {
-        let k = log2_exact(size) as usize;
+    /// Restores the stages `[0, m − level + 1)` of `(level, phase)` into the
+    /// live settings table, every block of the level at once — the traced
+    /// replay's inverse of [`CapturedPlan::store_phase`].
+    pub(crate) fn load_phase(&self, level: usize, phase: usize, settings: &mut RbnSettings) {
+        let m = log2_exact(self.n) as usize;
         let off = self.phase_offset(level, phase);
-        for j in 0..k {
-            let stage = &mut settings.stage_mut(j)[base / 2..(base + size) / 2];
-            self.planes.load_slice(off + j * (self.n / 2) + base / 2, stage);
+        for j in 0..=m - level {
+            self.planes
+                .load_slice(off + j * (self.n / 2), settings.stage_mut(j));
         }
     }
 
@@ -1028,11 +1021,11 @@ mod tests {
         let n = 16;
         let mut plan = CapturedPlan::new(n).unwrap();
         let mut table = RbnSettings::identity(n);
-        // Write a recognizable pattern into level 2's quasisort phase for
-        // the block at base 8 (size 8, 3 stages); the whole level's planes
-        // are stored, and the block is loaded back on its own.
-        for j in 0..3 {
-            for idx in 4..8 {
+        // Write a recognizable pattern into level 2's quasisort phase (two
+        // blocks of 8, 3 stages) and into stage 3, which level 2 does not
+        // use; the level's planes are stored and loaded back whole.
+        for j in 0..4 {
+            for idx in 0..8 {
                 table.stage_mut(j)[idx] = if (j + idx) % 2 == 0 {
                     SwitchSetting::Crossing
                 } else {
@@ -1042,20 +1035,63 @@ mod tests {
         }
         plan.store_phase(2, PHASE_QUASISORT, &table);
         let mut out = RbnSettings::identity(n);
-        plan.load_phase(2, PHASE_QUASISORT, 8, 8, &mut out);
+        plan.load_phase(2, PHASE_QUASISORT, &mut out);
         for j in 0..3 {
-            assert_eq!(&out.stage(j)[4..8], &table.stage(j)[4..8], "stage {j}");
-            // The sibling block's slice stays untouched.
-            assert_eq!(&out.stage(j)[..4], &[SwitchSetting::Parallel; 4]);
+            assert_eq!(out.stage(j), table.stage(j), "stage {j}");
         }
+        // The stage past the level's sub-RBNs stays untouched.
+        assert_eq!(out.stage(3), &[SwitchSetting::Parallel; 8]);
         // Scatter phase of the same level is a distinct region.
         let mut other = RbnSettings::identity(n);
-        plan.load_phase(2, PHASE_SCATTER, 8, 8, &mut other);
+        plan.load_phase(2, PHASE_SCATTER, &mut other);
         assert_eq!(other, RbnSettings::identity(n));
         // Final settings live past every level region.
         plan.set_final(7, SwitchSetting::LowerBroadcast);
         assert_eq!(plan.final_setting(7), SwitchSetting::LowerBroadcast);
         assert_eq!(plan.final_setting(0), SwitchSetting::Parallel);
+    }
+
+    #[test]
+    fn load_phase_inverts_store_phase_at_every_level() {
+        const ALL: [SwitchSetting; 4] = [
+            SwitchSetting::Parallel,
+            SwitchSetting::Crossing,
+            SwitchSetting::UpperBroadcast,
+            SwitchSetting::LowerBroadcast,
+        ];
+        let n = 32;
+        let m = log2_exact(n) as usize;
+        let mut plan = CapturedPlan::new(n).unwrap();
+        let mut tables = Vec::new();
+        for level in 1..m {
+            for phase in [PHASE_SCATTER, PHASE_QUASISORT] {
+                let mut table = RbnSettings::identity(n);
+                for j in 0..m {
+                    for (idx, s) in table.stage_mut(j).iter_mut().enumerate() {
+                        *s = ALL[(idx * 7 + j * 3 + level * 5 + phase) % 4];
+                    }
+                }
+                plan.store_phase(level, phase, &table);
+                tables.push((level, phase, table));
+            }
+        }
+        // Every region loads back as stored, and only the level's stages.
+        for (level, phase, table) in tables {
+            let mut out = RbnSettings::identity(n);
+            plan.load_phase(level, phase, &mut out);
+            for j in 0..m {
+                let want = if j <= m - level {
+                    table.stage(j).to_vec()
+                } else {
+                    vec![SwitchSetting::Parallel; n / 2]
+                };
+                assert_eq!(
+                    out.stage(j),
+                    &want[..],
+                    "level {level} phase {phase} stage {j}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! The source-id replay kernel against its two oracles — the traced replay
-//! (full tagged lines through the checked switch executor) and fresh
-//! planning — for exact and permuted replay, at every size from n = 2 to
-//! n = 64 plus n = 256, on dense, sparse, single-source and permutation
-//! frames. Below n = 64 a stage plane is shorter than one packed word and
-//! most planes start mid-word; from n = 64 up they are word-aligned and the
-//! stages of stride 32 and more take the contiguous-run path.
+//! (full tagged lines through the level pass, on planes loaded from the
+//! plan, with the token kernel's checks) and fresh planning — for exact and
+//! permuted replay, at every size from n = 2 to n = 64 plus n = 256, on
+//! dense, sparse, single-source and permutation frames. Below n = 64 a
+//! stage plane is shorter than one packed word and most planes start
+//! mid-word; from n = 64 up they are word-aligned and the stages of stride
+//! 32 and more take the contiguous-run path.
 //!
 //! Also pins the per-level clocks' bookkeeping: whatever path routes a
 //! batch, `StageTimer`'s block, final-switch and switch-setting totals are

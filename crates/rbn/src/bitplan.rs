@@ -1,42 +1,42 @@
 //! Word-packed, allocation-free implementations of the distributed sweeps
-//! (Tables 3, 4 and 6).
+//! (Tables 3, 4 and 6), each run over every block of a BSN level at once.
 //!
 //! The planners in [`crate::plan`] materialize the Fig. 8 tree as
 //! `Vec<Vec<usize>>` per route — correct and readable, but the sweeps are
-//! prefix-sum shaped, so every per-node forward value is a *range count*
-//! over the leaves. This module packs the leaf tags into `u64` words (two
-//! bit planes, two bits per tag) and answers every forward-phase query with
-//! popcounts over a word-granular rank index:
+//! prefix-sum shaped, so every per-node forward value is a count over the
+//! node's leaves. This module packs the leaf tags into `u64` words (two bit
+//! planes, two bits per tag) and answers every forward-phase query with a
+//! popcount:
 //!
-//! * bit sort (Table 3): `l[j][b]` = number of γ leaves under node `(j, b)`
-//!   = `rank_γ((b+1)·2^j) − rank_γ(b·2^j)`;
 //! * scatter (Table 4): the `(l, type)` pair of a node is the sign and
 //!   magnitude of `nα − nε` over its leaf range (ties resolved along the
 //!   upper-child spine, matching the combine rule of Table 4 exactly);
-//! * ε-divide (Table 6): `n_ε[j][b]` is a range count over the ε plane.
+//! * quasisort (Tables 6 and 3, fused): the ε₀ quota of a node travels down
+//!   the ε-divide wave, and the bit sort's forward value — the sort-down
+//!   leaves under the node — is `n₁ + n_ε − ε₀` over its leaf range, so both
+//!   backward waves ride one pass.
 //!
-//! The backward phases keep only one tree level alive at a time in a pair of
-//! ping-pong buffers, and the switch-setting phase writes straight into a
+//! Both planners sweep a *forest*: the `n` tags of a BSN level, one tree
+//! per block (§7.3: one pass programs every BSN of a level). The backward
+//! phases keep only one tree level alive at a time in a pair of ping-pong
+//! buffers, and the switch-setting phase writes straight into a
 //! caller-provided [`RbnSettings`] table via the slice-filling variants of
 //! Table 5 ([`crate::setting::binary_compact_setting_into`]). After a
-//! one-time warm-up of the [`SweepScratch`], planning a block performs **no
+//! one-time warm-up of the [`SweepScratch`], planning a level performs **no
 //! heap allocation** — the property the `brsmn-bench` `alloc-count` test
 //! pins down end to end.
 //!
-//! ## Carried-rank sweeps
+//! ## Aligned segment counts
 //!
 //! Every forward-phase query the waves issue is an **aligned segment
 //! count**: node `(j, b)` covers exactly `[b·2^j, (b+1)·2^j)`, never an
-//! arbitrary `[0, i)` prefix. [`BitVec::seg_count`] answers those directly
-//! (one masked popcount for sub-word segments, whole-word popcounts
-//! otherwise), so the general-purpose rank index is dead weight on the
-//! sweep path — the fill paths skip its O(len/64) build entirely and
-//! [`BitVec::rank`] rebuilds lazily (well, falls back to a word scan;
-//! [`BitVec::ensure_rank_index`] restores O(1)) for random-access users.
-//! The scatter wave additionally *carries* each node's own (α, ε) counts
-//! down from its parent, so settling a node costs two segment counts for
-//! the upper child and two subtractions for the lower — and a subtree with
-//! no α and no ε at all short-circuits its tie walk to ε immediately.
+//! arbitrary prefix. [`BitVec::seg_count`] answers those directly (one
+//! masked popcount for a sub-word segment, whole-word popcounts otherwise),
+//! so no rank index is ever built. The scatter wave additionally *carries*
+//! each node's own (α, ε) counts down from its parent, so settling a node
+//! costs two segment counts for the upper child and two subtractions for
+//! the lower — and a subtree with no α and no ε at all short-circuits its
+//! tie walk to ε immediately.
 //!
 //! ## Per-op profiler
 //!
@@ -79,41 +79,17 @@ pub(crate) fn lane_tail_mask(len: usize, w: usize) -> u64 {
     }
 }
 
-/// A bit vector packed into `[u64; LANES]` lane blocks with an *optional*
-/// lane-wise rank index.
-///
-/// The packed planners only ever issue aligned segment counts
-/// ([`BitVec::seg_count`]), which need no index, so the fill paths no
-/// longer build one — that O(len/64) pass per fill was pure overhead on
-/// the sweep path. Random-access [`BitVec::rank`] still works on an
-/// index-less vector (word-scan fallback); call
-/// [`BitVec::ensure_rank_index`] first to make it O(1) again.
-#[derive(Debug, Clone, Default)]
+/// A bit vector packed into `[u64; LANES]` lane blocks. The packed planners
+/// only ever issue aligned segment counts ([`BitVec::seg_count`]), which
+/// need no rank index. Lanes past the last word are zeroed by every fill
+/// path, so equal bits compare equal.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BitVec {
     blocks: Vec<[u64; LANES]>,
-    /// `rank_index[b][l]` = set bits in words `[0, LANES·b + l)`. Lanes past
-    /// the last stored word are never read (guarded by `nwords`). Empty
-    /// until [`BitVec::ensure_rank_index`] builds it.
-    rank_index: Vec<[u32; LANES]>,
     total_ones: usize,
     nwords: usize,
     len: usize,
 }
-
-/// The rank index is derived (and built lazily), so equality is over the
-/// semantic fields only: an indexed and an index-less vector holding the
-/// same bits compare equal. Lanes past the last word are zeroed by every
-/// fill path, keeping the block comparison canonical.
-impl PartialEq for BitVec {
-    fn eq(&self, other: &Self) -> bool {
-        self.len == other.len
-            && self.nwords == other.nwords
-            && self.total_ones == other.total_ones
-            && self.blocks == other.blocks
-    }
-}
-
-impl Eq for BitVec {}
 
 impl BitVec {
     /// An empty bit vector (fill it with [`BitVec::fill_from`]).
@@ -133,14 +109,12 @@ impl BitVec {
 
     fn clear(&mut self, len: usize) {
         self.blocks.clear();
-        self.rank_index.clear();
         self.total_ones = 0;
         self.nwords = 0;
         self.len = len;
     }
 
-    /// Appends word `nwords`, extending the lane block. The rank index is
-    /// **not** maintained here — see [`BitVec::ensure_rank_index`].
+    /// Appends word `nwords`, extending the lane block.
     #[inline]
     fn push_word(&mut self, x: u64) {
         let lane = self.nwords & (LANES - 1);
@@ -155,8 +129,7 @@ impl BitVec {
 
     /// Rebuilds the vector as `len` bits produced by `f`, packing 64 at a
     /// time. Reuses the block buffers: no allocation once capacity has
-    /// grown to `len` bits. The rank index is *not* built (the sweeps only
-    /// issue [`BitVec::seg_count`] queries).
+    /// grown to `len` bits.
     pub fn fill_from<F: FnMut(usize) -> bool>(&mut self, len: usize, mut f: F) {
         self.clear(len);
         let mut acc = 0u64;
@@ -210,25 +183,6 @@ impl BitVec {
         }
     }
 
-    /// Builds the lane-wise rank index so [`BitVec::rank`] is O(1). The
-    /// fill paths skip this — the sweeps only issue aligned
-    /// [`BitVec::seg_count`] queries — so random-access users rebuild it
-    /// lazily here. Idempotent; a no-op once built.
-    pub fn ensure_rank_index(&mut self) {
-        if !self.rank_index.is_empty() || self.nwords == 0 {
-            return;
-        }
-        let mut acc = 0u32;
-        for (b, blk) in self.blocks.iter().enumerate() {
-            let mut ranks = [0u32; LANES];
-            for l in 0..LANES {
-                ranks[l] = if b * LANES + l < self.nwords { acc } else { 0 };
-                acc += blk[l].count_ones();
-            }
-            self.rank_index.push(ranks);
-        }
-    }
-
     /// Bit `i`.
     #[inline]
     pub fn get(&self, i: usize) -> bool {
@@ -237,45 +191,13 @@ impl BitVec {
         self.blocks[w / LANES][w & (LANES - 1)] >> (i & 63) & 1 == 1
     }
 
-    /// Number of set bits in `[0, i)` (requires `i ≤ len`). O(1) once
-    /// [`BitVec::ensure_rank_index`] has run; otherwise falls back to a
-    /// word-scan prefix (the fill paths no longer build the index, because
-    /// the sweeps only need [`BitVec::seg_count`]).
-    #[inline]
-    pub fn rank(&self, i: usize) -> usize {
-        debug_assert!(i <= self.len);
-        let w = i >> 6;
-        if w >= self.nwords {
-            // i == len with len a multiple of 64: past the last stored word.
-            return self.total_ones;
-        }
-        let r = i & 63;
-        let word = self.blocks[w / LANES][w & (LANES - 1)];
-        let base = if self.rank_index.is_empty() {
-            let mut acc = 0usize;
-            for ww in 0..w {
-                acc += self.blocks[ww / LANES][ww & (LANES - 1)].count_ones() as usize;
-            }
-            acc
-        } else {
-            self.rank_index[w / LANES][w & (LANES - 1)] as usize
-        };
-        if r == 0 {
-            base
-        } else {
-            base + (word & ((1u64 << r) - 1)).count_ones() as usize
-        }
-    }
-
     /// Number of set bits in the aligned segment `[pos, pos + seg)` —
     /// `pos` must be a multiple of `seg`, and `seg` a power of two. Every
     /// forward-phase tree query has this shape (node `(j, b)` covers
-    /// exactly `[b·2^j, (b+1)·2^j)`), and unlike [`BitVec::rank`] it needs
-    /// no rank index: a sub-word segment is one shift + masked popcount
-    /// (alignment guarantees it never straddles a word), and a multi-word
-    /// segment is a short run of whole-word popcounts. This is the
-    /// carried-rank form of the in-order sweeps — it is what lets the fill
-    /// paths skip the O(len/64) index build entirely.
+    /// exactly `[b·2^j, (b+1)·2^j)`), so it needs no rank index: a sub-word
+    /// segment is one shift + masked popcount (alignment guarantees it
+    /// never straddles a word), and a multi-word segment is a short run of
+    /// whole-word popcounts.
     #[inline]
     pub fn seg_count(&self, pos: usize, seg: usize) -> usize {
         debug_assert!(seg.is_power_of_two(), "seg={seg}");
@@ -298,50 +220,14 @@ impl BitVec {
         }
     }
 
-    /// Scalar oracle for [`BitVec::rank`]: a bit-at-a-time walk with no rank
-    /// index. Kept (like `route_reference`) so the lane-blocked fast path
-    /// always has an obviously-correct implementation to be tested against.
-    pub fn rank_scalar(&self, i: usize) -> usize {
-        debug_assert!(i <= self.len);
-        (0..i).filter(|&idx| self.get(idx)).count()
-    }
-
-    /// Number of set bits in `[a, b)`.
-    #[inline]
-    pub fn count_range(&self, a: usize, b: usize) -> usize {
-        debug_assert!(a <= b);
-        self.rank(b) - self.rank(a)
-    }
-
     /// Total number of set bits.
     pub fn count_ones(&self) -> usize {
         self.total_ones
     }
 
-    /// Position of the first set bit, if any. Lanes past the end are kept
-    /// zero by construction, so whole blocks are rejected with one wide OR.
-    pub fn first_set(&self) -> Option<usize> {
-        for (b, blk) in self.blocks.iter().enumerate() {
-            let mut any = 0u64;
-            for lane in blk {
-                any |= lane;
-            }
-            if any == 0 {
-                continue;
-            }
-            for (l, &x) in blk.iter().enumerate() {
-                if x != 0 {
-                    return Some(((b * LANES + l) << 6) + x.trailing_zeros() as usize);
-                }
-            }
-        }
-        None
-    }
-
     /// Heap bytes currently reserved (capacity, not length).
     pub fn footprint_bytes(&self) -> usize {
         self.blocks.capacity() * std::mem::size_of::<[u64; LANES]>()
-            + self.rank_index.capacity() * std::mem::size_of::<[u32; LANES]>()
     }
 }
 
@@ -514,32 +400,10 @@ impl TagVec {
         out
     }
 
-    /// Tallies all four tags by popcount over the packed planes, one lane
-    /// block per iteration.
-    pub fn counts(&self) -> TagCounts {
-        let mut c = TagCounts::default();
-        for b in 0..self.lo.len() {
-            let (lo, hi) = (&self.lo[b], &self.hi[b]);
-            let full = (b + 1) * BLOCK_BITS <= self.len;
-            for l in 0..LANES {
-                let m = if full {
-                    !0u64
-                } else {
-                    lane_tail_mask(self.len, b * LANES + l)
-                };
-                c.n0 += ((!lo[l] & !hi[l]) & m).count_ones() as usize;
-                c.n1 += ((lo[l] & !hi[l]) & m).count_ones() as usize;
-                c.na += ((!lo[l] & hi[l]) & m).count_ones() as usize;
-                c.ne += ((lo[l] & hi[l]) & m).count_ones() as usize;
-            }
-        }
-        c
-    }
-
     /// Tallies the four tags over the aligned segment `[pos, pos + seg)`
     /// (`seg` a power of two, `pos` a multiple of it, the segment inside
     /// the loaded length): one masked word for a sub-word segment, whole
-    /// words otherwise — the per-block form of [`TagVec::counts`].
+    /// words otherwise.
     pub fn seg_counts(&self, pos: usize, seg: usize) -> TagCounts {
         debug_assert!(seg.is_power_of_two() && pos.is_multiple_of(seg) && pos + seg <= self.len);
         let word = |w: usize| {
@@ -567,18 +431,6 @@ impl TagVec {
         c
     }
 
-    /// Scalar oracle for [`TagVec::counts`]: the retained single-u64 loop.
-    pub fn counts_scalar(&self) -> TagCounts {
-        let mut c = TagCounts::default();
-        for w in 0..self.nwords {
-            c.n0 += self.plane_word(TagPlane::Zero, w).count_ones() as usize;
-            c.n1 += self.plane_word(TagPlane::One, w).count_ones() as usize;
-            c.na += self.plane_word(TagPlane::Alpha, w).count_ones() as usize;
-            c.ne += self.plane_word(TagPlane::Eps, w).count_ones() as usize;
-        }
-        c
-    }
-
     /// Position of the first tag in `plane`, if any. Whole lane blocks with
     /// no hit are rejected with one wide OR before any scalar scan.
     pub fn first_in_plane(&self, plane: TagPlane) -> Option<usize> {
@@ -600,8 +452,7 @@ impl TagVec {
         None
     }
 
-    /// Extracts one plane into `out` (with its rank index), one lane block
-    /// at a time.
+    /// Extracts one plane into `out`, one lane block at a time.
     pub fn extract_plane(&self, plane: TagPlane, out: &mut BitVec) {
         out.fill_from_blocks(self.len, |b| self.plane_block(plane, b));
     }
@@ -618,22 +469,21 @@ impl TagVec {
     }
 }
 
-/// Reusable state for the packed planners: the input tag planes, the derived
-/// rank-indexed planes, and the two ping-pong buffers that hold the one live
-/// tree level of each backward phase.
+/// Reusable state for the packed planners: the loaded tag planes, the α, ε
+/// and 1 planes derived from them, and the ping-pong buffers that hold the
+/// one live tree level of each backward phase.
 ///
-/// Size once (first use at a given block size grows the buffers), then plan
-/// any number of blocks with zero heap allocation. One `SweepScratch` plans
-/// all three sweeps of a BSN in sequence: [`SweepScratch::plan_scatter`],
-/// then [`SweepScratch::eps_divide`] + [`SweepScratch::plan_bitsort`] on the
-/// refreshed tags.
+/// Size once (first use at a given length grows the buffers), then plan
+/// any number of levels with zero heap allocation. One `SweepScratch` plans
+/// both networks of a BSN level in sequence: [`SweepScratch::plan_scatter`]
+/// on the entry tags, then [`SweepScratch::plan_quasisort_fused`] on the
+/// post-scatter tags.
 #[derive(Debug, Clone, Default)]
 pub struct SweepScratch {
     tags: TagVec,
     alpha: BitVec,
     eps: BitVec,
     ones: BitVec,
-    gamma: BitVec,
     cur: Vec<usize>,
     next: Vec<usize>,
     cur_q: Vec<usize>,
@@ -653,19 +503,11 @@ impl SweepScratch {
         SweepScratch::default()
     }
 
-    /// Loads the block's tags (length `len`, a power of two) into the packed
-    /// planes. Call before [`SweepScratch::plan_scatter`] and again (with the
-    /// post-scatter tags) before [`SweepScratch::eps_divide`].
-    pub fn set_tags<F: FnMut(usize) -> Tag>(&mut self, len: usize, f: F) {
-        let clock = ProfClock::start();
-        self.tags.fill_from(len, f);
-        self.profile.tag_derive_ops += len as u64;
-        self.profile.tag_derive_nanos += clock.elapsed_nanos();
-    }
-
-    /// Loads the block's tags from discriminant codes (`tag as u8`) via the
-    /// branchless [`TagVec::fill_from_codes`] packing — use when the tags
-    /// are already materialized (e.g. the post-scatter reload).
+    /// Loads `len` tags (a multiple of the block size) from their
+    /// discriminant codes (`tag as u8`) with the branchless
+    /// [`TagVec::fill_from_codes`] packing. Call before
+    /// [`SweepScratch::plan_scatter`] with the entry tags, and again with the
+    /// post-scatter tags before [`SweepScratch::plan_quasisort_fused`].
     pub fn set_tags_from_codes<F: FnMut(usize) -> u8>(&mut self, len: usize, f: F) {
         let clock = ProfClock::start();
         self.tags.fill_from_codes(len, f);
@@ -691,30 +533,12 @@ impl SweepScratch {
         &self.tags
     }
 
-    /// Tag tallies of the loaded block (popcount over the planes).
-    pub fn counts(&self) -> TagCounts {
-        self.tags.counts()
-    }
-
-    /// Loads sort bits directly (for standalone bit-sort planning without an
-    /// ε-divide pass).
-    pub fn set_gamma<F: FnMut(usize) -> bool>(&mut self, len: usize, f: F) {
-        self.gamma.fill_from(len, f);
-    }
-
-    /// The current γ (sort-bit) plane — filled by [`SweepScratch::eps_divide`]
-    /// or [`SweepScratch::set_gamma`].
-    pub fn gamma(&self) -> &BitVec {
-        &self.gamma
-    }
-
     /// Heap bytes currently reserved by all buffers.
     pub fn footprint_bytes(&self) -> usize {
         self.tags.footprint_bytes()
             + self.alpha.footprint_bytes()
             + self.eps.footprint_bytes()
             + self.ones.footprint_bytes()
-            + self.gamma.footprint_bytes()
             + (self.cur.capacity()
                 + self.next.capacity()
                 + self.cur_q.capacity()
@@ -747,52 +571,6 @@ impl SweepScratch {
             self.cur_e.resize(len, 0);
             self.next_e.resize(len, 0);
         }
-    }
-
-    /// Word-parallel Table 3: plans a bit sort of the loaded γ plane with
-    /// target start `s_target`, writing the merging-stage settings of the
-    /// sub-RBN occupying lines `[base, base + len)` into `settings` (stages
-    /// `[0, log2 len)`, the same mapping as
-    /// [`RbnSettings::program_subnetwork`]).
-    ///
-    /// Produces bit-for-bit the same settings as [`crate::plan::plan_bitsort`].
-    pub fn plan_bitsort(&mut self, s_target: usize, base: usize, settings: &mut RbnSettings) {
-        let sz = self.gamma.len();
-        let m = log2_exact(sz) as usize;
-        assert!(s_target < sz);
-        assert!(base.is_multiple_of(sz) && base + sz <= settings.n());
-        self.ensure_levels(sz);
-        let clock = ProfClock::start();
-        self.cur[0] = s_target;
-        for j in (1..=m).rev() {
-            let half = 1usize << (j - 1);
-            for b in 0..(sz >> j) {
-                let s_node = self.cur[b];
-                let l0 = self.gamma.seg_count(2 * b * half, half);
-                let s0 = s_node % half;
-                let s1 = (s_node + l0) % half;
-                let bset = ((s_node + l0) / half) % 2;
-                let (b_val, b_comp) = if bset == 1 {
-                    (SwitchSetting::Crossing, SwitchSetting::Parallel)
-                } else {
-                    (SwitchSetting::Parallel, SwitchSetting::Crossing)
-                };
-                binary_compact_setting_into(
-                    settings.block_mut(j - 1, (base >> j) + b),
-                    0,
-                    s1,
-                    b_comp,
-                    b_val,
-                );
-                self.next[2 * b] = s0;
-                self.next[2 * b + 1] = s1;
-            }
-            std::mem::swap(&mut self.cur, &mut self.next);
-        }
-        // One node settled and one segment count per tree node: sz − 1 each.
-        self.profile.quasisort_ops += (sz - 1) as u64;
-        self.profile.rank_ops += (sz - 1) as u64;
-        self.profile.quasisort_nanos += clock.elapsed_nanos();
     }
 
     /// The `(l, type)` forward pair of a child node whose (α, ε) leaf
@@ -845,8 +623,9 @@ impl SweepScratch {
 
     /// Word-parallel Table 4 over a forest: plans a scatter with target
     /// start `s_target` for every block of `seg` loaded tags (the loaded
-    /// length is a multiple of `seg`), writing into `settings` like
-    /// [`SweepScratch::plan_bitsort`]. Loaded tag `i` sits on line
+    /// length is a multiple of `seg`), writing each block's merging-stage
+    /// settings into `settings` (stages `[0, log2 seg)`, the mapping of
+    /// [`RbnSettings::program_subnetwork`]). Loaded tag `i` sits on line
     /// `base + i`, so node `(j, b)` — global index `b` among the loaded
     /// tags' tree level `j` — writes `settings.block_mut(j − 1, (base >>
     /// j) + b)`. With `seg` equal to the loaded length this is the
@@ -960,82 +739,16 @@ impl SweepScratch {
         self.profile.scatter_nanos += clock.elapsed_nanos();
     }
 
-    /// Word-parallel Table 6: resolves every ε of the loaded tags to `ε₀` or
-    /// `ε₁` and stores the combined sort bits (`1` and `ε₁` sort downward) in
-    /// the γ plane, ready for [`SweepScratch::plan_bitsort`] with target
-    /// `len/2`. Produces the same dummy assignment as
-    /// [`crate::plan::eps_divide`].
-    pub fn eps_divide(&mut self) -> Result<(), PlanError> {
-        let sz = self.tags.len();
-        let m = log2_exact(sz) as usize;
-        if let Some(position) = self.tags.first_in_plane(TagPlane::Alpha) {
-            return Err(PlanError::AlphaInQuasisort { position });
-        }
-        let counts = self.counts();
-        if counts.n0 > sz / 2 || counts.n1 > sz / 2 {
-            return Err(PlanError::HalfOverflow {
-                n0: counts.n0,
-                n1: counts.n1,
-                half: sz / 2,
-            });
-        }
-        let clock = ProfClock::start();
-        self.tags.extract_plane(TagPlane::Eps, &mut self.eps);
-        self.profile.rank_nanos += clock.elapsed_nanos();
-        self.ensure_levels(sz);
-        let clock = ProfClock::start();
-        // Backward phase: split the root quota n_ε0 = n_ε − (n/2 − n1) down
-        // the tree; only the ε₀ quota needs to travel.
-        let root_e1 = sz / 2 - counts.n1;
-        self.cur[0] = counts.ne - root_e1;
-        for j in (1..=m).rev() {
-            let half = 1usize << (j - 1);
-            for b in 0..(sz >> j) {
-                let e0 = self.cur[b];
-                let upper_eps = self.eps.seg_count(2 * b * half, half);
-                let u_e0 = e0.min(upper_eps);
-                self.next[2 * b] = u_e0;
-                self.next[2 * b + 1] = e0 - u_e0;
-            }
-            std::mem::swap(&mut self.cur, &mut self.next);
-        }
-        // Leaf step: a leaf's quota is 1 for ε₀ (sorts up) and 0 for ε₁.
-        let (tags, quota) = (&self.tags, &self.cur);
-        self.gamma.fill_from(sz, |i| match tags.get(i) {
-            Tag::One => true,
-            Tag::Eps => quota[i] == 0,
-            _ => false,
-        });
-        self.profile.quasisort_ops += (sz - 1) as u64;
-        self.profile.rank_ops += (sz - 1) as u64;
-        self.profile.quasisort_nanos += clock.elapsed_nanos();
-        Ok(())
-    }
-
-    /// Convenience: ε-divide then bit-sort with target `len/2` — the full
-    /// quasisort plan of Section 5.2, written into `settings`.
-    pub fn plan_quasisort(
-        &mut self,
-        base: usize,
-        settings: &mut RbnSettings,
-    ) -> Result<(), PlanError> {
-        self.eps_divide()?;
-        let half = self.tags.len() / 2;
-        self.plan_bitsort(half, base, settings);
-        Ok(())
-    }
-
     /// Fused Table 6 + Table 3: the complete quasisort plan (ε-divide, then
     /// bit-sort with target `seg/2`) of every block of `seg` loaded tags in
     /// a **single** backward wave, written at line offset `base` like
     /// [`SweepScratch::plan_scatter`] (whose forest layout it shares: `seg`
     /// equal to the loaded length is the per-block planner).
     ///
-    /// [`SweepScratch::plan_quasisort`] runs two tree sweeps with an `O(n)`
-    /// per-leaf unpack/repack between them: the ε-divide wave materializes
-    /// the γ sort-bit plane leaf by leaf (a branchy per-element pass over the
-    /// tag planes), and the bit-sort wave immediately re-aggregates that
-    /// plane into range counts. The fusion exploits the identity
+    /// The reference [`crate::plan::plan_quasisort`] runs two tree sweeps
+    /// and materializes the sort bits γ leaf by leaf between them: the
+    /// ε-divide wave resolves every ε, and the bit-sort wave re-aggregates
+    /// the sort bits into range counts. The fusion exploits the identity
     ///
     /// ```text
     /// γ(j, b) = n₁(j, b) + (n_ε(j, b) − ε₀(j, b))
@@ -1045,15 +758,11 @@ impl SweepScratch {
     /// range counts (word-parallel popcounts) and the ε₀ quota *already
     /// travelling down* the ε-divide wave — so both backward phases ride one
     /// top-down pass and the γ plane is never materialized. Settings and
-    /// error values are bit-for-bit those of
-    /// [`SweepScratch::plan_quasisort`] on each block (pinned by the tests
-    /// below and by the fast-path equivalence suite in `brsmn-core`); the
-    /// blocks are checked in order, α before half-overflow, so a failing
-    /// load reports the first failing block's error, its α position
-    /// relative to the block.
-    ///
-    /// The γ plane is left untouched (stale); use
-    /// [`SweepScratch::plan_quasisort`] when you need to inspect it.
+    /// error values are bit-for-bit those of [`crate::plan::plan_quasisort`]
+    /// on each block (pinned by the tests below and by the fast-path
+    /// equivalence suite in `brsmn-core`); the blocks are checked in order,
+    /// α before half-overflow, so a failing load reports the first failing
+    /// block's error, its α position relative to the block.
     pub fn plan_quasisort_fused(
         &mut self,
         seg: usize,
@@ -1072,7 +781,7 @@ impl SweepScratch {
         self.ensure_quota_levels(len);
         let clock = ProfClock::start();
         // Roots of both waves, one per block: the bit-sort target is seg/2,
-        // and the ε₀ quota is n_ε − (seg/2 − n₁) exactly as in `eps_divide`.
+        // and the ε₀ quota is n_ε − (seg/2 − n₁) exactly as in Table 6.
         for r in 0..len / seg {
             if let Some(position) = first_alpha.filter(|&p| p / seg == r) {
                 return Err(PlanError::AlphaInQuasisort {
@@ -1156,7 +865,7 @@ impl SweepScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{eps_divide, plan_bitsort, plan_scatter};
+    use crate::plan::{plan_quasisort, plan_scatter};
 
     fn tag_of(code: usize) -> Tag {
         match code & 3 {
@@ -1167,54 +876,37 @@ mod tests {
         }
     }
 
+    /// Loads `tags` through the planners' own packing.
+    fn load(scratch: &mut SweepScratch, tags: &[Tag]) {
+        scratch.set_tags_from_codes(tags.len(), |i| tags[i] as u8);
+    }
+
     #[test]
-    fn bitvec_rank_matches_naive() {
+    fn bitvec_fill_matches_naive() {
         let mut bv = BitVec::new();
         for len in [1usize, 2, 63, 64, 65, 128, 130, 200] {
             let bits: Vec<bool> = (0..len).map(|i| (i * 7 + len) % 3 == 0).collect();
             bv.fill_from(len, |i| bits[i]);
             assert_eq!(bv.len(), len);
-            let mut acc = 0;
-            for i in 0..=len {
-                assert_eq!(bv.rank(i), acc, "len={len} i={i}");
-                if i < len {
-                    assert_eq!(bv.get(i), bits[i]);
-                    acc += bits[i] as usize;
-                }
+            for (i, &b) in bits.iter().enumerate() {
+                assert_eq!(bv.get(i), b, "len={len} i={i}");
             }
-            assert_eq!(bv.count_ones(), acc);
-            assert_eq!(bv.first_set(), bits.iter().position(|&b| b));
+            assert_eq!(bv.count_ones(), bits.iter().filter(|&&b| b).count());
         }
     }
 
     #[test]
-    fn rank_agrees_with_and_without_index() {
-        let mut bv = BitVec::new();
-        for len in [1usize, 63, 64, 65, 127, 256, 300] {
-            bv.fill_from(len, |i| (i * 13 + len) % 5 < 2);
-            let lazy: Vec<usize> = (0..=len).map(|i| bv.rank(i)).collect();
-            bv.ensure_rank_index();
-            for i in 0..=len {
-                assert_eq!(bv.rank(i), lazy[i], "len={len} i={i}");
-                assert_eq!(bv.rank(i), bv.rank_scalar(i), "len={len} i={i}");
-            }
-            // Idempotent, and a refill drops the index again.
-            bv.ensure_rank_index();
-            assert_eq!(bv.rank(len), lazy[len]);
-        }
-    }
-
-    #[test]
-    fn seg_count_matches_rank_oracle_at_every_node() {
+    fn seg_count_matches_naive_count_at_every_node() {
         let mut bv = BitVec::new();
         for len in [1usize, 2, 63, 64, 65, 127, 128, 256, 512] {
-            bv.fill_from(len, |i| (i * 7 + len) % 3 == 0);
+            let bits: Vec<bool> = (0..len).map(|i| (i * 7 + len) % 3 == 0).collect();
+            bv.fill_from(len, |i| bits[i]);
             let cap = len.next_power_of_two();
             let mut seg = 1usize;
             while seg <= cap {
                 for b in 0..len.div_ceil(seg) {
                     let (lo, hi) = (b * seg, ((b + 1) * seg).min(len));
-                    let want = bv.rank_scalar(hi) - bv.rank_scalar(lo);
+                    let want = bits[lo..hi].iter().filter(|&&b| b).count();
                     assert_eq!(bv.seg_count(lo, seg), want, "len={len} seg={seg} b={b}");
                 }
                 seg *= 2;
@@ -1246,7 +938,8 @@ mod tests {
     fn sweep_profile_counts_are_exact_closed_forms() {
         let n = 64usize;
         let mut scratch = SweepScratch::new();
-        scratch.set_tags(n, |i| tag_of(i * 11 + 2));
+        let tags: Vec<Tag> = (0..n).map(|i| tag_of(i * 11 + 2)).collect();
+        load(&mut scratch, &tags);
         let mut table = RbnSettings::identity(n);
         scratch.plan_scatter(0, n, 0, &mut table);
         let p = scratch.take_profile();
@@ -1268,7 +961,7 @@ mod tests {
     }
 
     #[test]
-    fn tagvec_round_trips_and_counts() {
+    fn tagvec_round_trips_through_planes_and_segments() {
         let mut tv = TagVec::new();
         for len in [2usize, 8, 64, 65, 100] {
             let tags: Vec<Tag> = (0..len).map(|i| tag_of(i * 5 + 3)).collect();
@@ -1276,7 +969,6 @@ mod tests {
             for (i, &t) in tags.iter().enumerate() {
                 assert_eq!(tv.get(i), t);
             }
-            assert_eq!(tv.counts(), TagCounts::of(&tags));
             let mut plane = BitVec::new();
             for (p, want) in [
                 (TagPlane::Zero, Tag::Zero),
@@ -1288,7 +980,23 @@ mod tests {
                 for (i, &t) in tags.iter().enumerate() {
                     assert_eq!(plane.get(i), t == want, "len={len} i={i} {want:?}");
                 }
+                assert_eq!(
+                    plane.count_ones(),
+                    tags.iter().filter(|&&t| t == want).count()
+                );
                 assert_eq!(tv.first_in_plane(p), tags.iter().position(|&t| t == want));
+            }
+            let mut seg = 1usize;
+            while seg <= len {
+                for pos in (0..len / seg * seg).step_by(seg) {
+                    let want = TagCounts::of(&tags[pos..pos + seg]);
+                    assert_eq!(
+                        tv.seg_counts(pos, seg),
+                        want,
+                        "len={len} pos={pos} seg={seg}"
+                    );
+                }
+                seg *= 2;
             }
         }
     }
@@ -1301,30 +1009,32 @@ mod tests {
     fn shift_overflow_boundaries_pinned() {
         let mut bv = BitVec::new();
         let mut tv = TagVec::new();
+        let mut plane = BitVec::new();
         for len in [1usize, 63, 64, 65, 127, 128, 191, 192, 255, 256, 257] {
-            // All-ones: rank at word boundaries exercises the r == 0 / past-
-            // the-last-word paths; plane masks must not leak phantom bits.
+            // All-ones: the word-sized segments, the tail word included,
+            // count only the bits below `len`.
             bv.fill_from(len, |_| true);
-            assert_eq!(bv.rank(len), len, "len={len}");
             assert_eq!(bv.count_ones(), len, "len={len}");
-            for i in (0..=len).filter(|i| i % 63 == 0 || i % 64 == 0) {
-                assert_eq!(bv.rank(i), i, "len={len} i={i}");
+            for pos in (0..len).step_by(64) {
+                assert_eq!(
+                    bv.seg_count(pos, 64),
+                    (len - pos).min(64),
+                    "len={len} pos={pos}"
+                );
             }
             // All-Zero tags: the Zero plane is computed by negation, the
             // worst case for tail masking (bits past `len` read as Zero).
             tv.fill_from(len, |_| Tag::Zero);
-            let c = tv.counts();
-            assert_eq!((c.n0, c.n1, c.na, c.ne), (len, 0, 0, 0), "len={len}");
+            tv.extract_plane(TagPlane::Zero, &mut plane);
+            assert_eq!(plane.count_ones(), len, "len={len}");
             assert_eq!(tv.first_in_plane(TagPlane::Zero), Some(0));
             assert_eq!(tv.first_in_plane(TagPlane::Eps), None);
             // All-ε: both planes all-ones in the tail word.
             tv.fill_from(len, |_| Tag::Eps);
-            let c = tv.counts();
-            assert_eq!((c.n0, c.n1, c.na, c.ne), (0, 0, 0, len), "len={len}");
-            let mut plane = BitVec::new();
             tv.extract_plane(TagPlane::Eps, &mut plane);
             assert_eq!(plane.count_ones(), len, "len={len}");
-            assert_eq!(plane.rank(len), len, "len={len}");
+            tv.extract_plane(TagPlane::Zero, &mut plane);
+            assert_eq!(plane.count_ones(), 0, "len={len}");
         }
     }
 
@@ -1338,31 +1048,10 @@ mod tests {
         for len in [1usize, 63, 64, 65, 127, 255, 256, 257, 300] {
             let tags: Vec<Tag> = (0..len).map(|i| tag_of(i * 11 + len)).collect();
             tv.fill_from(len, |i| tags[i]);
-            assert_eq!(tv.counts(), tv.counts_scalar(), "len={len}");
-            assert_eq!(tv.counts(), TagCounts::of(&tags), "len={len}");
             for plane in [TagPlane::Zero, TagPlane::One, TagPlane::Alpha, TagPlane::Eps] {
                 tv.extract_plane(plane, &mut wide);
                 tv.extract_plane_scalar(plane, &mut scalar);
                 assert_eq!(wide, scalar, "len={len} {plane:?}");
-                for i in 0..=len {
-                    assert_eq!(wide.rank(i), scalar.rank_scalar(i), "len={len} i={i}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn packed_bitsort_matches_reference_exhaustively_n8() {
-        let n = 8;
-        let mut scratch = SweepScratch::new();
-        for pattern in 0..(1u32 << n) {
-            let gamma: Vec<bool> = (0..n).map(|i| pattern >> i & 1 == 1).collect();
-            for s in 0..n {
-                let want = plan_bitsort(&gamma, s).settings;
-                let mut got = RbnSettings::identity(n);
-                scratch.set_gamma(n, |i| gamma[i]);
-                scratch.plan_bitsort(s, 0, &mut got);
-                assert_eq!(got, want, "pattern={pattern:08b} s={s}");
             }
         }
     }
@@ -1376,7 +1065,7 @@ mod tests {
             for s in 0..n {
                 let want = plan_scatter(&tags, s).settings;
                 let mut got = RbnSettings::identity(n);
-                scratch.set_tags(n, |i| tags[i]);
+                load(&mut scratch, &tags);
                 scratch.plan_scatter(s, n, 0, &mut got);
                 assert_eq!(got, want, "tags={tags:?} s={s}");
             }
@@ -1399,63 +1088,11 @@ mod tests {
                 let s = rng() as usize % n;
                 let want = plan_scatter(&tags, s).settings;
                 let mut got = RbnSettings::identity(n);
-                scratch.set_tags(n, |i| tags[i]);
+                load(&mut scratch, &tags);
                 scratch.plan_scatter(s, n, 0, &mut got);
                 assert_eq!(got, want, "n={n} s={s} tags={tags:?}");
             }
         }
-    }
-
-    #[test]
-    fn packed_eps_divide_matches_reference() {
-        let mut scratch = SweepScratch::new();
-        let mut state = 0x9E3779B97F4A7C15u64;
-        let mut rng = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for n in [2usize, 8, 64, 128] {
-            let mut checked = 0;
-            while checked < 30 {
-                // ε-heavy draw so the half constraints usually hold.
-                let tags: Vec<Tag> = (0..n)
-                    .map(|_| match rng() % 4 {
-                        0 => Tag::Zero,
-                        1 => Tag::One,
-                        _ => Tag::Eps,
-                    })
-                    .collect();
-                let want = match eps_divide(&tags) {
-                    Ok(plan) => plan,
-                    Err(_) => continue,
-                };
-                scratch.set_tags(n, |i| tags[i]);
-                scratch.eps_divide().unwrap();
-                for (i, q) in want.qtags.iter().enumerate() {
-                    assert_eq!(scratch.gamma().get(i), q.sort_bit(), "n={n} i={i}");
-                }
-                checked += 1;
-            }
-        }
-    }
-
-    #[test]
-    fn packed_eps_divide_rejects_like_reference() {
-        let mut scratch = SweepScratch::new();
-        scratch.set_tags(2, |i| if i == 0 { Tag::Alpha } else { Tag::Eps });
-        assert_eq!(
-            scratch.eps_divide().unwrap_err(),
-            PlanError::AlphaInQuasisort { position: 0 }
-        );
-        use Tag::*;
-        let tags = [One, One, One, Eps];
-        scratch.set_tags(4, |i| tags[i]);
-        assert!(matches!(
-            scratch.eps_divide().unwrap_err(),
-            PlanError::HalfOverflow { n1: 3, .. }
-        ));
     }
 
     #[test]
@@ -1466,7 +1103,7 @@ mod tests {
         let tags = [Tag::Alpha, Tag::Eps, Tag::Zero, Tag::One];
         let mut scratch = SweepScratch::new();
         let mut table = RbnSettings::identity(n);
-        scratch.set_tags(4, |i| tags[i]);
+        load(&mut scratch, &tags);
         scratch.plan_scatter(0, 4, 4, &mut table);
         let want_local = plan_scatter(&tags, 0).settings;
         for j in 0..2 {
@@ -1476,23 +1113,29 @@ mod tests {
         assert_eq!(table.stage(2), &[SwitchSetting::Parallel; 4]);
     }
 
-    #[test]
-    fn quasisort_convenience_plans_both_phases() {
-        use Tag::*;
-        let tags = [One, Eps, Zero, One, Eps, Zero, Eps, Eps];
-        let mut scratch = SweepScratch::new();
-        let mut got = RbnSettings::identity(8);
-        scratch.set_tags(8, |i| tags[i]);
-        scratch.plan_quasisort(0, &mut got).unwrap();
-        let (_, sort) = crate::plan::plan_quasisort(&tags).unwrap();
-        assert_eq!(got, sort.settings);
+    /// The fused wave against the reference planner: its settings, or its
+    /// error.
+    fn fused_vs_reference(
+        scratch: &mut SweepScratch,
+        tags: &[Tag],
+    ) -> (
+        Result<RbnSettings, PlanError>,
+        Result<RbnSettings, PlanError>,
+    ) {
+        let n = tags.len();
+        let want = plan_quasisort(tags).map(|(_, sort)| sort.settings);
+        let mut got = RbnSettings::identity(n);
+        load(scratch, tags);
+        let got = scratch.plan_quasisort_fused(n, 0, &mut got).map(|()| got);
+        (got, want)
     }
 
     #[test]
-    fn fused_quasisort_matches_two_sweep_exhaustively_n8() {
+    fn fused_quasisort_matches_reference_exhaustively_n8() {
         // Every 0/1/ε pattern of length 8 (α is rejected by both paths).
         let n = 8;
         let mut scratch = SweepScratch::new();
+        let mut planned = 0;
         for pattern in 0..3usize.pow(n as u32) {
             let tags: Vec<Tag> = (0..n)
                 .map(|i| match pattern / 3usize.pow(i as u32) % 3 {
@@ -1501,21 +1144,15 @@ mod tests {
                     _ => Tag::Eps,
                 })
                 .collect();
-            let mut want = RbnSettings::identity(n);
-            scratch.set_tags(n, |i| tags[i]);
-            let want_res = scratch.plan_quasisort(0, &mut want);
-            let mut got = RbnSettings::identity(n);
-            scratch.set_tags(n, |i| tags[i]);
-            let got_res = scratch.plan_quasisort_fused(n, 0, &mut got);
-            assert_eq!(got_res, want_res, "tags={tags:?}");
-            if want_res.is_ok() {
-                assert_eq!(got, want, "tags={tags:?}");
-            }
+            let (got, want) = fused_vs_reference(&mut scratch, &tags);
+            planned += usize::from(want.is_ok());
+            assert_eq!(got, want, "tags={tags:?}");
         }
+        assert!(planned > 1000, "only {planned} feasible patterns");
     }
 
     #[test]
-    fn fused_quasisort_matches_two_sweep_randomized() {
+    fn fused_quasisort_matches_reference_randomized() {
         let mut scratch = SweepScratch::new();
         let mut state = 0xD1B54A32D192ED03u64;
         let mut rng = move || {
@@ -1534,14 +1171,10 @@ mod tests {
                         _ => Tag::Eps,
                     })
                     .collect();
-                let mut want = RbnSettings::identity(n);
-                scratch.set_tags(n, |i| tags[i]);
-                if scratch.plan_quasisort(0, &mut want).is_err() {
+                let (got, want) = fused_vs_reference(&mut scratch, &tags);
+                if want.is_err() {
                     continue;
                 }
-                let mut got = RbnSettings::identity(n);
-                scratch.set_tags(n, |i| tags[i]);
-                scratch.plan_quasisort_fused(n, 0, &mut got).unwrap();
                 assert_eq!(got, want, "n={n}");
                 checked += 1;
             }
@@ -1549,22 +1182,15 @@ mod tests {
     }
 
     #[test]
-    fn fused_quasisort_rejects_like_two_sweep() {
-        let mut scratch = SweepScratch::new();
-        let mut table = RbnSettings::identity(2);
-        scratch.set_tags(2, |i| if i == 0 { Tag::Alpha } else { Tag::Eps });
-        assert_eq!(
-            scratch.plan_quasisort_fused(2, 0, &mut table).unwrap_err(),
-            PlanError::AlphaInQuasisort { position: 0 }
-        );
+    fn fused_quasisort_rejects_like_reference() {
         use Tag::*;
-        let tags = [One, One, One, Eps];
-        let mut table = RbnSettings::identity(4);
-        scratch.set_tags(4, |i| tags[i]);
-        assert!(matches!(
-            scratch.plan_quasisort_fused(4, 0, &mut table).unwrap_err(),
-            PlanError::HalfOverflow { n1: 3, .. }
-        ));
+        let mut scratch = SweepScratch::new();
+        let (got, want) = fused_vs_reference(&mut scratch, &[Alpha, Eps]);
+        assert_eq!(got, want);
+        assert_eq!(want, Err(PlanError::AlphaInQuasisort { position: 0 }));
+        let (got, want) = fused_vs_reference(&mut scratch, &[One, One, One, Eps]);
+        assert_eq!(got, want);
+        assert!(matches!(want, Err(PlanError::HalfOverflow { n1: 3, .. })));
     }
 
     #[test]
@@ -1573,15 +1199,14 @@ mod tests {
         let tags = [One, Eps, Zero, Eps];
         let mut scratch = SweepScratch::new();
         let mut table = RbnSettings::identity(8);
-        scratch.set_tags(4, |i| tags[i]);
-        scratch.plan_quasisort_fused(4, 0, &mut table).unwrap();
+        load(&mut scratch, &tags);
+        scratch.plan_quasisort_fused(4, 4, &mut table).unwrap();
         let mut want = RbnSettings::identity(8);
-        scratch.set_tags(4, |i| tags[i]);
-        scratch.plan_quasisort(0, &mut want).unwrap();
+        want.program_subnetwork(4, &plan_quasisort(&tags).unwrap().1.settings);
         assert_eq!(table, want);
         // The other block's slice stays identity.
         for j in 0..2 {
-            assert_eq!(&table.stage(j)[2..4], &[SwitchSetting::Parallel; 2]);
+            assert_eq!(&table.stage(j)[..2], &[SwitchSetting::Parallel; 2]);
         }
     }
 }

@@ -132,37 +132,6 @@ impl RbnSettings {
         Ok(lines)
     }
 
-    /// [`RbnSettings::run_block`] against a precomputed [`RbnWiring`]: walks
-    /// the stored `(upper, lower)` pair table instead of re-deriving the
-    /// stage geometry, so a block run performs no heap allocation.
-    ///
-    /// A sub-RBN of size `2^k` at `base` occupies the *contiguous* switch
-    /// index range `[base/2, (base + 2^k)/2)` of every stage `j < k` (drop
-    /// bit `j` of the upper line's position), so one linear scan per stage
-    /// covers exactly the block's switches in the same order as
-    /// [`RbnSettings::run_block`].
-    pub fn run_block_wired<P, S: FnMut(P) -> (P, P)>(
-        &self,
-        lines: &mut [Line<P>],
-        base: usize,
-        size: usize,
-        wiring: &RbnWiring,
-        split: &mut S,
-    ) -> Result<(), SwitchError> {
-        let k = log2_exact(size) as usize;
-        assert_eq!(wiring.n(), self.n);
-        assert!(base.is_multiple_of(size) && base + size <= self.n);
-        for j in 0..k {
-            let stage = &self.stages[j];
-            let pairs = wiring.stage(j);
-            for idx in base / 2..(base + size) / 2 {
-                let (u, l) = pairs[idx];
-                apply_in_place(lines, u as usize, l as usize, stage[idx], split)?;
-            }
-        }
-        Ok(())
-    }
-
     /// Runs only stages `[0, k)` on the block of lines `[base, base + 2^k)`,
     /// mutating in place. This is the primitive the feedback implementation
     /// (Section 7.3) uses: later passes reuse only the first stages of the
@@ -192,9 +161,11 @@ impl RbnSettings {
 /// meeting at that switch.
 ///
 /// The pairs are pure address arithmetic (stage `j` pairs lines differing in
-/// bit `j`), so the table never changes for a given `n`; building it at
-/// network construction lets every subsequent route walk it allocation-free
-/// via [`RbnSettings::run_block_wired`].
+/// bit `j`), so the table never changes for a given `n`. Switch `i` of
+/// stage `j` joins line `u = ((i >> j) << (j + 1)) | (i mod 2^j)` and
+/// `u + 2^j`, and a sub-RBN of size `2^k` at line `base` occupies the
+/// contiguous switch range `[base/2, (base + 2^k)/2)` of every stage
+/// `j < k`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RbnWiring {
     n: usize,
@@ -430,41 +401,6 @@ mod tests {
                 }
                 assert_eq!(wiring.stage(j as usize), &from_blocks[..], "n={n} j={j}");
             }
-        }
-    }
-
-    #[test]
-    fn run_block_wired_matches_run_block() {
-        let n = 8;
-        let wiring = RbnWiring::new(n);
-        // A settings table exercising all stages: derived from a real plan.
-        let plan = crate::plan::plan_bitsort(&[true, false, true, true, false, true, false, false], 3);
-        for (base, size) in [(0usize, 8usize), (0, 4), (4, 4), (2, 2)] {
-            let tags = [
-                Tag::One,
-                Tag::Zero,
-                Tag::One,
-                Tag::One,
-                Tag::Zero,
-                Tag::One,
-                Tag::Zero,
-                Tag::Zero,
-            ];
-            let mk = || -> Vec<Line<usize>> {
-                tags.iter()
-                    .enumerate()
-                    .map(|(i, &t)| Line::with(t, i))
-                    .collect()
-            };
-            let mut a = mk();
-            let mut b = mk();
-            plan.settings
-                .run_block(&mut a, base, size, &mut clone_split)
-                .unwrap();
-            plan.settings
-                .run_block_wired(&mut b, base, size, &wiring, &mut clone_split)
-                .unwrap();
-            assert_eq!(a, b, "base={base} size={size}");
         }
     }
 

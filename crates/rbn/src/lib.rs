@@ -14,9 +14,11 @@
 //!   payload-splitting broadcast semantics;
 //! * [`plan`] — the distributed forward/backward algorithms of Tables 3, 4
 //!   and 6 (bit sorting, scattering, ε-dividing) as array-based planners;
-//! * [`bitplan`] — the same three sweeps word-packed: tags in two `u64` bit
-//!   planes, forward values by popcount, settings written into
-//!   caller-provided buffers with zero steady-state allocation;
+//! * [`bitplan`] — the same sweeps word-packed, over every block of a BSN
+//!   level at once (the scatter, and the quasisort with ε-dividing and bit
+//!   sorting fused into one wave): tags in two `u64` bit planes, forward
+//!   values by popcount over aligned segments, settings written into a
+//!   caller-provided table with zero steady-state allocation;
 //! * [`distributed`] — the same algorithms as an event-driven
 //!   message-passing execution over the Fig. 8 tree (cross-validates the
 //!   planners and measures parallel rounds);

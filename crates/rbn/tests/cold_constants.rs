@@ -1,15 +1,16 @@
-//! Oracle-equivalence suite for the cold-path constant shrink: the
-//! carried-rank sweeps and the branchless code packing must be bit-identical
-//! to the retained oracles (`rank_scalar`, from-assignment derivation) at
+//! Oracle-equivalence suite for the cold-path constant shrink: the aligned
+//! segment counts and the branchless code packing must be bit-identical to
+//! naive oracles (a bit-at-a-time count, the per-tag match packing) at
 //! awkward lengths — word boundaries, single bits, partial tail words. The
 //! forest form of the sweeps (a whole BSN level at once) is checked against
 //! the per-block calls in `brsmn-core`'s `tests/level_pass.rs`.
 
-use brsmn_rbn::{BitVec, SweepScratch};
+use brsmn_rbn::{BitVec, SweepScratch, TagVec};
+use brsmn_switch::tag::TagCounts;
 use brsmn_switch::Tag;
 use proptest::prelude::*;
 
-/// The lengths the carried-rank machinery must get right: 1 (degenerate),
+/// The lengths the segment-count machinery must get right: 1 (degenerate),
 /// 63/64/65 (word boundary), 127 (partial tail), 256 (whole lane block).
 const LENS: [usize; 6] = [1, 63, 64, 65, 127, 256];
 
@@ -25,27 +26,10 @@ fn tag_of(code: u8) -> Tag {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Lazy-index `rank` answers exactly like the scalar word-scan oracle,
-    /// before and after the index is built.
+    /// Every aligned segment count equals a naive count of the input bits
+    /// over the same range — the queries the sweeps actually issue.
     #[test]
-    fn carried_rank_matches_rank_scalar(bits in proptest::collection::vec(any::<bool>(), 256)) {
-        for &len in &LENS {
-            let mut v = BitVec::new();
-            v.fill_from(len, |i| bits[i]);
-            for i in 0..=len {
-                prop_assert_eq!(v.rank(i), v.rank_scalar(i), "len={} i={} (no index)", len, i);
-            }
-            v.ensure_rank_index();
-            for i in 0..=len {
-                prop_assert_eq!(v.rank(i), v.rank_scalar(i), "len={} i={} (indexed)", len, i);
-            }
-        }
-    }
-
-    /// Every aligned segment count equals the `rank_scalar` difference over
-    /// the same range — the queries the carried sweeps actually issue.
-    #[test]
-    fn seg_count_matches_rank_scalar(bits in proptest::collection::vec(any::<bool>(), 256)) {
+    fn seg_count_matches_naive_count(bits in proptest::collection::vec(any::<bool>(), 256)) {
         for &len in &LENS {
             let mut v = BitVec::new();
             v.fill_from(len, |i| bits[i]);
@@ -56,7 +40,7 @@ proptest! {
                     let (lo, hi) = (b * seg, ((b + 1) * seg).min(len));
                     prop_assert_eq!(
                         v.seg_count(lo, seg),
-                        v.rank_scalar(hi) - v.rank_scalar(lo),
+                        bits[lo..hi].iter().filter(|&&x| x).count(),
                         "len={} seg={} b={}", len, seg, b
                     );
                 }
@@ -65,17 +49,19 @@ proptest! {
         }
     }
 
-    /// Branchless discriminant packing (the incremental derivation) equals
-    /// the from-assignment match oracle.
+    /// Branchless discriminant packing (what the planners load) equals the
+    /// per-tag match oracle, and so do its aligned segment tallies.
     #[test]
-    fn code_packing_matches_from_assignment(raw in proptest::collection::vec(0u8..4, 256)) {
+    fn code_packing_matches_per_tag_packing(raw in proptest::collection::vec(0u8..4, 256)) {
         for &len in &LENS {
-            let mut want = SweepScratch::new();
+            let tags: Vec<Tag> = raw[..len].iter().map(|&c| tag_of(c)).collect();
+            let mut want = TagVec::new();
+            want.fill_from(len, |i| tags[i]);
             let mut got = SweepScratch::new();
-            want.set_tags(len, |i| tag_of(raw[i]));
-            got.set_tags_from_codes(len, |i| tag_of(raw[i]) as u8);
-            prop_assert_eq!(want.tags(), got.tags(), "len={}", len);
-            prop_assert_eq!(want.counts(), got.counts(), "len={}", len);
+            got.set_tags_from_codes(len, |i| tags[i] as u8);
+            prop_assert_eq!(got.tags(), &want, "len={}", len);
+            let seg = 1usize << len.ilog2();
+            prop_assert_eq!(got.tags().seg_counts(0, seg), TagCounts::of(&tags[..seg]), "len={}", len);
         }
     }
 }

@@ -29,7 +29,7 @@ fn main() {
     inject(&mut lines, 5, vec![2, 7]);
 
     let bsn = Bsn::new(8).unwrap();
-    let (out, trace) = bsn.route(lines, 0).unwrap();
+    let (out, trace) = bsn.route_reference(lines, 0).unwrap();
 
     let col = |tags: &[Tag]| {
         tags.iter()
