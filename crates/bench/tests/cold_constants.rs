@@ -7,11 +7,13 @@
 //! type)` evaluations of 4 rank queries each (12 per settled node, plus 4
 //! per tie-walk step), and the fused quasisort wave issued 4 plane-rank
 //! queries per node. The carried form issues 2 aligned segment counts per
-//! scatter node (+2 per tie-walk step) and 2 per quasisort node —
-//! everything else rides down from the parent. The profiler records the
-//! *actual* query count (`rank_ops`) and the settled-node counts
-//! (`scatter_ops`, `quasisort_ops`), so the modeled old-to-new query ratio
-//! is computed from a real run and must stay ≥ 2×.
+//! node above tree level 1 (+2 per tie-walk step in a scatter), a ladder
+//! read counting as one and the scatter's j = 2 table lookup as a node's
+//! two, and none for the two-leaf nodes, which settle 32 per plane word
+//! from boolean formulas — everything else rides down from the parent. The profiler records the *actual* query count (`rank_ops`)
+//! and the settled-node counts (`scatter_ops`, `quasisort_ops`), so the
+//! modeled old-to-new query ratio is computed from a real run and must
+//! stay ≥ 2×.
 
 use brsmn_bench::dense_batch;
 use brsmn_core::{Brsmn, MulticastAssignment, RouteScratch, StageTimer};

@@ -16,7 +16,9 @@
 //!   and [`SelfRoutedMsg`] lines must return the reference router's
 //!   results, full traces and output lines; [`RoutePayload::split`] must run
 //!   once per α of each level; and a load with a doubly claimed output must
-//!   fail with the reference router's error.
+//!   fail with the reference router's error. A load with faults in two
+//!   subtrees fails at the first fault in level order, where the
+//!   reference's depth-first walk stops at another block.
 //!
 //! The token kernel is checked against `RbnSettings::run_block` by the unit
 //! tests in `src/fastpath.rs`.
@@ -416,5 +418,54 @@ fn a_doubly_claimed_output_fails_like_the_reference() {
     assert!(
         overloads > 5 && conflicts > 5,
         "overloads {overloads}, conflicts {conflicts}"
+    );
+}
+
+/// Faults in two subtrees: three messages for output 1 on inputs 0–2 and
+/// five for output 9 on inputs 3–7, at n = 16. Level 1 holds and sends the
+/// output-1 messages to lines 0–7, the output-9 messages to lines 8–15. At
+/// level 2 the block of lines 8–15 breaks Eq. (2): all five ask for its
+/// upper half (n₀ = 5 > 4). The reference recursion goes depth first into
+/// lines 0–7, where level 2 holds, and stops at level 3 in the block of
+/// lines 0–3 (n₀ = 3 > 2). The level pass reports the level-2 fault, the
+/// one the hardware meets first, because every BSN of a level runs at once
+/// (§7.3); [`Brsmn::route_lines`]' doc states this order.
+#[test]
+fn faults_in_two_subtrees_fail_in_level_order() {
+    let n = 16;
+    let net = Brsmn::new(n).unwrap();
+    let mut sets = vec![Vec::new(); n];
+    for set in &mut sets[0..3] {
+        set.push(1);
+    }
+    for set in &mut sets[3..8] {
+        set.push(9);
+    }
+    let lines = || -> Vec<Line<SemanticMsg>> {
+        sets.iter()
+            .enumerate()
+            .map(|(i, d)| Line {
+                tag: Tag::Eps,
+                payload: (!d.is_empty()).then(|| SemanticMsg::new(i, d.clone())),
+            })
+            .collect()
+    };
+    assert_eq!(
+        net.route_lines(lines(), None).unwrap_err(),
+        CoreError::HalfCapacityExceeded {
+            n: 8,
+            n0: 5,
+            n1: 0,
+            na: 0
+        }
+    );
+    assert_eq!(
+        net.route_lines_reference(lines(), None).unwrap_err(),
+        CoreError::HalfCapacityExceeded {
+            n: 4,
+            n0: 3,
+            n1: 0,
+            na: 0
+        }
     );
 }

@@ -30,13 +30,33 @@
 //!
 //! Every forward-phase query the waves issue is an **aligned segment
 //! count**: node `(j, b)` covers exactly `[b·2^j, (b+1)·2^j)`, never an
-//! arbitrary prefix. [`BitVec::seg_count`] answers those directly (one
-//! masked popcount for a sub-word segment, whole-word popcounts otherwise),
-//! so no rank index is ever built. The scatter wave additionally *carries*
-//! each node's own (α, ε) counts down from its parent, so settling a node
-//! costs two segment counts for the upper child and two subtractions for
-//! the lower — and a subtree with no α and no ε at all short-circuits its
-//! tie walk to ε immediately.
+//! arbitrary prefix, so no rank index is ever built. A node settles from
+//! its upper child's counts: the scatter wave *carries* each node's own
+//! (α, ε) counts down from its parent, so the lower child's are two
+//! subtractions, and a subtree with no α and no ε at all short-circuits its
+//! tie walk to ε immediately. How a node settles depends on its tree
+//! level:
+//!
+//! * **j ≥ 8** (a child of 128 leaves or more): counts from
+//!   [`BitVec::seg_count`], whole-word popcounts.
+//! * **j = 3 … 7**: counts from a SWAR popcount *ladder*, built once per
+//!   plane word next to the plane extraction. Rung `k` of a word's ladder
+//!   holds the counts of all its aligned `2^k`-leaf segments, each in its
+//!   own bit field, so every node count of tree levels 1 … 6 under the
+//!   word is one shift and mask: every node of a tree level answered by
+//!   the same few word operations, as the paper's per-level adders (§7.2,
+//!   Fig. 12) all work at once.
+//! * **j = 2**: a node's whole outcome is a function of its four leaf
+//!   tags and its start `s < 4`. The scatter looks it up in a 1,024-entry
+//!   table built once from the same setting step; the quasisort evaluates
+//!   Lemma 1 at n′ = 4 in closed form from the ladder's two-leaf rung.
+//!   Neither writes through Table 5's slice fillers.
+//! * **j = 1** needs no count. A two-leaf node's setting is a boolean
+//!   function of its two leaf tags and the parity of its start (and, in a
+//!   quasisort, whether its ε₀ quota is zero). The j = 2 nodes write those
+//!   inputs as bit planes, and the j = 1 step then settles 32 nodes per
+//!   64-leaf word, each node's 2-bit switch code at its own two leaf bits:
+//!   exactly the [`crate::packed::PackedSettings`] layout.
 //!
 //! ## Per-op profiler
 //!
@@ -48,12 +68,14 @@
 //! property-tested end to end in `brsmn-core`.
 
 use crate::fabric::RbnSettings;
+use crate::packed::setting_from_code;
 use crate::plan::{DomType, PlanError};
 use crate::profile::{PlanOpProfile, ProfClock};
 use crate::setting::{binary_compact_setting_into, trinary_compact_setting_into};
 use brsmn_switch::tag::TagCounts;
 use brsmn_switch::{SwitchSetting, Tag};
 use brsmn_topology::log2_exact;
+use std::sync::OnceLock;
 
 /// Number of `u64` lanes per block. The sweep kernels below operate on
 /// `[u64; LANES]` blocks with fixed-width array ops, which the compiler
@@ -189,6 +211,13 @@ impl BitVec {
         debug_assert!(i < self.len);
         let w = i >> 6;
         self.blocks[w / LANES][w & (LANES - 1)] >> (i & 63) & 1 == 1
+    }
+
+    /// Word `w` (bits `64w … 64w + 63`); `w` must be below `len/64`
+    /// rounded up.
+    #[inline]
+    pub(crate) fn word(&self, w: usize) -> u64 {
+        self.blocks[w / LANES][w & (LANES - 1)]
     }
 
     /// Number of set bits in the aligned segment `[pos, pos + seg)` —
@@ -348,6 +377,13 @@ impl TagVec {
         }
     }
 
+    /// The `(lo, hi)` plane words of word `w`.
+    #[inline]
+    fn words(&self, w: usize) -> (u64, u64) {
+        let (blk, lane) = (w / LANES, w & (LANES - 1));
+        (self.lo[blk][lane], self.hi[blk][lane])
+    }
+
     /// Tag at position `i`.
     #[inline]
     pub fn get(&self, i: usize) -> Tag {
@@ -469,9 +505,154 @@ impl TagVec {
     }
 }
 
-/// Reusable state for the packed planners: the loaded tag planes, the α, ε
-/// and 1 planes derived from them, and the ping-pong buffers that hold the
-/// one live tree level of each backward phase.
+/// Even bit positions of a plane word: the upper leaf of each of the 32
+/// two-leaf (tree level j = 1) nodes one word holds.
+const EVEN: u64 = 0x5555_5555_5555_5555;
+
+/// The SWAR popcount ladder of one plane word: rung `k − 1` (k = 1 … 6)
+/// holds the set-bit count of every aligned `2^k`-bit segment of the word,
+/// each in that segment's own bit field. These partial sums are the counts
+/// of every tree node of levels 1 … 6 under the word at once: the
+/// word-parallel form of a tree level's adders all working together
+/// (§7.2).
+type Ladder = [u64; 6];
+
+/// The [`Ladder`] of `x`: the six add-and-mask steps of a popcount, each
+/// step's partial sums kept.
+#[inline]
+fn ladder(x: u64) -> Ladder {
+    let c2 = (x & 0x5555_5555_5555_5555) + (x >> 1 & 0x5555_5555_5555_5555);
+    let c4 = (c2 & 0x3333_3333_3333_3333) + (c2 >> 2 & 0x3333_3333_3333_3333);
+    let c8 = (c4 & 0x0F0F_0F0F_0F0F_0F0F) + (c4 >> 4 & 0x0F0F_0F0F_0F0F_0F0F);
+    let c16 = (c8 & 0x00FF_00FF_00FF_00FF) + (c8 >> 8 & 0x00FF_00FF_00FF_00FF);
+    let c32 = (c16 & 0x0000_FFFF_0000_FFFF) + (c16 >> 16 & 0x0000_FFFF_0000_FFFF);
+    let c64 = (c32 & 0xFFFF_FFFF) + (c32 >> 32);
+    [c2, c4, c8, c16, c32, c64]
+}
+
+/// Stores the 2-bit switch codes of `codes` (code `k` in bits `2k` and
+/// `2k + 1`, the [`crate::packed::PackedSettings`] layout) into `out`, one
+/// switch per code.
+#[inline]
+fn store_codes(out: &mut [SwitchSetting], codes: u64) {
+    for (k, o) in out.iter_mut().enumerate() {
+        *o = setting_from_code(codes >> (2 * k));
+    }
+}
+
+/// Lemma 1's setting of one node (Table 3, and Table 4's ε/α-addition):
+/// with start `s` and `l0` marked leaves under its upper child, writes
+/// `W_{0, s1; b̄, b}` into the node's merging-stage `slice` and returns the
+/// children's starts `(s0, s1)`.
+#[inline]
+fn bitsort_node(slice: &mut [SwitchSetting], s: usize, l0: usize) -> (usize, usize) {
+    // The slice holds a power of two of switches: `% half` is a mask, and
+    // `((s + l0) div half) mod 2` one bit.
+    let half = slice.len();
+    let s1 = (s + l0) & (half - 1);
+    let (b_val, b_comp) = if (s + l0) & half != 0 {
+        (SwitchSetting::Crossing, SwitchSetting::Parallel)
+    } else {
+        (SwitchSetting::Parallel, SwitchSetting::Crossing)
+    };
+    binary_compact_setting_into(slice, 0, s1, b_comp, b_val);
+    (s & (half - 1), s1)
+}
+
+/// Table 4's switch-setting step of one scatter node: from its start
+/// `s_node`, its run length `l_node` and its children's forward pairs,
+/// writes the node's merging-stage `slice` and returns the children's
+/// starts `(s0, s1)`.
+#[inline]
+fn scatter_node(
+    slice: &mut [SwitchSetting],
+    s_node: usize,
+    l_node: usize,
+    (l0, ty0): (usize, DomType),
+    (l1, ty1): (usize, DomType),
+) -> (usize, usize) {
+    if ty0 == ty1 {
+        // ε/α-addition: Lemma 1, same as the bit-sorting setting.
+        return bitsort_node(slice, s_node, l0);
+    }
+    // ε/α-elimination: Lemmas 2–5.
+    let half = slice.len();
+    let bcast = if ty0 == DomType::Alpha {
+        SwitchSetting::UpperBroadcast
+    } else {
+        SwitchSetting::LowerBroadcast
+    };
+    let (s0, s1, s_tmp, l_tmp, ucast);
+    if l0 >= l1 {
+        s0 = s_node & (half - 1);
+        s1 = (s_node + l_node) & (half - 1);
+        s_tmp = s1;
+        l_tmp = l1;
+        ucast = SwitchSetting::Parallel;
+    } else {
+        s0 = (s_node + l_node) & (half - 1);
+        s1 = s_node & (half - 1);
+        s_tmp = s0;
+        l_tmp = l0;
+        ucast = SwitchSetting::Crossing;
+    }
+    let ucomp = ucast.complement();
+    if s_node + l_node < half {
+        binary_compact_setting_into(slice, s_tmp, l_tmp, ucast, bcast);
+    } else if s_node < half {
+        trinary_compact_setting_into(slice, s_tmp, l_tmp, ucomp, bcast, ucast);
+    } else if s_node + l_node < 2 * half {
+        binary_compact_setting_into(slice, s_tmp, l_tmp, ucomp, bcast);
+    } else {
+        trinary_compact_setting_into(slice, s_tmp, l_tmp, ucast, bcast, ucomp);
+    }
+    (s0, s1)
+}
+
+/// Tree level j = 2 of a scatter as a table. Entry `L | H << 4 | s << 8`
+/// — the `lo` and `hi` plane bits of a node's four leaves and its start
+/// `s < 4` — holds the codes of the node's two switches (bits 0–3), its
+/// children's start parities (bits 4 and 5) and the tie-walk steps its
+/// children take (bits 6 and 7). Each entry is [`scatter_node`] run once,
+/// at first use, on the counts of those four leaves; a tied two-leaf child
+/// (one α, one ε) takes its upper leaf's type after one step, as the tie
+/// walk does.
+fn j2_scatter_table() -> &'static [u8; 1024] {
+    static TABLE: OnceLock<[u8; 1024]> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut table = [0u8; 1024];
+        for (i, entry) in table.iter_mut().enumerate() {
+            // Tag code of leaf k: its lo bit, plus its hi bit doubled.
+            let tag = |k: usize| (i >> k & 1) | (i >> (4 + k) & 1) << 1;
+            let (alpha, eps) = (|k| usize::from(tag(k) == 2), |k| usize::from(tag(k) == 3));
+            let child = |u: usize| {
+                let (a, e) = (alpha(u) + alpha(u + 1), eps(u) + eps(u + 1));
+                let ty = if a > e || (a == e && alpha(u) == 1) {
+                    DomType::Alpha
+                } else {
+                    DomType::Eps
+                };
+                ((a.abs_diff(e), ty), u8::from(a == e && a > 0))
+            };
+            let ((up, up_steps), (dn, dn_steps)) = (child(0), child(2));
+            let a: usize = (0..4).map(alpha).sum();
+            let e: usize = (0..4).map(eps).sum();
+            let mut slice = [SwitchSetting::Parallel; 2];
+            let (s0, s1) = scatter_node(&mut slice, i >> 8, a.abs_diff(e), up, dn);
+            *entry = slice[0].code()
+                | slice[1].code() << 2
+                | (s0 as u8) << 4
+                | (s1 as u8) << 5
+                | (up_steps + dn_steps) << 6;
+        }
+        table
+    })
+}
+
+/// Reusable state for the packed planners: the loaded tag planes, the two
+/// count planes a sweep reads with their popcount ladders, the bit planes
+/// that carry the inputs of the j = 1 step, and the ping-pong buffers that
+/// hold the one live tree level of each backward phase above it.
 ///
 /// Size once (first use at a given length grows the buffers), then plan
 /// any number of levels with zero heap allocation. One `SweepScratch` plans
@@ -481,9 +662,16 @@ impl TagVec {
 #[derive(Debug, Clone, Default)]
 pub struct SweepScratch {
     tags: TagVec,
-    alpha: BitVec,
+    /// The α plane in a scatter, the 1 plane in a quasisort.
+    x: BitVec,
     eps: BitVec,
-    ones: BitVec,
+    /// The [`Ladder`]s of `x` and `eps`, one pair per plane word.
+    ladders: Vec<[Ladder; 2]>,
+    /// The start parity of every j = 1 node, at its upper leaf's bit.
+    par: Vec<u64>,
+    /// `[ε₀ > 0]` of every j = 1 node of a quasisort, at its upper leaf's
+    /// bit.
+    quota: Vec<u64>,
     cur: Vec<usize>,
     next: Vec<usize>,
     cur_q: Vec<usize>,
@@ -536,9 +724,10 @@ impl SweepScratch {
     /// Heap bytes currently reserved by all buffers.
     pub fn footprint_bytes(&self) -> usize {
         self.tags.footprint_bytes()
-            + self.alpha.footprint_bytes()
+            + self.x.footprint_bytes()
             + self.eps.footprint_bytes()
-            + self.ones.footprint_bytes()
+            + self.ladders.capacity() * std::mem::size_of::<[Ladder; 2]>()
+            + (self.par.capacity() + self.quota.capacity()) * std::mem::size_of::<u64>()
             + (self.cur.capacity()
                 + self.next.capacity()
                 + self.cur_q.capacity()
@@ -573,6 +762,46 @@ impl SweepScratch {
         }
     }
 
+    /// Extracts the `x` plane (α or 1) and the ε plane of the loaded tags
+    /// and builds their ladders, booked under `rank` (the count
+    /// infrastructure the waves query), then clears the j = 1 start-parity
+    /// plane.
+    fn load_planes(&mut self, x: TagPlane) {
+        let clock = ProfClock::start();
+        self.tags.extract_plane(x, &mut self.x);
+        self.tags.extract_plane(TagPlane::Eps, &mut self.eps);
+        let words = self.tags.len().div_ceil(64);
+        self.ladders.clear();
+        self.ladders
+            .extend((0..words).map(|w| [ladder(self.x.word(w)), ladder(self.eps.word(w))]));
+        self.profile.rank_nanos += clock.elapsed_nanos();
+        self.par.clear();
+        self.par.resize(words, 0);
+    }
+
+    /// The `(x, ε)` counts of the aligned `2^k`-leaf segment at `pos`: two
+    /// leaf bits, two ladder rungs (`k ≤ 6`, where the nodes of tree levels
+    /// 3 … 7 and the quasisort's j = 2 nodes ask their upper child's
+    /// counts), or whole-word popcounts.
+    #[inline(always)]
+    fn counts(&self, pos: usize, k: usize) -> (usize, usize) {
+        match k {
+            0 => (self.x.get(pos) as usize, self.eps.get(pos) as usize),
+            1..=6 => {
+                let [lx, le] = &self.ladders[pos >> 6];
+                let (sh, mask) = (pos & 63, (2u64 << k) - 1);
+                (
+                    (lx[k - 1] >> sh & mask) as usize,
+                    (le[k - 1] >> sh & mask) as usize,
+                )
+            }
+            _ => (
+                self.x.seg_count(pos, 1 << k),
+                self.eps.seg_count(pos, 1 << k),
+            ),
+        }
+    }
+
     /// The `(l, type)` forward pair of a child node whose (α, ε) leaf
     /// counts are already known. For `nα = nε` the reference combine rule
     /// inherits the upper child's type, so the tie is resolved by
@@ -583,16 +812,11 @@ impl SweepScratch {
     /// shortcut at every node.
     #[inline]
     fn child_pair(&self, a: usize, e: usize, j: usize, b: usize, steps: &mut u64) -> (usize, DomType) {
-        if a > e {
-            return (a - e, DomType::Alpha);
+        if a == e && a != 0 {
+            return (0, self.tie_type(j, b, steps));
         }
-        if e > a {
-            return (e - a, DomType::Eps);
-        }
-        if a == 0 {
-            return (0, DomType::Eps);
-        }
-        (0, self.tie_type(j, b, steps))
+        let ty = if a > e { DomType::Alpha } else { DomType::Eps };
+        (a.abs_diff(e), ty)
     }
 
     /// Tie resolution for a node with `nα = nε > 0`: walk the upper-child
@@ -605,9 +829,7 @@ impl SweepScratch {
             jj -= 1;
             bb <<= 1;
             *steps += 1;
-            let seg = 1usize << jj;
-            let a = self.alpha.seg_count(bb * seg, seg);
-            let e = self.eps.seg_count(bb * seg, seg);
+            let (a, e) = self.counts(bb << jj, jj);
             if a > e {
                 return DomType::Alpha;
             }
@@ -636,9 +858,12 @@ impl SweepScratch {
     ///
     /// The wave carries each node's own (α, ε) counts down from its parent
     /// (`cur_a`/`cur_e`, seeded with each block's segment counts at its
-    /// root), so settling a node costs two segment counts — the upper
-    /// child's — and two subtractions for the lower child, instead of six
-    /// range counts from scratch.
+    /// root), so settling a node above j = 2 costs two counts — the upper
+    /// child's, ladder rungs up to j = 7 — and two subtractions for the
+    /// lower child. A j = 2 node is one table lookup on its four leaf tags
+    /// and its start, which also writes its children's start parities into
+    /// a bit plane, and the j = 1 step then settles 32 nodes per plane word
+    /// from Table 4's two-leaf rule (see the module docs).
     pub fn plan_scatter(
         &mut self,
         s_target: usize,
@@ -650,93 +875,98 @@ impl SweepScratch {
         let m = log2_exact(seg) as usize;
         assert!(s_target < seg);
         assert!(len.is_multiple_of(seg) && base.is_multiple_of(seg) && base + len <= settings.n());
-        let clock = ProfClock::start();
-        self.tags.extract_plane(TagPlane::Alpha, &mut self.alpha);
-        self.tags.extract_plane(TagPlane::Eps, &mut self.eps);
-        self.profile.rank_nanos += clock.elapsed_nanos();
+        self.load_planes(TagPlane::Alpha);
         self.ensure_levels(len);
         self.ensure_count_levels(len);
         let clock = ProfClock::start();
         let mut steps = 0u64;
         for r in 0..len / seg {
             self.cur[r] = s_target;
-            self.cur_a[r] = self.alpha.seg_count(r * seg, seg);
-            self.cur_e[r] = self.eps.seg_count(r * seg, seg);
+            (self.cur_a[r], self.cur_e[r]) = self.counts(r * seg, m);
         }
-        for j in (1..=m).rev() {
-            let half = 1usize << (j - 1);
-            let n_prime = 1usize << j;
+        if m == 1 {
+            // The roots are the j = 1 nodes.
+            self.par.fill(if s_target == 1 { EVEN } else { 0 });
+        }
+        for j in (3..=m).rev() {
             for b in 0..(len >> j) {
-                let s_node = self.cur[b];
+                let pos = b << j;
                 let (a_node, e_node) = (self.cur_a[b], self.cur_e[b]);
-                let a_up = self.alpha.seg_count(2 * b * half, half);
-                let e_up = self.eps.seg_count(2 * b * half, half);
+                let (a_up, e_up) = self.counts(pos, j - 1);
                 let (a_dn, e_dn) = (a_node - a_up, e_node - e_up);
-                let l_node = (a_node as isize - e_node as isize).unsigned_abs();
-                let (l0, ty0) = self.child_pair(a_up, e_up, j - 1, 2 * b, &mut steps);
-                let (l1, ty1) = self.child_pair(a_dn, e_dn, j - 1, 2 * b + 1, &mut steps);
+                let up = self.child_pair(a_up, e_up, j - 1, 2 * b, &mut steps);
+                let dn = self.child_pair(a_dn, e_dn, j - 1, 2 * b + 1, &mut steps);
+                let (s0, s1) = scatter_node(
+                    settings.block_mut(j - 1, (base >> j) + b),
+                    self.cur[b],
+                    a_node.abs_diff(e_node),
+                    up,
+                    dn,
+                );
+                self.next[2 * b] = s0;
+                self.next[2 * b + 1] = s1;
                 self.next_a[2 * b] = a_up;
                 self.next_e[2 * b] = e_up;
                 self.next_a[2 * b + 1] = a_dn;
                 self.next_e[2 * b + 1] = e_dn;
-                let slice = settings.block_mut(j - 1, (base >> j) + b);
-                let (s0, s1);
-                if ty0 == ty1 {
-                    // ε/α-addition: Lemma 1, same as the bit-sorting setting.
-                    s0 = s_node % half;
-                    s1 = (s_node + l0) % half;
-                    let bset = ((s_node + l0) / half) % 2;
-                    let (b_val, b_comp) = if bset == 1 {
-                        (SwitchSetting::Crossing, SwitchSetting::Parallel)
-                    } else {
-                        (SwitchSetting::Parallel, SwitchSetting::Crossing)
-                    };
-                    binary_compact_setting_into(slice, 0, s1, b_comp, b_val);
-                } else {
-                    // ε/α-elimination: Lemmas 2–5.
-                    let bcast = if ty0 == DomType::Alpha {
-                        SwitchSetting::UpperBroadcast
-                    } else {
-                        SwitchSetting::LowerBroadcast
-                    };
-                    let (s_tmp, l_tmp, ucast);
-                    if l0 >= l1 {
-                        s0 = s_node % half;
-                        s1 = (s_node + l_node) % half;
-                        s_tmp = s1;
-                        l_tmp = l1;
-                        ucast = SwitchSetting::Parallel;
-                    } else {
-                        s0 = (s_node + l_node) % half;
-                        s1 = s_node % half;
-                        s_tmp = s0;
-                        l_tmp = l0;
-                        ucast = SwitchSetting::Crossing;
-                    }
-                    let ucomp = ucast.complement();
-                    if s_node + l_node < half {
-                        binary_compact_setting_into(slice, s_tmp, l_tmp, ucast, bcast);
-                    } else if s_node < half {
-                        trinary_compact_setting_into(slice, s_tmp, l_tmp, ucomp, bcast, ucast);
-                    } else if s_node + l_node < n_prime {
-                        binary_compact_setting_into(slice, s_tmp, l_tmp, ucomp, bcast);
-                    } else {
-                        trinary_compact_setting_into(slice, s_tmp, l_tmp, ucast, bcast, ucomp);
-                    }
-                }
-                self.next[2 * b] = s0;
-                self.next[2 * b + 1] = s1;
             }
             std::mem::swap(&mut self.cur, &mut self.next);
             std::mem::swap(&mut self.cur_a, &mut self.next_a);
             std::mem::swap(&mut self.cur_e, &mut self.next_e);
         }
+        if m >= 2 {
+            self.scatter_j2(base, settings, &mut steps);
+        }
+        if m > 0 {
+            self.scatter_j1(base, settings);
+        }
         // Closed form: seg − 1 nodes settled per block (len − len/seg in
-        // all), two segment counts per node plus two per tie-walk step.
+        // all); two counts per node above j = 1 (len/2 − len/seg of them,
+        // the j = 2 table standing for its nodes' two) plus two per
+        // tie-walk step, none at j = 1.
         let nodes = (len - len / seg) as u64;
         self.profile.scatter_ops += nodes;
-        self.profile.rank_ops += 2 * nodes + 2 * steps;
+        self.profile.rank_ops += 2 * nodes.saturating_sub(len as u64 / 2) + 2 * steps;
         self.profile.scatter_nanos += clock.elapsed_nanos();
+    }
+
+    /// The j = 2 step of a scatter: one [`j2_scatter_table`] lookup per
+    /// node sets its two switches, writes its children's start parities
+    /// into the j = 1 plane and counts its children's tie-walk steps.
+    fn scatter_j2(&mut self, base: usize, settings: &mut RbnSettings, steps: &mut u64) {
+        let table = j2_scatter_table();
+        let stage = settings.stage_mut(1);
+        for b in 0..self.tags.len() >> 2 {
+            let pos = b << 2;
+            let sh = pos & 63;
+            let (lo, hi) = self.tags.words(pos >> 6);
+            let leaves = (lo >> sh & 15 | (hi >> sh & 15) << 4) as usize;
+            let t = u64::from(table[leaves | self.cur[b] << 8]);
+            stage[base / 2 + 2 * b] = setting_from_code(t);
+            stage[base / 2 + 2 * b + 1] = setting_from_code(t >> 2);
+            self.par[pos >> 6] |= (t >> 4 & 1) << sh | (t >> 5 & 1) << (sh | 2);
+            *steps += t >> 6;
+        }
+    }
+
+    /// The j = 1 step of a scatter, 32 nodes per plane word. At n′ = 2,
+    /// Table 4 with Lemmas 1–5 is a boolean function of a node's upper leaf
+    /// `u`, lower leaf `d` and start parity `s`: (α, ε) broadcasts the
+    /// upper input, (ε, α) the lower, and otherwise the switch crosses iff
+    /// `s = 1` when `u = α`, and iff `s = [u = ε]` when `u ≠ α`. The codes
+    /// land at stage-0 switch `base/2 + i` for node `i`.
+    fn scatter_j1(&self, base: usize, settings: &mut RbnSettings) {
+        let len = self.tags.len();
+        let stage = settings.stage_mut(0);
+        for (w, &s) in self.par.iter().enumerate() {
+            let (a, e) = (self.x.word(w), self.eps.word(w));
+            let (au, ad, eu, ed) = (a & EVEN, a >> 1 & EVEN, e & EVEN, e >> 1 & EVEN);
+            let (ub, lb) = (au & ed, eu & ad);
+            let cross = (au & s) | (!au & !(s ^ eu));
+            let codes = ((lb | !(ub | lb) & cross) & EVEN) | (ub | lb) << 1;
+            let at = base / 2 + 32 * w;
+            store_codes(&mut stage[at..at + (len - 64 * w).min(64) / 2], codes);
+        }
     }
 
     /// Fused Table 6 + Table 3: the complete quasisort plan (ε-divide, then
@@ -755,14 +985,18 @@ impl SweepScratch {
     /// ```
     ///
     /// — the sort-bit count under a node is fully determined by the `1`/ε
-    /// range counts (word-parallel popcounts) and the ε₀ quota *already
+    /// range counts (ladder rungs up to j = 7) and the ε₀ quota *already
     /// travelling down* the ε-divide wave — so both backward phases ride one
-    /// top-down pass and the γ plane is never materialized. Settings and
-    /// error values are bit-for-bit those of [`crate::plan::plan_quasisort`]
-    /// on each block (pinned by the tests below and by the fast-path
-    /// equivalence suite in `brsmn-core`); the blocks are checked in order,
-    /// α before half-overflow, so a failing load reports the first failing
-    /// block's error, its α position relative to the block.
+    /// top-down pass and the γ plane is never materialized. The j = 2 nodes
+    /// evaluate Lemma 1 in closed form and write their children's start
+    /// parities and `[ε₀ > 0]` into bit planes for the word-parallel j = 1
+    /// step (see the module docs).
+    /// Settings and error values are bit-for-bit those of
+    /// [`crate::plan::plan_quasisort`] on each block (pinned by the tests
+    /// below and by the fast-path equivalence suite in `brsmn-core`); the
+    /// blocks are checked in order, α before half-overflow, so a failing
+    /// load reports the first failing block's error, its α position
+    /// relative to the block.
     pub fn plan_quasisort_fused(
         &mut self,
         seg: usize,
@@ -773,10 +1007,9 @@ impl SweepScratch {
         let m = log2_exact(seg) as usize;
         assert!(len.is_multiple_of(seg) && base.is_multiple_of(seg) && base + len <= settings.n());
         let first_alpha = self.tags.first_in_plane(TagPlane::Alpha);
-        let clock = ProfClock::start();
-        self.tags.extract_plane(TagPlane::Eps, &mut self.eps);
-        self.tags.extract_plane(TagPlane::One, &mut self.ones);
-        self.profile.rank_nanos += clock.elapsed_nanos();
+        self.load_planes(TagPlane::One);
+        self.quota.clear();
+        self.quota.resize(self.par.len(), 0);
         self.ensure_levels(len);
         self.ensure_quota_levels(len);
         let clock = ProfClock::start();
@@ -789,10 +1022,7 @@ impl SweepScratch {
                 });
             }
             // No α in this block, so n₀ is what 1 and ε leave.
-            let (n1, ne) = (
-                self.ones.seg_count(r * seg, seg),
-                self.eps.seg_count(r * seg, seg),
-            );
+            let (n1, ne) = self.counts(r * seg, m);
             let n0 = seg - n1 - ne;
             if n0 > seg / 2 || n1 > seg / 2 {
                 return Err(PlanError::HalfOverflow {
@@ -804,35 +1034,26 @@ impl SweepScratch {
             self.cur[r] = seg / 2;
             self.cur_q[r] = ne - (seg / 2 - n1);
         }
-        for j in (1..=m).rev() {
-            let half = 1usize << (j - 1);
+        if m == 1 {
+            // The roots are the j = 1 nodes: start seg/2 = 1, own quotas.
+            self.par.fill(EVEN);
+            for r in 0..len / 2 {
+                self.quota[r >> 5] |= u64::from(self.cur_q[r] > 0) << ((2 * r) & 63);
+            }
+        }
+        for j in (3..=m).rev() {
             for b in 0..(len >> j) {
-                let s_node = self.cur[b];
-                let e0 = self.cur_q[b];
-                let u_lo = 2 * b * half;
+                let (s_node, e0) = (self.cur[b], self.cur_q[b]);
+                let pos = b << j;
+                let (ones_up, eps_up) = self.counts(pos, j - 1);
                 // ε-divide split (Table 6): the upper child takes as many ε₀
                 // as it has ε leaves.
-                let upper_eps = self.eps.seg_count(u_lo, half);
-                let u_e0 = e0.min(upper_eps);
+                let u_e0 = e0.min(eps_up);
                 // Bit-sort forward value (Table 3) without the γ plane:
                 // sort-down leaves under the upper child are its 1s plus its
                 // ε₁s, and ε₁ = ε − ε₀.
-                let l0 = self.ones.seg_count(u_lo, half) + (upper_eps - u_e0);
-                let s0 = s_node % half;
-                let s1 = (s_node + l0) % half;
-                let bset = ((s_node + l0) / half) % 2;
-                let (b_val, b_comp) = if bset == 1 {
-                    (SwitchSetting::Crossing, SwitchSetting::Parallel)
-                } else {
-                    (SwitchSetting::Parallel, SwitchSetting::Crossing)
-                };
-                binary_compact_setting_into(
-                    settings.block_mut(j - 1, (base >> j) + b),
-                    0,
-                    s1,
-                    b_comp,
-                    b_val,
-                );
+                let l0 = ones_up + (eps_up - u_e0);
+                let (s0, s1) = bitsort_node(settings.block_mut(j - 1, (base >> j) + b), s_node, l0);
                 self.next[2 * b] = s0;
                 self.next[2 * b + 1] = s1;
                 self.next_q[2 * b] = u_e0;
@@ -841,13 +1062,56 @@ impl SweepScratch {
             std::mem::swap(&mut self.cur, &mut self.next);
             std::mem::swap(&mut self.cur_q, &mut self.next_q);
         }
-        // Closed form: seg − 1 nodes per block (len − len/seg in all), two
-        // segment counts (ε and 1 planes) per node.
+        if m >= 2 {
+            self.quasisort_j2(base, settings);
+        }
+        if m > 0 {
+            self.quasisort_j1(base, settings);
+        }
+        // Closed form: seg − 1 nodes per block (len − len/seg in all); two
+        // counts (ε and 1) per node above j = 1, none at j = 1.
         let nodes = (len - len / seg) as u64;
         self.profile.quasisort_ops += nodes;
-        self.profile.rank_ops += 2 * nodes;
+        self.profile.rank_ops += 2 * nodes.saturating_sub(len as u64 / 2);
         self.profile.quasisort_nanos += clock.elapsed_nanos();
         Ok(())
+    }
+
+    /// The j = 2 step of a quasisort, Lemma 1 at n′ = 4 in closed form:
+    /// with `t = s + l0` (start plus the upper child's sort-down leaves),
+    /// `s1 = t mod 2` and `b = ⌊t/2⌋ mod 2`, switch 0 crosses iff
+    /// `s1 = b` and switch 1 iff `b = 0`. Each node writes its children's
+    /// start parities and `[ε₀ > 0]` into the j = 1 planes.
+    fn quasisort_j2(&mut self, base: usize, settings: &mut RbnSettings) {
+        let stage = settings.stage_mut(1);
+        for b in 0..self.tags.len() >> 2 {
+            let pos = b << 2;
+            let (s, e0) = (self.cur[b], self.cur_q[b]);
+            let (ones_up, eps_up) = self.counts(pos, 1);
+            let u_e0 = e0.min(eps_up);
+            let t = s + ones_up + eps_up - u_e0;
+            let (s1, bit) = (t & 1, t >> 1 & 1);
+            stage[base / 2 + 2 * b] = setting_from_code(u64::from(s1 == bit));
+            stage[base / 2 + 2 * b + 1] = setting_from_code(u64::from(bit == 0));
+            let sh = pos & 63;
+            self.par[pos >> 6] |= ((s & 1) as u64) << sh | (s1 as u64) << (sh | 2);
+            self.quota[pos >> 6] |= u64::from(u_e0 > 0) << sh | u64::from(e0 > u_e0) << (sh | 2);
+        }
+    }
+
+    /// The j = 1 step of a quasisort, 32 nodes per plane word. At n′ = 2
+    /// the fused Tables 6 + 3 set a node parallel iff
+    /// `s + [u = 1] + [u = ε ∧ ε₀ = 0]` is odd (its upper leaf `u` sorts
+    /// down when it is a 1 or an ε₁), and crossing otherwise.
+    fn quasisort_j1(&self, base: usize, settings: &mut RbnSettings) {
+        let len = self.tags.len();
+        let stage = settings.stage_mut(0);
+        for (w, (&s, &q)) in self.par.iter().zip(&self.quota).enumerate() {
+            let down = (self.x.word(w) | self.eps.word(w) & !q) & EVEN;
+            let codes = !(s ^ down) & EVEN;
+            let at = base / 2 + 32 * w;
+            store_codes(&mut stage[at..at + (len - 64 * w).min(64) / 2], codes);
+        }
     }
 
     /// Eq. (2) per block: the tag counts of the first block of `seg` loaded
@@ -934,29 +1198,73 @@ mod tests {
         }
     }
 
+    /// The tie-walk steps of a scatter over one block, counted naively:
+    /// each child of a node above j = 1 whose α and ε counts tie (and are
+    /// not zero) walks its upper spine, one step per tree level, until the
+    /// counts differ or run out.
+    fn tie_walk_steps(tags: &[Tag]) -> u64 {
+        let count = |j: usize, b: usize, t: Tag| {
+            tags[b << j..(b + 1) << j]
+                .iter()
+                .filter(|&&x| x == t)
+                .count()
+        };
+        let m = tags.len().ilog2() as usize;
+        let mut steps = 0;
+        for j in 2..=m {
+            for child in 0..tags.len() >> (j - 1) {
+                let (mut jj, mut bb) = (j - 1, child);
+                let tied = |jj, bb| {
+                    let a = count(jj, bb, Tag::Alpha);
+                    a == count(jj, bb, Tag::Eps) && a > 0
+                };
+                if !tied(jj, bb) {
+                    continue;
+                }
+                while jj > 0 {
+                    (jj, bb) = (jj - 1, 2 * bb);
+                    steps += 1;
+                    if !tied(jj, bb) {
+                        break;
+                    }
+                }
+            }
+        }
+        steps
+    }
+
     #[test]
     fn sweep_profile_counts_are_exact_closed_forms() {
         let n = 64usize;
         let mut scratch = SweepScratch::new();
-        let tags: Vec<Tag> = (0..n).map(|i| tag_of(i * 11 + 2)).collect();
-        load(&mut scratch, &tags);
         let mut table = RbnSettings::identity(n);
-        scratch.plan_scatter(0, n, 0, &mut table);
-        let p = scratch.take_profile();
-        assert_eq!(p.tag_derive_ops, n as u64);
-        assert_eq!(p.scatter_ops, (n - 1) as u64);
-        // Two segment counts per settled node, plus two per tie-walk step.
-        assert!(p.rank_ops >= 2 * (n - 1) as u64, "rank_ops={}", p.rank_ops);
-        assert_eq!(p.quasisort_ops, 0);
-        // Draining left zeros behind.
-        assert!(scratch.profile().is_empty());
+        let mut rng = xorshift(0x7135_5EED);
+        for round in 0..8 {
+            let tags: Vec<Tag> = match round {
+                0 => (0..n).map(|i| tag_of(i * 11 + 2)).collect(),
+                _ => (0..n).map(|_| tag_of(rng() as usize)).collect(),
+            };
+            load(&mut scratch, &tags);
+            scratch.plan_scatter(0, n, 0, &mut table);
+            let p = scratch.take_profile();
+            assert_eq!(p.tag_derive_ops, n as u64);
+            assert_eq!(p.scatter_ops, (n - 1) as u64);
+            // Two counts per settled node above j = 1 (n/2 − 1 of them),
+            // plus two per tie-walk step; the j = 1 step issues none.
+            let steps = tie_walk_steps(&tags);
+            assert!(steps > 0, "round {round}: no tie walks to count");
+            assert_eq!(p.rank_ops, (n - 2) as u64 + 2 * steps, "round {round}");
+            assert_eq!(p.quasisort_ops, 0);
+            // Draining left zeros behind.
+            assert!(scratch.profile().is_empty());
+        }
         // A fused quasisort wave books under the quasisort category.
         scratch.set_tags_from_codes(n, |i| [0u8, 1, 3][i % 3]);
         scratch.plan_quasisort_fused(n, 0, &mut table).unwrap();
         let p = scratch.take_profile();
         assert_eq!(p.tag_derive_ops, n as u64);
         assert_eq!(p.quasisort_ops, (n - 1) as u64);
-        assert_eq!(p.rank_ops, 2 * (n - 1) as u64);
+        assert_eq!(p.rank_ops, (n - 2) as u64);
         assert_eq!(p.scatter_ops, 0);
     }
 
@@ -1056,18 +1364,84 @@ mod tests {
         }
     }
 
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed;
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
+    /// A table whose every switch reads `LowerBroadcast`, so a switch a
+    /// planner fails to write shows up as a mismatch.
+    fn poisoned(n: usize) -> RbnSettings {
+        let mut table = RbnSettings::identity(n);
+        for j in 0..table.num_stages() {
+            table.stage_mut(j).fill(SwitchSetting::LowerBroadcast);
+        }
+        table
+    }
+
+    /// Length of the forests the small-tree oracles embed their blocks in.
+    const FOREST: usize = 256;
+
+    /// The block offsets of an `n`-tag forest block that start inside a
+    /// plane word (not at a multiple of 64).
+    fn interior_slots(n: usize) -> Vec<usize> {
+        (0..FOREST).step_by(n).filter(|off| off % 64 != 0).collect()
+    }
+
+    /// Asserts that the block at `off` of a forest table holds `want`.
+    fn assert_block(table: &RbnSettings, off: usize, want: &RbnSettings, tags: &[Tag]) {
+        let w = want.n() / 2;
+        for j in 0..want.num_stages() {
+            assert_eq!(
+                &table.stage(j)[off / 2..off / 2 + w],
+                want.stage(j),
+                "tags={tags:?} at {off}, stage {j}"
+            );
+        }
+    }
+
+    /// Every tag vector and every target start at n ∈ {2, 4, 8}, against
+    /// the reference, twice: alone (a load shorter than a word), and as one
+    /// block of a 256-tag forest at a word-interior offset among random
+    /// neighbours, so the j = 1 step runs on partial and on full words.
     #[test]
-    fn packed_scatter_matches_reference_exhaustively_n4() {
-        let n = 4;
+    fn packed_scatter_matches_reference_exhaustively_small_trees() {
+        let mut rng = xorshift(0x9E37_79B9_7F4A_7C15);
         let mut scratch = SweepScratch::new();
-        for pattern in 0..(1usize << (2 * n)) {
-            let tags: Vec<Tag> = (0..n).map(|i| tag_of(pattern >> (2 * i))).collect();
+        for n in [2usize, 4, 8] {
+            let slots = interior_slots(n);
+            let patterns = 1usize << (2 * n);
             for s in 0..n {
-                let want = plan_scatter(&tags, s).settings;
-                let mut got = RbnSettings::identity(n);
-                load(&mut scratch, &tags);
-                scratch.plan_scatter(s, n, 0, &mut got);
-                assert_eq!(got, want, "tags={tags:?} s={s}");
+                let mut batch = Vec::with_capacity(slots.len());
+                for pattern in 0..patterns {
+                    let tags: Vec<Tag> = (0..n).map(|i| tag_of(pattern >> (2 * i))).collect();
+                    let want = plan_scatter(&tags, s).settings;
+                    let mut got = poisoned(n);
+                    load(&mut scratch, &tags);
+                    scratch.plan_scatter(s, n, 0, &mut got);
+                    assert_eq!(got, want, "tags={tags:?} s={s}");
+                    batch.push((tags, want));
+                    if batch.len() < slots.len() && pattern + 1 < patterns {
+                        continue;
+                    }
+                    let mut forest: Vec<Tag> =
+                        (0..FOREST).map(|_| tag_of(rng() as usize)).collect();
+                    for ((tags, _), &off) in batch.iter().zip(&slots) {
+                        forest[off..off + n].copy_from_slice(tags);
+                    }
+                    let mut table = poisoned(FOREST);
+                    load(&mut scratch, &forest);
+                    scratch.plan_scatter(s, n, 0, &mut table);
+                    for ((tags, want), &off) in batch.iter().zip(&slots) {
+                        assert_block(&table, off, want, tags);
+                    }
+                    batch.clear();
+                }
             }
         }
     }
@@ -1075,13 +1449,7 @@ mod tests {
     #[test]
     fn packed_scatter_matches_reference_randomized() {
         let mut scratch = SweepScratch::new();
-        let mut state = 0x243F6A8885A308D3u64;
-        let mut rng = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
+        let mut rng = xorshift(0x243F6A8885A308D3);
         for n in [8usize, 16, 64, 256] {
             for _ in 0..40 {
                 let tags: Vec<Tag> = (0..n).map(|_| tag_of(rng() as usize)).collect();
@@ -1124,43 +1492,85 @@ mod tests {
     ) {
         let n = tags.len();
         let want = plan_quasisort(tags).map(|(_, sort)| sort.settings);
-        let mut got = RbnSettings::identity(n);
+        let mut got = poisoned(n);
         load(scratch, tags);
         let got = scratch.plan_quasisort_fused(n, 0, &mut got).map(|()| got);
         (got, want)
     }
 
+    /// 256 random 0/1/ε tags in which no pair holds two 0s or two 1s, so
+    /// every aligned block of two or more is a feasible quasisort load.
+    fn feasible_forest(rng: &mut impl FnMut() -> u64) -> Vec<Tag> {
+        use Tag::*;
+        const PAIRS: [[Tag; 2]; 7] = [
+            [Zero, One],
+            [One, Zero],
+            [Zero, Eps],
+            [Eps, Zero],
+            [One, Eps],
+            [Eps, One],
+            [Eps, Eps],
+        ];
+        (0..FOREST / 2)
+            .flat_map(|_| PAIRS[rng() as usize % PAIRS.len()])
+            .collect()
+    }
+
+    /// Every 0/1/ε vector at n ∈ {2, 4, 8} (α is rejected by both paths)
+    /// against the reference, twice: alone, and as one block of a 256-tag
+    /// forest at a word-interior offset among random feasible neighbours.
+    /// A feasible vector must plan to the reference's settings, an
+    /// infeasible one fail with the reference's error in both runs.
     #[test]
-    fn fused_quasisort_matches_reference_exhaustively_n8() {
-        // Every 0/1/ε pattern of length 8 (α is rejected by both paths).
-        let n = 8;
+    fn fused_quasisort_matches_reference_exhaustively_small_trees() {
+        let mut rng = xorshift(0xD1B5_4A32_D192_ED03);
         let mut scratch = SweepScratch::new();
         let mut planned = 0;
-        for pattern in 0..3usize.pow(n as u32) {
-            let tags: Vec<Tag> = (0..n)
-                .map(|i| match pattern / 3usize.pow(i as u32) % 3 {
-                    0 => Tag::Zero,
-                    1 => Tag::One,
-                    _ => Tag::Eps,
-                })
-                .collect();
-            let (got, want) = fused_vs_reference(&mut scratch, &tags);
-            planned += usize::from(want.is_ok());
-            assert_eq!(got, want, "tags={tags:?}");
+        for n in [2usize, 4, 8] {
+            let slots = interior_slots(n);
+            let patterns = 3usize.pow(n as u32);
+            let mut batch = Vec::with_capacity(slots.len());
+            for pattern in 0..patterns {
+                let tags: Vec<Tag> = (0..n)
+                    .map(|i| [Tag::Zero, Tag::One, Tag::Eps][pattern / 3usize.pow(i as u32) % 3])
+                    .collect();
+                let (got, want) = fused_vs_reference(&mut scratch, &tags);
+                assert_eq!(got, want, "tags={tags:?}");
+                match want {
+                    Ok(want) => batch.push((tags, want)),
+                    Err(e) => {
+                        let off = slots[pattern % slots.len()];
+                        let mut forest = feasible_forest(&mut rng);
+                        forest[off..off + n].copy_from_slice(&tags);
+                        load(&mut scratch, &forest);
+                        let got = scratch.plan_quasisort_fused(n, 0, &mut poisoned(FOREST));
+                        assert_eq!(got, Err(e), "tags={tags:?} at {off}");
+                    }
+                }
+                if batch.is_empty() || (batch.len() < slots.len() && pattern + 1 < patterns) {
+                    continue;
+                }
+                let mut forest = feasible_forest(&mut rng);
+                for ((tags, _), &off) in batch.iter().zip(&slots) {
+                    forest[off..off + n].copy_from_slice(tags);
+                }
+                let mut table = poisoned(FOREST);
+                load(&mut scratch, &forest);
+                scratch.plan_quasisort_fused(n, 0, &mut table).unwrap();
+                for ((tags, want), &off) in batch.iter().zip(&slots) {
+                    assert_block(&table, off, want, tags);
+                }
+                planned += batch.len();
+                batch.clear();
+            }
         }
-        assert!(planned > 1000, "only {planned} feasible patterns");
+        assert_eq!(planned, 5477, "feasible vectors at n ∈ {{2, 4, 8}}");
     }
 
     #[test]
     fn fused_quasisort_matches_reference_randomized() {
         let mut scratch = SweepScratch::new();
-        let mut state = 0xD1B54A32D192ED03u64;
-        let mut rng = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
+        let mut rng = xorshift(0xD1B54A32D192ED03);
         for n in [2usize, 16, 64, 256, 1024] {
             let mut checked = 0;
             while checked < 25 {

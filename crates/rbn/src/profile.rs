@@ -21,7 +21,7 @@
 //! | category     | ops                                            | nanos |
 //! |--------------|------------------------------------------------|-------|
 //! | `tag_derive` | tags packed into the two bit planes            | plane-packing fills (`set_tags` / `set_tags_from_codes`) |
-//! | `rank`       | segment-count queries issued by the waves (incl. tie-walk steps) | plane extraction / derivation (the rank infrastructure the queries run on) |
+//! | `rank`       | count queries of the nodes above tree level 1: two per node (a ladder read is one, and the scatter's j = 2 table lookup stands for a node's two) plus two per tie-walk step, so `2(len/2 − len/seg) + 2·steps` per scatter sweep and `2(len/2 − len/seg)` per quasisort sweep; the word-parallel j = 1 step issues none | plane extraction and popcount-ladder builds (the count infrastructure the queries run on) |
 //! | `scatter`    | tree nodes settled by Table 4 waves            | scatter backward waves |
 //! | `quasisort`  | tree nodes settled by Table 6 + 3 fused waves  | quasisort backward waves (incl. the Eq. 2 pre-checks) |
 //!
@@ -41,11 +41,13 @@ pub struct PlanOpProfile {
     pub tag_derive_ops: u64,
     /// Nanoseconds spent packing tag planes (0 unless `plan-profile`).
     pub tag_derive_nanos: u64,
-    /// Segment-count queries issued by the backward waves, including every
-    /// tie-resolution walk step.
+    /// Count queries issued by the backward waves for the nodes above tree
+    /// level 1 (two per node, a ladder read counting as one and the
+    /// scatter's j = 2 table lookup as a node's two), including every
+    /// tie-resolution walk step; the word-parallel j = 1 step issues none.
     pub rank_ops: u64,
-    /// Nanoseconds spent extracting/deriving the rank-queryable planes
-    /// (0 unless `plan-profile`).
+    /// Nanoseconds spent extracting the count planes and building their
+    /// popcount ladders (0 unless `plan-profile`).
     pub rank_nanos: u64,
     /// Tree nodes settled by scatter (Table 4) backward waves.
     pub scatter_ops: u64,
