@@ -11,7 +11,16 @@
 //!
 //! The count is process-wide, and the harness runs tests on parallel
 //! threads, so every test holds [`one_at_a_time`]'s lock for its whole body:
-//! no test is charged another's allocations.
+//! no test body is charged another's allocations. The lock does not cover
+//! the harness itself: its own threads (a finished test's reporting, the
+//! main thread starting the next test) allocate while a test measures. In
+//! release builds such a stray allocation lands in a measured window often
+//! enough to fail a run, so a release run takes one test thread, as CI
+//! runs it:
+//!
+//! ```text
+//! cargo test -q --release -p brsmn-bench --features alloc-count --test alloc_count -- --test-threads=1
+//! ```
 #![cfg(feature = "alloc-count")]
 
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -5,11 +5,13 @@
 //! `Vec<Line<P>>` buffers per level, `Vec<Vec<usize>>` sweep state per plan,
 //! and a settings table per RBN. This module routes with none of that:
 //!
-//! * a semantic message is a `FastLine` — just its current four-value tag
-//!   and its source input. Destination sets never travel: the set of a
-//!   message at a block `[lo, lo + size)` is implicitly `dests(src) ∩ [lo,
-//!   lo + size)`, answered by binary search on the assignment, and a
-//!   broadcast "split" is a plain `Copy` of the source id;
+//! * a semantic message is a `FastLine`: its source input and the first
+//!   and last destination it still has to reach. Destination sets never
+//!   travel: inside a block the message's destinations are one contiguous
+//!   run of its source's sorted list, so two compares against the block
+//!   midpoint give its entry tag, only an α line searches the list (once,
+//!   for the ends of its two halves), and a broadcast "split" is a plain
+//!   `Copy` of the line;
 //! * every BSN level is one **level pass** (`route_level`). By §7.3 /
 //!   Fig. 13 the `2^(i−1)` sub-RBNs of level `i` are the first `m−i+1`
 //!   stages of one `n`-wide array, so the pass treats the level as one
@@ -19,11 +21,12 @@
 //!   writing into one persistent [`RbnSettings`] table) or loads the
 //!   level's planes whole from a [`CapturedPlan`], runs each stage plane
 //!   once across all blocks, and captures the level's planes whole;
-//! * execution moves *tokens*, not lines: at level entry line `i` holds
-//!   the `u32` `(i << 2) | tag`. A stage pass applies one matching of
-//!   disjoint 2×2 exchanges to the tokens, branch-free, and after the
-//!   quasisort output `o` gathers the level-entry line its token names
-//!   (`run_tokens`).
+//! * execution moves *tokens*, not lines: the entry step writes line `i`'s
+//!   `u32` `(i << 2) | tag` in one pass over the lines, and a swept level
+//!   packs the tag planes from the tokens' low two bits, 64 tags per word.
+//!   A stage pass applies one matching of disjoint 2×2 exchanges to the
+//!   tokens, branch-free, and after the quasisort output `o` gathers the
+//!   level-entry line its token names (`run_tokens`).
 //!
 //! The level pass has three callers, which differ only at its two ends
 //! (`LevelLines`). Fresh semantic routes and traced replays move
@@ -67,46 +70,37 @@ use brsmn_topology::{check_size, log2_exact};
 /// Sentinel source id of an empty line.
 pub(crate) const NO_SRC: u32 = u32::MAX;
 
-/// Sentinel for [`FastLine::d_val`]: lone destination not yet cached.
-pub(crate) const NO_VAL: u32 = u32::MAX;
-
-/// One line of the fast path: the current tag, the source input of the
-/// message on it (`NO_SRC` when idle), and the message's *destination range*
-/// — `dests(src)[d_lo..d_hi)` is exactly the destination subset the message
-/// still has to reach inside its current block, with `d_mid` splitting it at
-/// the block midpoint. `Copy`, so a broadcast split is two struct writes
-/// (both copies inherit the triple; each resolves to its half after the
-/// block).
+/// One line of the fast path: the source input of the message on it
+/// (`NO_SRC` when idle), the first and last destination it still has to
+/// reach inside its current block, and what each of its two copies keeps
+/// of them should the line split there. Inside a block the message's
+/// destinations are a contiguous run of its source's sorted list, so
+/// `first` and `last` stand for the whole run.
 ///
-/// The range triple is the level-transition fusion: level `L+1` derives a
-/// line's entry tag from the range level `L` left behind (one midpoint
-/// search over an already-narrowed slice — or a single compare once the
-/// range is down to one destination) instead of re-searching the full
-/// destination set three times.
+/// The entry step sets `lo_last = last` and `hi_first = first`, and an α
+/// line overwrites them with the largest destination below its block's
+/// midpoint and the smallest at or above it. The gather then narrows every
+/// line to the half it landed in without a branch: an upper output takes
+/// `last ← lo_last`, a lower output `first ← hi_first`. `Copy`, so a
+/// broadcast split is two struct writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct FastLine {
-    pub(crate) tag: Tag,
     pub(crate) src: u32,
-    pub(crate) d_lo: u32,
-    pub(crate) d_mid: u32,
-    pub(crate) d_hi: u32,
-    /// The lone destination once the range is unicast, cached on the first
-    /// entry-tag evaluation ([`NO_VAL`] until then). A range never grows, so
-    /// the cache needs no invalidation; every later level's entry tag is
-    /// then a single compare with no assignment pointer chase. Broadcast
-    /// splits copy the whole struct, and an α range is never unicast, so
-    /// copies always inherit `NO_VAL`.
-    pub(crate) d_val: u32,
+    pub(crate) first: u32,
+    pub(crate) last: u32,
+    /// The last destination of the copy that stays in the upper half.
+    pub(crate) lo_last: u32,
+    /// The first destination of the copy that goes to the lower half.
+    pub(crate) hi_first: u32,
 }
 
 impl FastLine {
     pub(crate) const EMPTY: FastLine = FastLine {
-        tag: Tag::Eps,
         src: NO_SRC,
-        d_lo: 0,
-        d_mid: 0,
-        d_hi: 0,
-        d_val: NO_VAL,
+        first: 0,
+        last: 0,
+        lo_last: 0,
+        hi_first: 0,
     };
 }
 
@@ -282,9 +276,8 @@ pub fn with_thread_scratch<R>(n: usize, f: impl FnOnce(&mut RouteScratch) -> R) 
 
 /// Entry tag of the message `dests` (sorted, absolute) at the block
 /// `[lo, lo + size)`: which halves of the block it still has to reach.
-/// Three binary searches over the full set — kept as the oracle for
-/// [`entry_tag_ranged`], which answers the same question from the line's
-/// retained range with at most one search.
+/// Three binary searches over the full set — kept as the oracle for the
+/// entry step's two compares (`FastLines::enter`).
 #[inline]
 pub(crate) fn entry_tag_fast(dests: &[usize], lo: usize, size: usize) -> Tag {
     let mid = lo + size / 2;
@@ -299,65 +292,31 @@ pub(crate) fn entry_tag_fast(dests: &[usize], lo: usize, size: usize) -> Tag {
     }
 }
 
-/// Entry tag from a line's retained destination range: `dests[d_lo..d_hi)`
-/// is the (non-empty) destination subset inside the current block, and `mid`
-/// is the block's absolute midpoint. Returns the split point `d_mid` and the
-/// tag. A unicast range (one destination — the common case deep in the
-/// network) needs a single compare; a multicast range needs one
-/// `partition_point` over the narrowed slice instead of three over the full
-/// set.
+/// Sets what an α line's two copies keep: the largest of its source's
+/// destinations below the block midpoint `mid` and the smallest at or
+/// above it. One binary search over the sorted list; both exist, because
+/// the line's first destination lies below `mid` and its last at or above.
 #[inline]
-pub(crate) fn entry_tag_ranged(dests: &[usize], mid: usize, d_lo: usize, d_hi: usize) -> (usize, Tag) {
-    debug_assert!(d_lo < d_hi, "live line with an empty destination range");
-    let d_mid = if d_hi - d_lo == 1 {
-        if dests[d_lo] < mid {
-            d_hi
-        } else {
-            d_lo
-        }
-    } else {
-        d_lo + dests[d_lo..d_hi].partition_point(|&d| d < mid)
-    };
-    let tag = match (d_mid > d_lo, d_hi > d_mid) {
-        (true, false) => Tag::Zero,
-        (false, true) => Tag::One,
-        (true, true) => Tag::Alpha,
-        (false, false) => unreachable!("dests are non-empty within the block"),
-    };
-    (d_mid, tag)
+fn split_alpha(dests: &[usize], line: &mut FastLine, mid: u32) {
+    let p = dests.partition_point(|&d| d < mid as usize);
+    line.lo_last = dests[p - 1] as u32;
+    line.hi_first = dests[p] as u32;
 }
 
-/// Entry tag of a live line at the block with absolute midpoint `mid`,
-/// updating the line's split point (and tag) in place. The unicast case —
-/// the common one deep in the network — reads the cached [`FastLine::d_val`]
-/// and never touches the assignment after the first evaluation; the
-/// multicast case defers to [`entry_tag_ranged`].
-#[inline]
-fn entry_tag_line(asg: &MulticastAssignment, line: &mut FastLine, mid: usize) -> Tag {
-    let tag = if line.d_hi - line.d_lo == 1 {
-        let v = if line.d_val != NO_VAL {
-            line.d_val as usize
-        } else {
-            let v = asg.dests(line.src as usize)[line.d_lo as usize];
-            line.d_val = v as u32;
-            v
-        };
-        if v < mid {
-            line.d_mid = line.d_hi;
-            Tag::Zero
-        } else {
-            line.d_mid = line.d_lo;
-            Tag::One
-        }
-    } else {
-        let dests = asg.dests(line.src as usize);
-        let (d_mid, tag) =
-            entry_tag_ranged(dests, mid, line.d_lo as usize, line.d_hi as usize);
-        line.d_mid = d_mid as u32;
-        tag
-    };
-    line.tag = tag;
-    tag
+/// The oracle of [`split_alpha`]: a scan of all of `dests` for the largest
+/// destination in the upper half of the block `[lo, lo + size)` and the
+/// smallest in its lower half.
+fn split_by_scan(dests: &[usize], lo: usize, size: usize) -> (u32, u32) {
+    let mid = lo + size / 2;
+    let upper = dests.iter().filter(|&&d| (lo..mid).contains(&d)).max();
+    let lower = dests
+        .iter()
+        .filter(|&&d| (mid..lo + size).contains(&d))
+        .min();
+    (
+        *upper.expect("an α has an upper destination") as u32,
+        *lower.expect("an α has a lower destination") as u32,
+    )
 }
 
 /// Tags by discriminant code (`tag as u32`): the low two bits of a token.
@@ -375,14 +334,15 @@ fn token_tags(tokens: &[u32]) -> Vec<Tag> {
 }
 
 /// The two ends of a level pass, which depend on what the lines carry: the
-/// entry tag of each line, and the gather that hands what the level-entry
-/// lines carry to the outputs their tokens reached. The final 2×2 stage
-/// derives its tags with the same entry step at block size 2.
+/// entry step that derives every line's tag, and the gather that hands
+/// what the level-entry lines carry to the outputs their tokens reached.
+/// The final 2×2 stage derives its tags with the same entry step at block
+/// size 2.
 trait LevelLines {
-    /// Sets and returns the entry tag of line `i` at its block of `size`
-    /// lines (the block starting at `i` rounded down to a multiple of
-    /// `size`).
-    fn enter(&mut self, i: usize, size: usize) -> Tag;
+    /// The entry step: writes every line `i`'s token `(i << 2) | tag`,
+    /// with the line's entry tag at its block of `size` lines (the block
+    /// starting at `i` rounded down to a multiple of `size`).
+    fn enter(&mut self, tokens: &mut [u32], size: usize);
 
     /// Ends a level pass over blocks of `size` lines: output `o` takes
     /// what the level-entry line its token names carries, with the token's
@@ -403,22 +363,43 @@ struct FastLines<'a> {
 }
 
 impl LevelLines for FastLines<'_> {
-    /// The entry tag from the line's retained range at its block's
-    /// midpoint.
-    #[inline]
-    fn enter(&mut self, i: usize, size: usize) -> Tag {
-        let line = &mut self.lines[i];
-        if line.src == NO_SRC {
-            line.tag = Tag::Eps;
-            return Tag::Eps;
+    /// Each line's tag from its first and last destination, with two
+    /// compares and no branch: `lo = first < mid` and `hi = last ≥ mid` at
+    /// its block's midpoint give the code `hi·(1 + lo)` (0, 1 or α), and
+    /// an idle line's is ε. Every line hands its copies its own ends, and
+    /// an α line alone searches its source's destinations for the ends of
+    /// its two halves ([`split_alpha`]). Debug builds check each live
+    /// line's tag against [`entry_tag_fast`] and each α's split against
+    /// [`split_by_scan`].
+    fn enter(&mut self, tokens: &mut [u32], size: usize) {
+        let half = size / 2;
+        for (i, (line, token)) in self.lines.iter_mut().zip(tokens.iter_mut()).enumerate() {
+            let mid = ((i & !(size - 1)) + half) as u32;
+            let lo = u32::from(line.first < mid);
+            let hi = u32::from(line.last >= mid);
+            let code = (hi * (1 + lo)) | (u32::from(line.src == NO_SRC) * 3);
+            *token = (i as u32) << 2 | code;
+            line.lo_last = line.last;
+            line.hi_first = line.first;
+            if code == Tag::Alpha as u32 {
+                split_alpha(self.asg.dests(line.src as usize), line, mid);
+            }
+            if cfg!(debug_assertions) && line.src != NO_SRC {
+                let (dests, base) = (self.asg.dests(line.src as usize), i & !(size - 1));
+                assert_eq!(
+                    token_tag(code),
+                    entry_tag_fast(dests, base, size),
+                    "line {i}, block size {size}"
+                );
+                if code == Tag::Alpha as u32 {
+                    assert_eq!(
+                        (line.lo_last, line.hi_first),
+                        split_by_scan(dests, base, size),
+                        "α line {i}, block size {size}"
+                    );
+                }
+            }
         }
-        let base = i & !(size - 1);
-        let tag = entry_tag_line(self.asg, line, base + size / 2);
-        debug_assert_eq!(
-            tag,
-            entry_tag_fast(self.asg.dests(line.src as usize), base, size)
-        );
-        tag
     }
 
     fn gather(&mut self, tokens: &[u32], size: usize) -> Result<(), CoreError> {
@@ -427,21 +408,16 @@ impl LevelLines for FastLines<'_> {
         Ok(())
     }
 
+    /// Only the source of a line matters after the final stage, so a
+    /// broadcast copies the α line whole.
     fn apply_final(&mut self, lo: usize, setting: SwitchSetting) {
         use SwitchSetting::*;
         let lines = &mut *self.lines;
         match setting {
             Parallel => {}
             Crossing => lines.swap(lo, lo + 1),
-            UpperBroadcast | LowerBroadcast => {
-                let a = if setting == UpperBroadcast {
-                    lines[lo]
-                } else {
-                    lines[lo + 1]
-                };
-                lines[lo] = FastLine { tag: Tag::Zero, ..a };
-                lines[lo + 1] = FastLine { tag: Tag::One, ..a };
-            }
+            UpperBroadcast => lines[lo + 1] = lines[lo],
+            LowerBroadcast => lines[lo] = lines[lo + 1],
         }
     }
 }
@@ -454,14 +430,15 @@ struct PayloadLines<P> {
 }
 
 impl<P: RoutePayload> LevelLines for PayloadLines<P> {
-    fn enter(&mut self, i: usize, size: usize) -> Tag {
-        let base = i & !(size - 1);
-        let line = &mut self.lines[i];
-        line.tag = line
-            .payload
-            .as_ref()
-            .map_or(Tag::Eps, |p| p.entry_tag(base, size));
-        line.tag
+    fn enter(&mut self, tokens: &mut [u32], size: usize) {
+        for (i, (line, token)) in self.lines.iter_mut().zip(tokens.iter_mut()).enumerate() {
+            let base = i & !(size - 1);
+            line.tag = line
+                .payload
+                .as_ref()
+                .map_or(Tag::Eps, |p| p.entry_tag(base, size));
+            *token = (i as u32) << 2 | line.tag as u32;
+        }
     }
 
     /// Splits each α entry line once, with [`RoutePayload::split`] at its
@@ -600,15 +577,10 @@ fn route_level(
     let k = log2_exact(size) as usize;
 
     // Entry tags with the tokens: one pass derives each line's tag at its
-    // block and starts the line's token; a swept level packs the tags into
-    // the planner's bit planes in the same pass.
-    let mut enter = |i: usize| {
-        let tag = lines.enter(i, size);
-        tokens[i] = (i as u32) << 2 | tag as u32;
-        tag as u8
-    };
+    // block and starts the line's token; a swept level then packs the tags
+    // into the planner's bit planes from the tokens.
     if let Planes::Sweep(_) = planes {
-        sweep.set_tags_from_codes(n, enter);
+        sweep.set_tags(tokens, |tokens| lines.enter(tokens, size));
         // Eq. (2): a realizable load never requests more than size/2
         // outputs per half of any block.
         if let Some(c) = sweep.first_overloaded_block(size) {
@@ -620,9 +592,7 @@ fn route_level(
             });
         }
     } else {
-        (0..n).for_each(|i| {
-            enter(i);
-        });
+        lines.enter(tokens, size);
     }
     let input_tags = trace.is_some().then(|| token_tags(tokens));
 
@@ -637,7 +607,7 @@ fn route_level(
     // Quasisorting networks: ε-divide + bit-sort, both backward waves fused
     // into one pass (unicast only), planes reloaded from the token tags.
     planes.program(level, PHASE_QUASISORT, settings, |s| {
-        sweep.set_tags_from_codes(n, |i| (tokens[i] & 3) as u8);
+        sweep.set_tags(tokens, |_| {});
         sweep.plan_quasisort_fused(size, 0, s)
     })?;
     run_tokens(tokens, settings, k)?;
@@ -682,12 +652,12 @@ fn postcondition_error(toks: &[u32], size: usize) -> CoreError {
 }
 
 /// The end of a level pass over semantic lines, block by block: output `o`
-/// takes the level-entry line its token names, with the token's tag, and
-/// narrows its destination range to the half it landed in, so the next
-/// level's entry tags derive from the retained range. Both copies of a
-/// broadcast inherit the α's range and narrow to their own halves. The
-/// Eq. (4) checks accumulate without a branch, and a failing block is
-/// rescanned for its first bad output ([`postcondition_error`]).
+/// takes the level-entry line its token names and narrows it to the half
+/// it landed in, without a branch: an upper output keeps `last ← lo_last`,
+/// a lower one `first ← hi_first` (see [`FastLine`]). Both copies of a
+/// broadcast carry the α's split and keep their own halves. The Eq. (4)
+/// checks accumulate without a branch, and a failing block is rescanned
+/// for its first bad output ([`postcondition_error`]).
 fn gather_fast(
     lines: &[FastLine],
     next: &mut [FastLine],
@@ -696,22 +666,26 @@ fn gather_fast(
 ) -> Result<(), CoreError> {
     let half = size / 2;
     for (outs, toks) in next.chunks_exact_mut(size).zip(tokens.chunks_exact(size)) {
+        let (upper, lower) = outs.split_at_mut(half);
         let mut bad = 0u32;
-        for (pos, (out, &t)) in outs.iter_mut().zip(toks).enumerate() {
-            let mut line = lines[(t >> 2) as usize];
-            line.tag = token_tag(t);
-            // An idle line's range is all zeros, so narrowing leaves it be.
+        for (out, &t) in upper.iter_mut().zip(&toks[..half]) {
+            // The upper half holds 0 or ε: codes 1 and 2 are bad.
             let c = t & 3;
-            if pos < half {
-                // The upper half holds 0 or ε: codes 1 and 2 are bad.
-                bad |= (c ^ (c >> 1)) & 1;
-                line.d_hi = line.d_mid;
-            } else {
-                // The lower half holds 1 or ε: codes 0 and 2 are bad.
-                bad |= !c & 1;
-                line.d_lo = line.d_mid;
-            }
-            *out = line;
+            bad |= (c ^ (c >> 1)) & 1;
+            let line = &lines[(t >> 2) as usize];
+            *out = FastLine {
+                last: line.lo_last,
+                ..*line
+            };
+        }
+        for (out, &t) in lower.iter_mut().zip(&toks[half..]) {
+            // The lower half holds 1 or ε: codes 0 and 2 are bad.
+            bad |= !t & 1;
+            let line = &lines[(t >> 2) as usize];
+            *out = FastLine {
+                first: line.hi_first,
+                ..*line
+            };
         }
         if bad != 0 {
             return Err(postcondition_error(toks, size));
@@ -854,8 +828,9 @@ fn route_network(
     }
 
     let t0 = timer.as_ref().map(|_| Instant::now());
+    lines.enter(tokens, 2);
     for lo in (0..n).step_by(2) {
-        let (tu, tl) = (lines.enter(lo, 2), lines.enter(lo + 1, 2));
+        let (tu, tl) = (token_tag(tokens[lo]), token_tag(tokens[lo + 1]));
         let setting = match &mut planes {
             Planes::Sweep(capture) => {
                 let setting = final_setting(tu, tl, lo)?;
@@ -887,22 +862,19 @@ fn route_network(
 }
 
 /// Loads a frame's input lines into the arena: idle inputs get
-/// [`FastLine::EMPTY`], live inputs start with their whole destination set
-/// as the retained range.
+/// [`FastLine::EMPTY`], live inputs start with the first and last of their
+/// whole destination set.
 fn init_lines(asg: &MulticastAssignment, lines: &mut [FastLine]) {
     for (i, line) in lines.iter_mut().enumerate() {
         let d = asg.dests(i);
-        *line = if d.is_empty() {
-            FastLine::EMPTY
-        } else {
-            FastLine {
-                tag: Tag::Eps,
+        *line = match (d.first(), d.last()) {
+            (Some(&first), Some(&last)) => FastLine {
                 src: i as u32,
-                d_lo: 0,
-                d_mid: d.len() as u32,
-                d_hi: d.len() as u32,
-                d_val: if d.len() == 1 { d[0] as u32 } else { NO_VAL },
-            }
+                first: first as u32,
+                last: last as u32,
+                ..FastLine::EMPTY
+            },
+            _ => FastLine::EMPTY,
         };
     }
 }
@@ -1418,35 +1390,25 @@ mod tests {
         }
     }
 
-    /// Random level-entry lines: every line live with its own source and
-    /// range fields, tags drawn from all four values.
-    fn entry_lines(n: usize, next: &mut impl FnMut() -> u64) -> Vec<FastLine> {
-        (0..n)
-            .map(|i| FastLine {
-                tag: TAG_OF_CODE[(next() & 3) as usize],
-                src: i as u32,
-                d_lo: (next() % 7) as u32,
-                d_mid: (next() % 7) as u32,
-                d_hi: (next() % 7) as u32,
-                d_val: next() as u32,
-            })
-            .collect()
+    /// Random level-entry tags, drawn from all four values.
+    fn entry_tags(n: usize, next: &mut impl FnMut() -> u64) -> Vec<Tag> {
+        (0..n).map(|_| TAG_OF_CODE[(next() & 3) as usize]).collect()
     }
 
     /// The oracle executor: every block of `size` lines through
     /// [`RbnSettings::run_block`], each line carrying the index of its
-    /// entry line (a broadcast clones it), read back as the entry lines
-    /// with the tags the blocks left.
+    /// entry line (a broadcast clones it), read back as `(tag, entry line)`
+    /// per output.
     fn run_blocks(
-        entry: &[FastLine],
+        entry: &[Tag],
         table: &RbnSettings,
         size: usize,
-    ) -> Result<Vec<FastLine>, SwitchError> {
+    ) -> Result<Vec<(Tag, usize)>, SwitchError> {
         let mut lines: Vec<Line<usize>> = entry
             .iter()
             .enumerate()
-            .map(|(i, l)| Line {
-                tag: l.tag,
+            .map(|(i, &tag)| Line {
+                tag,
                 payload: Some(i),
             })
             .collect();
@@ -1455,10 +1417,7 @@ mod tests {
         }
         Ok(lines
             .iter()
-            .map(|l| FastLine {
-                tag: l.tag,
-                ..entry[l.payload.expect("every line carries its entry")]
-            })
+            .map(|l| (l.tag, l.payload.expect("every line carries its entry")))
             .collect())
     }
 
@@ -1467,7 +1426,7 @@ mod tests {
     /// or (ε, α) after the stages before it. Each stage's inputs come from
     /// the oracle executor, run with the later stages still parallel.
     fn legal_settings(
-        entry: &[FastLine],
+        entry: &[Tag],
         size: usize,
         wiring: &RbnWiring,
         next: &mut impl FnMut() -> u64,
@@ -1480,7 +1439,7 @@ mod tests {
             for (idx, &(u, l)) in wiring.stage(j).iter().enumerate() {
                 use SwitchSetting::*;
                 let pick = next() % 3;
-                table.stage_mut(j)[idx] = match (cur[u as usize].tag, cur[l as usize].tag, pick) {
+                table.stage_mut(j)[idx] = match (cur[u as usize].0, cur[l as usize].0, pick) {
                     (Tag::Alpha, Tag::Eps, 2) => UpperBroadcast,
                     (Tag::Eps, Tag::Alpha, 2) => LowerBroadcast,
                     (_, _, 0) => Crossing,
@@ -1491,25 +1450,22 @@ mod tests {
         table
     }
 
-    /// Runs the token kernel over a level and gathers, as the level pass
-    /// does.
+    /// Runs the token kernel over a level, read back as `(tag, entry
+    /// line)` per output, as the gather reads it.
     fn run_level_tokens(
-        entry: &[FastLine],
+        entry: &[Tag],
         table: &RbnSettings,
         k: usize,
-    ) -> Result<Vec<FastLine>, SwitchError> {
+    ) -> Result<Vec<(Tag, usize)>, SwitchError> {
         let mut tokens: Vec<u32> = entry
             .iter()
             .enumerate()
-            .map(|(i, l)| (i as u32) << 2 | l.tag as u32)
+            .map(|(i, &tag)| (i as u32) << 2 | tag as u32)
             .collect();
         run_tokens(&mut tokens, table, k)?;
         Ok(tokens
             .iter()
-            .map(|&t| FastLine {
-                tag: token_tag(t),
-                ..entry[(t >> 2) as usize]
-            })
+            .map(|&t| (token_tag(t), (t >> 2) as usize))
             .collect())
     }
 
@@ -1522,7 +1478,7 @@ mod tests {
             for k in 1..=m as usize {
                 let size = 1usize << k;
                 for _ in 0..3 {
-                    let entry = entry_lines(n, &mut next);
+                    let entry = entry_tags(n, &mut next);
                     let table = legal_settings(&entry, size, &wiring, &mut next);
                     let want = run_blocks(&entry, &table, size).unwrap();
                     let got = run_level_tokens(&entry, &table, k).unwrap();
@@ -1539,7 +1495,7 @@ mod tests {
             let wiring = RbnWiring::new(n);
             let k = log2_exact(size) as usize;
             for _ in 0..20 {
-                let entry = entry_lines(n, &mut next);
+                let entry = entry_tags(n, &mut next);
                 let mut table = legal_settings(&entry, size, &wiring, &mut next);
                 // One switch turned into the broadcast its inputs forbid:
                 // an upper broadcast unless the inputs are (α, ε).
@@ -1550,7 +1506,7 @@ mod tests {
                 }
                 let cur = run_blocks(&entry, &before, size).unwrap();
                 let (u, l) = wiring.stage(j)[idx];
-                let found = (cur[u as usize].tag, cur[l as usize].tag);
+                let found = (cur[u as usize].0, cur[l as usize].0);
                 let setting = if found == (Tag::Alpha, Tag::Eps) {
                     SwitchSetting::LowerBroadcast
                 } else {
@@ -1568,13 +1524,31 @@ mod tests {
         }
     }
 
+    /// Random level-entry lines: every line live with its own source and
+    /// random ends and split values.
+    fn entry_lines(n: usize, next: &mut impl FnMut() -> u64) -> Vec<FastLine> {
+        (0..n)
+            .map(|i| FastLine {
+                src: i as u32,
+                first: next() as u32,
+                last: next() as u32,
+                lo_last: next() as u32,
+                hi_first: next() as u32,
+            })
+            .collect()
+    }
+
     /// The gather's oracle, one block of the copied lines at a time: the
-    /// Eq. (4) postcondition check, then each live line's range narrowed
-    /// to the half it landed in.
-    fn leave_block(lines: &mut [FastLine], base: usize, size: usize) -> Result<(), CoreError> {
+    /// Eq. (4) postcondition check on the tags, then each line narrowed to
+    /// the half it landed in.
+    fn leave_block(
+        lines: &mut [(Tag, FastLine)],
+        base: usize,
+        size: usize,
+    ) -> Result<(), CoreError> {
         let half = size / 2;
-        for (pos, line) in lines[base..base + size].iter_mut().enumerate() {
-            let t = line.tag;
+        for (pos, (t, line)) in lines[base..base + size].iter_mut().enumerate() {
+            let t = *t;
             let ok = if pos < half {
                 t != Tag::One && t != Tag::Alpha
             } else {
@@ -1585,12 +1559,10 @@ mod tests {
                     "BSN postcondition violated: tag {t} at output {pos} of {size}"
                 )));
             }
-            if line.src != NO_SRC {
-                if pos < half {
-                    line.d_hi = line.d_mid;
-                } else {
-                    line.d_lo = line.d_mid;
-                }
+            if pos < half {
+                line.last = line.lo_last;
+            } else {
+                line.first = line.hi_first;
             }
         }
         Ok(())
@@ -1619,12 +1591,9 @@ mod tests {
                             ((next() as usize % n) as u32) << 2 | code as u32
                         })
                         .collect();
-                    let mut want: Vec<FastLine> = tokens
+                    let mut want: Vec<(Tag, FastLine)> = tokens
                         .iter()
-                        .map(|&t| FastLine {
-                            tag: token_tag(t),
-                            ..entry[(t >> 2) as usize]
-                        })
+                        .map(|&t| (token_tag(t), entry[(t >> 2) as usize]))
                         .collect();
                     let want_res = (0..n)
                         .step_by(size)
@@ -1638,6 +1607,7 @@ mod tests {
                     );
                     if want_res.is_ok() {
                         ok += 1;
+                        let want: Vec<FastLine> = want.into_iter().map(|(_, l)| l).collect();
                         assert_eq!(got, want, "n={n} size={size}");
                     } else {
                         failed += 1;
@@ -1646,6 +1616,70 @@ mod tests {
             }
         }
         assert!(ok > 100 && failed > 20, "ok {ok}, failed {failed}");
+    }
+
+    /// The entry step on one level of lines: each line's token, and the
+    /// ends of its halves (what the gather would hand an upper and a lower
+    /// copy).
+    fn enter_level(
+        asg: &MulticastAssignment,
+        lines: &mut [FastLine],
+        size: usize,
+    ) -> Vec<(u32, u32, u32)> {
+        let mut next = vec![FastLine::EMPTY; lines.len()];
+        let mut tokens = vec![0u32; lines.len()];
+        FastLines {
+            asg,
+            lines,
+            next: &mut next,
+        }
+        .enter(&mut tokens, size);
+        tokens
+            .iter()
+            .zip(lines.iter())
+            .map(|(&t, l)| (t, l.lo_last, l.hi_first))
+            .collect()
+    }
+
+    #[test]
+    fn entry_step_derives_tags_and_splits_from_the_ends() {
+        let mut sets = vec![Vec::new(); 8];
+        sets[0] = vec![1, 2, 6];
+        sets[2] = vec![4, 5];
+        sets[3] = vec![0];
+        sets[7] = vec![3, 7];
+        let asg = MulticastAssignment::from_sets(8, sets).unwrap();
+        let mut lines = vec![FastLine::EMPTY; 8];
+        init_lines(&asg, &mut lines);
+        let code = |i: u32, t: Tag| i << 2 | t as u32;
+        let got = enter_level(&asg, &mut lines, 8);
+        // Only the α lines (0 and 7, midpoint 4) search; the others hand
+        // their copies their own ends.
+        assert_eq!(got[0], (code(0, Tag::Alpha), 2, 6));
+        assert_eq!(got[1].0, code(1, Tag::Eps));
+        assert_eq!(got[2], (code(2, Tag::One), 5, 4));
+        assert_eq!(got[3], (code(3, Tag::Zero), 0, 0));
+        assert_eq!(got[7], (code(7, Tag::Alpha), 3, 7));
+
+        // Line 0's copies after a gather: the upper one ends at its
+        // `lo_last`, the lower one starts at its `hi_first`.
+        let mut next = vec![FastLine::EMPTY; 8];
+        next[1] = FastLine {
+            last: lines[0].lo_last,
+            ..lines[0]
+        };
+        next[6] = FastLine {
+            first: lines[0].hi_first,
+            ..lines[0]
+        };
+        let got = enter_level(&asg, &mut next, 4);
+        // {1, 2} splits again at midpoint 2; {6} is a 1 at midpoint 6.
+        assert_eq!(got[1], (code(1, Tag::Alpha), 1, 2));
+        assert_eq!(got[6], (code(6, Tag::One), 6, 6));
+        assert!(got
+            .iter()
+            .enumerate()
+            .all(|(i, g)| i == 1 || i == 6 || g.0 & 3 == Tag::Eps as u32));
     }
 
     /// A payload whose entry tag is fixed, to drive the reference final
@@ -1703,12 +1737,11 @@ mod tests {
     fn output_sources_reads_lines() {
         let mut s = RouteScratch::new(2).unwrap();
         s.lines[0] = FastLine {
-            tag: Tag::Zero,
             src: 1,
-            d_lo: 0,
-            d_mid: 1,
-            d_hi: 1,
-            d_val: NO_VAL,
+            first: 0,
+            last: 0,
+            lo_last: 0,
+            hi_first: 0,
         };
         let v: Vec<Option<usize>> = s.output_sources().collect();
         assert_eq!(v, vec![Some(1), None]);

@@ -2,7 +2,7 @@
 //! realized exactly, by both engines and by the feedback implementation,
 //! across network sizes.
 
-use brsmn_core::{Brsmn, FeedbackBrsmn, MulticastAssignment};
+use brsmn_core::{Brsmn, FeedbackBrsmn, MulticastAssignment, RouteScratch};
 use proptest::prelude::*;
 
 /// Strategy: a random valid multicast assignment of size `2^m`, built by
@@ -90,12 +90,15 @@ proptest! {
 }
 
 /// Exhaustive check at n = 4: every function from outputs to
-/// sources-or-nobody (5^4 = 625 assignments), all realized by all engines.
+/// sources-or-nobody (5^4 = 625 assignments), all realized by all engines,
+/// with the fast path's trace equal to the reference's and to a traced
+/// replay's.
 #[test]
 fn exhaustive_n4_all_assignments() {
     let n = 4usize;
     let net = Brsmn::new(n).unwrap();
     let fed = FeedbackBrsmn::new(n).unwrap();
+    let mut scratch = RouteScratch::new(n).unwrap();
     for code in 0..5usize.pow(4) {
         let mut sets = vec![Vec::new(); n];
         let mut c = code;
@@ -113,15 +116,41 @@ fn exhaustive_n4_all_assignments() {
         assert_eq!(sem, slf, "{asg}");
         let (fb, _) = fed.route(&asg).unwrap();
         assert_eq!(sem, fb, "{asg}");
+        assert_traces_agree(&net, &mut scratch, &asg);
     }
 }
 
+/// The fast path's traced route equals the reference router's, result and
+/// full trace (every level's entry, post-scatter and output tags, the final
+/// stage's tags and settings), and a captured plan replayed traced
+/// reproduces both: the smallest-n, every-case guard on the entry tags and
+/// α splits of the level pass.
+fn assert_traces_agree(net: &Brsmn, scratch: &mut RouteScratch, asg: &MulticastAssignment) {
+    let fast = net
+        .route_traced(asg)
+        .unwrap_or_else(|e| panic!("{asg}: {e}"));
+    assert_eq!(
+        fast,
+        net.route_reference_traced(asg).unwrap(),
+        "reference, {asg}"
+    );
+    let (result, plan) = net.route_capture(asg, scratch).unwrap();
+    assert_eq!(result, fast.0, "capture, {asg}");
+    assert_eq!(
+        net.route_replay_traced(asg, &plan, scratch).unwrap(),
+        fast,
+        "traced replay, {asg}"
+    );
+}
+
 /// Exhaustive check at n = 8 over single-source multicasts: every input ×
-/// every non-empty destination subset (8 × 255).
+/// every non-empty destination subset (8 × 255), each realized, with the
+/// fast path's trace equal to the reference's and to a traced replay's.
 #[test]
 fn exhaustive_n8_single_source() {
     let n = 8usize;
     let net = Brsmn::new(n).unwrap();
+    let mut scratch = RouteScratch::new(n).unwrap();
     for src in 0..n {
         for mask in 1u32..256 {
             let dests: Vec<usize> = (0..n).filter(|&o| mask >> o & 1 == 1).collect();
@@ -130,6 +159,7 @@ fn exhaustive_n8_single_source() {
             let asg = MulticastAssignment::from_sets(n, sets).unwrap();
             let r = net.route(&asg).unwrap();
             assert!(r.realizes(&asg), "src={src} mask={mask:#010b}");
+            assert_traces_agree(&net, &mut scratch, &asg);
         }
     }
 }

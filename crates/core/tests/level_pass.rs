@@ -51,6 +51,13 @@ fn ops(p: &PlanOpProfile) -> [u64; 4] {
     [p.tag_derive_ops, p.rank_ops, p.scatter_ops, p.quasisort_ops]
 }
 
+/// Loads `tags` through the planner's packer, as the level pass loads its
+/// tokens.
+fn load(sweep: &mut SweepScratch, tags: &[Tag]) {
+    let mut tokens: Vec<u32> = tags.iter().map(|&t| t as u32).collect();
+    sweep.set_tags(&mut tokens, |_| {});
+}
+
 /// Every (n, seg) pair the tests sweep: n = 2 … 1024, seg = 2 … n.
 fn shapes() -> impl Iterator<Item = (usize, usize)> {
     (1..=10u32).flat_map(|m| (1..=m).map(move |k| (1usize << m, 1usize << k)))
@@ -65,13 +72,13 @@ fn forest_scatter_matches_per_block_calls() {
             let s_target = next() as usize % seg;
             let mut forest = SweepScratch::new();
             let mut got = RbnSettings::identity(n);
-            forest.set_tags_from_codes(n, |i| tags[i] as u8);
+            load(&mut forest, &tags);
             forest.plan_scatter(s_target, seg, 0, &mut got);
 
             let mut block = SweepScratch::new();
             let mut want = RbnSettings::identity(n);
             for base in (0..n).step_by(seg) {
-                block.set_tags_from_codes(seg, |i| tags[base + i] as u8);
+                load(&mut block, &tags[base..base + seg]);
                 block.plan_scatter(s_target, seg, base, &mut want);
             }
             assert_eq!(got, want, "n={n} seg={seg}");
@@ -119,7 +126,7 @@ fn forest_quasisort_matches_per_block_calls_and_errors() {
             let tags = quasisort_tags(n, seg, &mut next);
             let mut forest = SweepScratch::new();
             let mut got = RbnSettings::identity(n);
-            forest.set_tags_from_codes(n, |i| tags[i] as u8);
+            load(&mut forest, &tags);
             let got_res = forest.plan_quasisort_fused(seg, 0, &mut got);
 
             // The block-by-block walk stops at the first failing block.
@@ -127,7 +134,7 @@ fn forest_quasisort_matches_per_block_calls_and_errors() {
             let mut want = RbnSettings::identity(n);
             let mut want_res: Result<(), PlanError> = Ok(());
             for base in (0..n).step_by(seg) {
-                block.set_tags_from_codes(seg, |i| tags[base + i] as u8);
+                load(&mut block, &tags[base..base + seg]);
                 want_res = block.plan_quasisort_fused(seg, base, &mut want);
                 if want_res.is_err() {
                     break;
@@ -169,7 +176,7 @@ fn capacity_check_reports_the_first_overloaded_block() {
                 })
                 .collect();
             let mut sweep = SweepScratch::new();
-            sweep.set_tags_from_codes(n, |i| tags[i] as u8);
+            load(&mut sweep, &tags);
             let want = tags
                 .chunks(seg)
                 .map(TagCounts::of)

@@ -346,34 +346,30 @@ impl TagVec {
         }
     }
 
-    /// Branchless [`TagVec::fill_from`]: `f` returns the tag's discriminant
-    /// code (`tag as u8`). The declaration order of [`Tag`] makes the two
-    /// low bits of the code exactly the `(lo, hi)` plane encoding — `lo =
-    /// t & 1`, `hi = (t >> 1) & 1` — so the per-element 4-way match of
-    /// [`TagVec::fill_from`] (kept as the oracle) disappears from the
-    /// packing loop. This is the incremental form of tag derivation used
-    /// when the tags are already materialized (the post-scatter reload):
-    /// the planes are rebuilt by shift/mask alone, with no per-tag
-    /// branching.
-    pub fn fill_from_codes<F: FnMut(usize) -> u8>(&mut self, len: usize, mut f: F) {
+    /// Rebuilds the vector from one token per tag: the low two bits of
+    /// `tokens[i]` are tag `i`'s discriminant code (`tag as u32`), and the
+    /// bits above them are never read. The declaration order of [`Tag`]
+    /// makes the code exactly the `(lo, hi)` plane encoding, so each plane
+    /// word gathers one bit of 64 codes with no per-tag branch
+    /// (`pack_codes`). [`TagVec::fill_from`] is its oracle.
+    pub fn fill_from_tokens(&mut self, tokens: &[u32]) {
         self.lo.clear();
         self.hi.clear();
         self.nwords = 0;
-        self.len = len;
-        let (mut alo, mut ahi) = (0u64, 0u64);
-        for i in 0..len {
-            let t = f(i) as u64;
-            debug_assert!(t < 4);
-            let sh = i & 63;
-            alo |= (t & 1) << sh;
-            ahi |= ((t >> 1) & 1) << sh;
-            if sh == 63 {
-                self.push_words(alo, ahi);
-                (alo, ahi) = (0, 0);
-            }
+        self.len = tokens.len();
+        let mut words = tokens.chunks_exact(64);
+        for word in &mut words {
+            let (lo, hi) = pack_codes(word.try_into().expect("a 64-token word"));
+            self.push_words(lo, hi);
         }
-        if len & 63 != 0 {
-            self.push_words(alo, ahi);
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            // Code 0 pads the tail word: both plane bits stay clear past
+            // `len`, as in every other fill.
+            let mut padded = [0u32; 64];
+            padded[..tail.len()].copy_from_slice(tail);
+            let (lo, hi) = pack_codes(&padded);
+            self.push_words(lo, hi);
         }
     }
 
@@ -503,6 +499,28 @@ impl TagVec {
     pub fn footprint_bytes(&self) -> usize {
         (self.lo.capacity() + self.hi.capacity()) * std::mem::size_of::<[u64; LANES]>()
     }
+}
+
+/// The two plane words of 64 tokens' codes: bit `k` of `lo` is bit 0 of
+/// `tokens[k]`, bit `k` of `hi` its bit 1. The tokens narrow to one byte
+/// each, and every 8 bytes gather into 8 plane bits with one multiply per
+/// plane: each byte's bit lands in the product's top byte at its own
+/// position, and no two partial products meet there.
+#[inline]
+fn pack_codes(tokens: &[u32; 64]) -> (u64, u64) {
+    const BYTE_LOW_BITS: u64 = 0x0101_0101_0101_0101;
+    const GATHER: u64 = 0x0102_0408_1020_4080;
+    let mut bytes = [0u8; 64];
+    for (b, &t) in bytes.iter_mut().zip(tokens) {
+        *b = t as u8;
+    }
+    let (mut lo, mut hi) = (0u64, 0u64);
+    for (j, eight) in bytes.chunks_exact(8).enumerate() {
+        let w = u64::from_le_bytes(eight.try_into().expect("8 bytes"));
+        lo |= ((w & BYTE_LOW_BITS).wrapping_mul(GATHER) >> 56) << (8 * j);
+        hi |= ((w >> 1 & BYTE_LOW_BITS).wrapping_mul(GATHER) >> 56) << (8 * j);
+    }
+    (lo, hi)
 }
 
 /// Even bit positions of a plane word: the upper leaf of each of the 32
@@ -691,15 +709,18 @@ impl SweepScratch {
         SweepScratch::default()
     }
 
-    /// Loads `len` tags (a multiple of the block size) from their
-    /// discriminant codes (`tag as u8`) with the branchless
-    /// [`TagVec::fill_from_codes`] packing. Call before
-    /// [`SweepScratch::plan_scatter`] with the entry tags, and again with the
-    /// post-scatter tags before [`SweepScratch::plan_quasisort_fused`].
-    pub fn set_tags_from_codes<F: FnMut(usize) -> u8>(&mut self, len: usize, f: F) {
+    /// Loads one tag per token (a multiple of the block size) from the
+    /// tokens' low two bits ([`TagVec::fill_from_tokens`]), after `derive`
+    /// has written them. `derive` runs inside the `tag_derive` clock: it is
+    /// the level pass's entry step, or nothing when the tokens already hold
+    /// their tags. Call before [`SweepScratch::plan_scatter`] with the entry
+    /// tags, and again with the post-scatter tags before
+    /// [`SweepScratch::plan_quasisort_fused`].
+    pub fn set_tags<F: FnOnce(&mut [u32])>(&mut self, tokens: &mut [u32], derive: F) {
         let clock = ProfClock::start();
-        self.tags.fill_from_codes(len, f);
-        self.profile.tag_derive_ops += len as u64;
+        derive(tokens);
+        self.tags.fill_from_tokens(tokens);
+        self.profile.tag_derive_ops += tokens.len() as u64;
         self.profile.tag_derive_nanos += clock.elapsed_nanos();
     }
 
@@ -1142,7 +1163,8 @@ mod tests {
 
     /// Loads `tags` through the planners' own packing.
     fn load(scratch: &mut SweepScratch, tags: &[Tag]) {
-        scratch.set_tags_from_codes(tags.len(), |i| tags[i] as u8);
+        let mut tokens: Vec<u32> = tags.iter().map(|&t| t as u32).collect();
+        scratch.set_tags(&mut tokens, |_| {});
     }
 
     #[test]
@@ -1179,21 +1201,35 @@ mod tests {
     }
 
     #[test]
-    fn fill_from_codes_matches_fill_from() {
-        // The branchless packing relies on Tag's declaration order matching
-        // the (lo, hi) plane encoding — pin the discriminants first.
+    fn token_packing_matches_fill_from() {
+        // The packer relies on Tag's declaration order matching the
+        // (lo, hi) plane encoding — pin the discriminants first.
         assert_eq!(
-            [Tag::Zero as u8, Tag::One as u8, Tag::Alpha as u8, Tag::Eps as u8],
+            [
+                Tag::Zero as u8,
+                Tag::One as u8,
+                Tag::Alpha as u8,
+                Tag::Eps as u8
+            ],
             [0, 1, 2, 3]
         );
-        let (mut branchy, mut branchless) = (TagVec::new(), TagVec::new());
-        for len in [1usize, 63, 64, 65, 127, 256] {
-            let tags: Vec<Tag> = (0..len).map(|i| tag_of(i * 5 + len)).collect();
-            branchy.fill_from(len, |i| tags[i]);
-            branchless.fill_from_codes(len, |i| tags[i] as u8);
-            assert_eq!(branchless, branchy, "len={len}");
-            for (i, &t) in tags.iter().enumerate() {
-                assert_eq!(branchless.get(i), t, "len={len} i={i}");
+        let mut rng = xorshift(0x70C3_9ACC);
+        let (mut oracle, mut packed) = (TagVec::new(), TagVec::new());
+        for len in [1usize, 2, 63, 64, 65, 127, 128, 256, 1000] {
+            for _ in 0..4 {
+                // Random bits above the low two: only the code may be read.
+                let tokens: Vec<u32> = (0..len).map(|_| rng() as u32).collect();
+                let tags: Vec<Tag> = tokens.iter().map(|&t| tag_of(t as usize)).collect();
+                assert!(
+                    tokens.iter().any(|&t| t > 3),
+                    "len={len}: no high bits drawn"
+                );
+                oracle.fill_from(len, |i| tags[i]);
+                packed.fill_from_tokens(&tokens);
+                assert_eq!(packed, oracle, "len={len}");
+                for (i, &t) in tags.iter().enumerate() {
+                    assert_eq!(packed.get(i), t, "len={len} i={i}");
+                }
             }
         }
     }
@@ -1259,7 +1295,10 @@ mod tests {
             assert!(scratch.profile().is_empty());
         }
         // A fused quasisort wave books under the quasisort category.
-        scratch.set_tags_from_codes(n, |i| [0u8, 1, 3][i % 3]);
+        let tags: Vec<Tag> = (0..n)
+            .map(|i| [Tag::Zero, Tag::One, Tag::Eps][i % 3])
+            .collect();
+        load(&mut scratch, &tags);
         scratch.plan_quasisort_fused(n, 0, &mut table).unwrap();
         let p = scratch.take_profile();
         assert_eq!(p.tag_derive_ops, n as u64);
@@ -1356,7 +1395,12 @@ mod tests {
         for len in [1usize, 63, 64, 65, 127, 255, 256, 257, 300] {
             let tags: Vec<Tag> = (0..len).map(|i| tag_of(i * 11 + len)).collect();
             tv.fill_from(len, |i| tags[i]);
-            for plane in [TagPlane::Zero, TagPlane::One, TagPlane::Alpha, TagPlane::Eps] {
+            for plane in [
+                TagPlane::Zero,
+                TagPlane::One,
+                TagPlane::Alpha,
+                TagPlane::Eps,
+            ] {
                 tv.extract_plane(plane, &mut wide);
                 tv.extract_plane_scalar(plane, &mut scalar);
                 assert_eq!(wide, scalar, "len={len} {plane:?}");

@@ -20,7 +20,7 @@
 //!
 //! | category     | ops                                            | nanos |
 //! |--------------|------------------------------------------------|-------|
-//! | `tag_derive` | tags packed into the two bit planes            | plane-packing fills (`set_tags` / `set_tags_from_codes`) |
+//! | `tag_derive` | tags packed into the two bit planes            | `SweepScratch::set_tags`: the level pass's entry step, which it runs inside its clock, and the packing of the planes from the tokens, 64 tags per word (the post-scatter reload packs only) |
 //! | `rank`       | count queries of the nodes above tree level 1: two per node (a ladder read is one, and the scatter's j = 2 table lookup stands for a node's two) plus two per tie-walk step, so `2(len/2 − len/seg) + 2·steps` per scatter sweep and `2(len/2 − len/seg)` per quasisort sweep; the word-parallel j = 1 step issues none | plane extraction and popcount-ladder builds (the count infrastructure the queries run on) |
 //! | `scatter`    | tree nodes settled by Table 4 waves            | scatter backward waves |
 //! | `quasisort`  | tree nodes settled by Table 6 + 3 fused waves  | quasisort backward waves (incl. the Eq. 2 pre-checks) |
@@ -39,7 +39,8 @@ use serde::{Deserialize, Serialize};
 pub struct PlanOpProfile {
     /// Tags packed into the two bit planes.
     pub tag_derive_ops: u64,
-    /// Nanoseconds spent packing tag planes (0 unless `plan-profile`).
+    /// Nanoseconds spent deriving tags (the entry step a load runs) and
+    /// packing them into the planes (0 unless `plan-profile`).
     pub tag_derive_nanos: u64,
     /// Count queries issued by the backward waves for the nodes above tree
     /// level 1 (two per node, a ladder read counting as one and the

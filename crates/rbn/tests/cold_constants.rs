@@ -1,9 +1,10 @@
 //! Oracle-equivalence suite for the cold-path constant shrink: the aligned
-//! segment counts and the branchless code packing must be bit-identical to
-//! naive oracles (a bit-at-a-time count, the per-tag match packing) at
-//! awkward lengths — word boundaries, single bits, partial tail words. The
-//! forest form of the sweeps (a whole BSN level at once) is checked against
-//! the per-block calls in `brsmn-core`'s `tests/level_pass.rs`.
+//! segment counts and the word-parallel packing of tag codes from tokens
+//! must be bit-identical to naive oracles (a bit-at-a-time count, the
+//! per-tag match packing) at awkward lengths — word boundaries, single
+//! bits, partial tail words. The forest form of the sweeps (a whole BSN
+//! level at once) is checked against the per-block calls in
+//! `brsmn-core`'s `tests/level_pass.rs`.
 
 use brsmn_rbn::{BitVec, SweepScratch, TagVec};
 use brsmn_switch::tag::TagCounts;
@@ -49,16 +50,18 @@ proptest! {
         }
     }
 
-    /// Branchless discriminant packing (what the planners load) equals the
-    /// per-tag match oracle, and so do its aligned segment tallies.
+    /// The planners' packer, which reads each tag's code from the low two
+    /// bits of a token and nothing above them, equals the per-tag match
+    /// oracle, and so do its aligned segment tallies.
     #[test]
-    fn code_packing_matches_per_tag_packing(raw in proptest::collection::vec(0u8..4, 256)) {
+    fn code_packing_matches_per_tag_packing(raw in proptest::collection::vec(any::<u32>(), 256)) {
         for &len in &LENS {
-            let tags: Vec<Tag> = raw[..len].iter().map(|&c| tag_of(c)).collect();
+            let tags: Vec<Tag> = raw[..len].iter().map(|&t| tag_of(t as u8)).collect();
             let mut want = TagVec::new();
             want.fill_from(len, |i| tags[i]);
             let mut got = SweepScratch::new();
-            got.set_tags_from_codes(len, |i| tags[i] as u8);
+            let mut tokens = raw[..len].to_vec();
+            got.set_tags(&mut tokens, |_| {});
             prop_assert_eq!(got.tags(), &want, "len={}", len);
             let seg = 1usize << len.ilog2();
             prop_assert_eq!(got.tags().seg_counts(0, seg), TagCounts::of(&tags[..seg]), "len={}", len);
