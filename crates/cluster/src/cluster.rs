@@ -22,12 +22,12 @@
 //!   layer's output hash is order-independent across worker interleavings.
 
 use brsmn_core::{
-    plan_fingerprint, BatchOutput, CoreError, EngineStats, MulticastAssignment, RoutingResult,
-    ShardedEngine,
+    plan_fingerprint, route_striped, BatchOutput, CoreError, MulticastAssignment, ShardedEngine,
 };
 use brsmn_workloads::{random_multicast, RandomSpec};
 use serde::Serialize;
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::net::{fold, mix, BroadcastId, ClusterView, NodeId, SimConfig, VirtualNet};
 use crate::node::{Node, NodeStats, Outbox, Protocol};
@@ -438,49 +438,34 @@ impl Cluster {
             .unwrap_or(0)
     }
 
-    /// Routes a batch striped round-robin across **all** nodes — the exact
-    /// `results[k + j * s]` interleave of `ShardedEngine::route_batch`, so
-    /// a fault-free cluster is bit-identical to the sharded engine.
+    /// Routes a batch striped round-robin across **all** nodes — the
+    /// striping of `ShardedEngine::route_batch` ([`route_striped`]), so a
+    /// fault-free cluster is bit-identical to the sharded engine.
     pub fn route_batch(&mut self, batch: &[MulticastAssignment]) -> BatchOutput {
         let routers: Vec<NodeId> = (0..self.nodes.len()).map(NodeId).collect();
         self.route_batch_on(batch, &routers)
     }
 
     /// Routes a batch striped across `routers` (e.g. the current live
-    /// members, so a faulty shard is routed around). Results come back in
-    /// input order; every shard routes the full `n × n` fabric, so which
-    /// node routes a frame never changes the result bits.
+    /// members, so a faulty shard is routed around) with [`route_striped`].
+    /// Results come back in input order; every shard routes the full
+    /// `n × n` fabric, so which node routes a frame never changes the
+    /// result bits. The nodes route their stripes concurrently, each into
+    /// its own plan cache, so results and caches stay deterministic.
     pub fn route_batch_on(
         &mut self,
         batch: &[MulticastAssignment],
         routers: &[NodeId],
     ) -> BatchOutput {
-        assert!(!routers.is_empty(), "no live node to route on");
-        let s = routers.len();
-        let mut out = if s == 1 || batch.len() <= 1 {
-            self.nodes[routers[0].0].route_stripe(batch)
-        } else {
-            let stripes: Vec<Vec<MulticastAssignment>> = (0..s)
-                .map(|k| batch.iter().skip(k).step_by(s).cloned().collect())
-                .collect();
-            let mut results: Vec<Option<Result<RoutingResult, CoreError>>> =
-                (0..batch.len()).map(|_| None).collect();
-            let mut stats = EngineStats::empty(self.params.n);
-            for (k, stripe) in stripes.iter().enumerate() {
-                let stripe_out = self.nodes[routers[k].0].route_stripe(stripe);
-                for (j, r) in stripe_out.results.into_iter().enumerate() {
-                    results[k + j * s] = Some(r);
-                }
-                stats.merge(&stripe_out.stats);
-            }
-            BatchOutput {
-                results: results
-                    .into_iter()
-                    .map(|r| r.expect("striping covers every frame exactly once"))
-                    .collect(),
-                stats,
-            }
-        };
+        let nodes = &self.nodes;
+        let routed: Vec<AtomicU64> = nodes.iter().map(|_| AtomicU64::new(0)).collect();
+        let mut out = route_striped(self.params.n, routers, batch, |id, stripe| {
+            routed[id.0].fetch_add(stripe.len() as u64, Ordering::Relaxed);
+            nodes[id.0].engine().route_batch(stripe)
+        });
+        for (node, routed) in self.nodes.iter_mut().zip(routed) {
+            node.stats.frames_routed += routed.into_inner();
+        }
         out.stats.cluster_nodes = self.nodes.len() as u64;
         out.stats.cluster_messages = self.net.stats().sent;
         out.stats.cluster_messages_dropped = self.net.stats().dropped();

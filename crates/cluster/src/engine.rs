@@ -1,15 +1,18 @@
 //! [`DistributedEngine`]: the simulated cluster wrapped as a
 //! [`RouterBackend`], the eighth backend of the fleet.
 //!
+//! The wrapper is a membership view over [`Cluster::route_batch_on`]: each
+//! `route_batch` pumps one virtual tick (so heartbeats, invalidation
+//! floods, and anti-entropy keep flowing between data-plane calls), picks
+//! the live members as routers, and makes one routing call. The cluster
+//! counters ride out on [`EngineStats`](brsmn_core::EngineStats).
+//!
 //! A fault-free cluster is bit-identical to
-//! [`ShardedEngine`](brsmn_core::ShardedEngine): batches stripe across the
-//! nodes with the same `results[k + j * s]` interleave, every node routes
-//! a full `n × n` fabric, and settings are a pure function of the
+//! [`ShardedEngine`](brsmn_core::ShardedEngine): both stripe a batch with
+//! the same [`route_striped`](brsmn_core::route_striped), every node
+//! routes a full `n × n` fabric, and settings are a pure function of the
 //! assignment — so neither the striping nor the per-node caches can move
-//! a single output bit. What the wrapper adds is the control plane: each
-//! `route_batch` also pumps one virtual tick so heartbeats, invalidation
-//! floods, and anti-entropy keep flowing between data-plane calls, and the
-//! cluster counters ride out on [`EngineStats`](brsmn_core::EngineStats).
+//! a single output bit.
 
 use std::sync::Mutex;
 
@@ -72,17 +75,17 @@ impl DistributedEngine {
         self.with_cluster(|c| c.invalidate_from(origin, fp))
     }
 
-    /// Routes a batch striped across the live members, pumping the control
-    /// plane one tick so protocol traffic keeps moving under load.
+    /// Routes a batch striped across the live members (every node when
+    /// none is live), pumping the control plane one tick first so protocol
+    /// traffic keeps moving under load.
     pub fn route_batch(&self, batch: &[MulticastAssignment]) -> BatchOutput {
         self.with_cluster(|c| {
             c.tick();
-            let live = c.live_members();
-            if live.is_empty() || live.len() == c.num_nodes() {
-                c.route_batch(batch)
-            } else {
-                c.route_batch_on(batch, &live)
+            let mut routers = c.live_members();
+            if routers.is_empty() {
+                routers = (0..c.num_nodes()).map(NodeId).collect();
             }
+            c.route_batch_on(batch, &routers)
         })
     }
 }
@@ -99,6 +102,10 @@ impl RouterBackend for DistributedEngine {
     fn route_assignment(&self, asg: &MulticastAssignment) -> Result<RoutingResult, CoreError> {
         let mut out = self.route_batch(std::slice::from_ref(asg));
         out.results.remove(0)
+    }
+
+    fn route_batch(&self, batch: &[MulticastAssignment]) -> BatchOutput {
+        DistributedEngine::route_batch(self, batch)
     }
 
     fn is_brsmn(&self) -> bool {

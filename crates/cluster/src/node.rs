@@ -753,14 +753,6 @@ impl Node {
             );
         }
     }
-
-    // ---- data plane --------------------------------------------------
-
-    /// Routes one stripe on this node's shard engine.
-    pub fn route_stripe(&mut self, stripe: &[MulticastAssignment]) -> brsmn_core::BatchOutput {
-        self.stats.frames_routed += stripe.len() as u64;
-        self.engine.route_batch(stripe)
-    }
 }
 
 fn fold_id(id: BroadcastId) -> u64 {

@@ -9,6 +9,11 @@
 //!
 //! The trait is object-safe and requires `Send + Sync`, so a serving shard
 //! can hold `Box<dyn RouterBackend>` and route from any worker thread.
+//! Batches go through [`RouterBackend::route_batch`]: a plain loop over
+//! [`RouterBackend::route_assignment`] by default, the engine's own batch
+//! path for [`Engine`] and [`ShardedEngine`] (and `brsmn-cluster`'s
+//! `DistributedEngine`). A fleet of backends stripes one batch across its
+//! members with [`crate::route_striped`], as the serving loop does.
 //!
 //! Because a multicast assignment determines its delivered source table
 //! uniquely (output `o` either receives from the single `i` with
@@ -37,9 +42,11 @@
 //! }
 //! ```
 
+use std::time::Instant;
+
 use crate::assignment::{MulticastAssignment, RoutingResult};
 use crate::brsmn::Brsmn;
-use crate::engine::{Engine, ShardedEngine};
+use crate::engine::{BatchOutput, Engine, EngineStats, ShardedEngine};
 use crate::error::CoreError;
 use crate::feedback::FeedbackBrsmn;
 
@@ -60,6 +67,24 @@ pub trait RouterBackend: Send + Sync {
     /// panic on a mismatch (the serving loop's admission control rejects
     /// wrong-sized requests before they reach a backend).
     fn route_assignment(&self, asg: &MulticastAssignment) -> Result<RoutingResult, CoreError>;
+
+    /// Routes a batch on the calling thread, results in input order. The
+    /// default runs [`RouterBackend::route_assignment`] frame by frame and
+    /// reports one worker, the frame tallies, and the loop's time as both
+    /// `wall_nanos` and `busy_nanos`; the engines override it with their
+    /// own batch path.
+    fn route_batch(&self, batch: &[MulticastAssignment]) -> BatchOutput {
+        let start = Instant::now();
+        let results: Vec<_> = batch.iter().map(|asg| self.route_assignment(asg)).collect();
+        let mut stats = EngineStats::empty(self.size());
+        stats.batch = batch.len();
+        stats.workers = 1;
+        stats.frames_ok = results.iter().filter(|r| r.is_ok()).count();
+        stats.frames_failed = batch.len() - stats.frames_ok;
+        stats.wall_nanos = start.elapsed().as_nanos() as u64;
+        stats.busy_nanos = stats.wall_nanos;
+        BatchOutput { results, stats }
+    }
 
     /// `true` for backends pinned bit-identical to
     /// [`Brsmn::route_reference`] (the BRSMN family: fast path, reference
@@ -153,7 +178,8 @@ impl RouterBackend for FeedbackBrsmn {
 }
 
 /// A single-fabric engine routes one-frame batches; instrumentation is
-/// dropped (use [`Engine::route_one`] for the stats).
+/// dropped (use [`Engine::route_one`] for the stats). Batches take
+/// [`Engine::route_batch`].
 impl RouterBackend for Engine {
     fn name(&self) -> &'static str {
         "brsmn-engine"
@@ -167,13 +193,17 @@ impl RouterBackend for Engine {
         self.route_one(asg).0
     }
 
+    fn route_batch(&self, batch: &[MulticastAssignment]) -> BatchOutput {
+        Engine::route_batch(self, batch)
+    }
+
     fn is_brsmn(&self) -> bool {
         true
     }
 }
 
 /// A sharded engine routes a single frame on its first shard (striping only
-/// pays off for batches; see [`ShardedEngine::route_batch`]).
+/// pays off for batches, which take [`ShardedEngine::route_batch`]).
 impl RouterBackend for ShardedEngine {
     fn name(&self) -> &'static str {
         "brsmn-sharded"
@@ -186,6 +216,10 @@ impl RouterBackend for ShardedEngine {
     fn route_assignment(&self, asg: &MulticastAssignment) -> Result<RoutingResult, CoreError> {
         let mut out = self.route_batch(std::slice::from_ref(asg));
         out.results.remove(0)
+    }
+
+    fn route_batch(&self, batch: &[MulticastAssignment]) -> BatchOutput {
+        ShardedEngine::route_batch(self, batch)
     }
 
     fn is_brsmn(&self) -> bool {

@@ -364,10 +364,9 @@ impl EngineStats {
     /// the widest round's `workers` instead. `scratch_bytes` and
     /// `plan_cache_bytes` take the max (arenas are per worker and shards
     /// share one cache, so adding would double-count); `wall_nanos` takes
-    /// the max, which is exact for shards running concurrently — callers
-    /// that know the true end-to-end wall time (e.g.
-    /// [`ShardedEngine::route_batch`], the serving loop) overwrite it after
-    /// merging.
+    /// the max, a lower bound on the end-to-end time — [`route_striped`]
+    /// overwrites it with its own clock around the whole call, and the
+    /// serving loop with its thread's lifetime.
     pub fn merge(&mut self, other: &EngineStats) {
         debug_assert_eq!(self.n, other.n, "merging stats across network sizes");
         self.batch += other.batch;
@@ -940,18 +939,14 @@ impl Engine {
 
 /// `S` independent fabrics routing stripes of one batch concurrently.
 ///
-/// Frame `i` of a batch goes to shard `i mod S` (round-robin striping), the
-/// shards route their stripes in parallel (one scoped thread per shard, each
-/// shard's [`Engine`] applying its own worker config inside), and the
-/// per-frame results are reassembled in input order. Because the shards are
-/// fully independent fabrics and striping never reorders frames, the output
-/// is **bit-identical** to routing the same batch through a single
-/// [`Engine`] — `crates/core/tests/shard_props.rs` pins this down.
-///
-/// Per-shard [`EngineStats`] are folded with [`EngineStats::merge`];
-/// `wall_nanos` is the measured end-to-end time (so
-/// [`EngineStats::frames_per_sec`] reflects the sharded throughput), while
-/// `workers` sums the shards' worker counts.
+/// [`ShardedEngine::route_batch`] stripes a batch across the shards with
+/// [`route_striped`], each shard's [`Engine`] applying its own worker
+/// config inside. Because the shards are fully independent fabrics and
+/// striping never reorders frames, the output is **bit-identical** to
+/// routing the same batch through a single [`Engine`] —
+/// `crates/core/tests/shard_props.rs` pins this down. The stats follow
+/// the striper's rule: `workers` sums the busy shards' counts, and
+/// `wall_nanos` is the striper's clock around the whole call.
 ///
 /// # Example
 ///
@@ -1039,43 +1034,77 @@ impl ShardedEngine {
         }
     }
 
-    /// Routes a batch striped round-robin across the shards; results come
-    /// back in input order, bit-identical to a single [`Engine`].
+    /// Routes a batch striped round-robin across the shards
+    /// ([`route_striped`]); results come back in input order, bit-identical
+    /// to a single [`Engine`].
     pub fn route_batch(&self, batch: &[MulticastAssignment]) -> BatchOutput {
-        let s = self.shards.len();
-        if s == 1 || batch.len() <= 1 {
-            return self.shards[0].route_batch(batch);
-        }
-
-        let stripes: Vec<Vec<MulticastAssignment>> = (0..s)
-            .map(|k| batch.iter().skip(k).step_by(s).cloned().collect())
-            .collect();
-
-        let wall_start = Instant::now();
-        let shard_outs = par::par_map(&stripes, s, |k, stripe| {
-            self.shards[k].route_batch(stripe)
-        });
-        let wall_nanos = wall_start.elapsed().as_nanos() as u64;
-
-        let mut results: Vec<Option<Result<RoutingResult, CoreError>>> =
-            (0..batch.len()).map(|_| None).collect();
-        let mut stats = EngineStats::empty(self.n());
-        for (k, out) in shard_outs.into_iter().enumerate() {
-            for (j, r) in out.results.into_iter().enumerate() {
-                results[k + j * s] = Some(r);
-            }
-            stats.merge(&out.stats);
-        }
-        stats.wall_nanos = wall_nanos;
-
-        BatchOutput {
-            results: results
-                .into_iter()
-                .map(|r| r.expect("striping covers every frame exactly once"))
-                .collect(),
-            stats,
-        }
+        route_striped(self.n(), &self.shards, batch, Engine::route_batch)
     }
+}
+
+/// Routes `batch` striped round-robin across `routers`: the one striping
+/// policy of every fleet — [`ShardedEngine`], `brsmn-cluster`'s `Cluster`
+/// and `brsmn-serve`'s fabric. Every BRSMN setting is a pure function of
+/// the assignment (§3, §6), so which router routes a frame never moves a
+/// result bit.
+///
+/// With `s = min(routers, frames)` stripes, frame `i` goes to
+/// `route(&routers[i mod s], stripe)`, so no router gets an empty stripe.
+/// The stripes run on [`par::par_map`] threads and their results come back
+/// in input order; one stripe goes straight to its router, with no copy
+/// and no thread. The stripes' stats fold through [`EngineStats::merge`],
+/// so `workers` sums the stripes' own counts (0 for an empty batch), and
+/// `wall_nanos` is this call's clock, so [`EngineStats::frames_per_sec`]
+/// reflects the striped throughput.
+///
+/// # Panics
+///
+/// If `routers` is empty while `batch` is not, or a router returns a result
+/// count other than its stripe's length.
+pub fn route_striped<R: Sync>(
+    n: usize,
+    routers: &[R],
+    batch: &[MulticastAssignment],
+    route: impl Fn(&R, &[MulticastAssignment]) -> BatchOutput + Sync,
+) -> BatchOutput {
+    assert!(
+        !routers.is_empty() || batch.is_empty(),
+        "no router to stripe the batch across"
+    );
+    let wall_start = Instant::now();
+    let s = routers.len().min(batch.len());
+    let mut out = match s {
+        0 => BatchOutput {
+            results: Vec::new(),
+            stats: EngineStats::empty(n),
+        },
+        1 => route(&routers[0], batch),
+        _ => {
+            let stripes: Vec<Vec<MulticastAssignment>> = (0..s)
+                .map(|k| batch.iter().skip(k).step_by(s).cloned().collect())
+                .collect();
+            let outs = par::par_map(&stripes, s, |k, stripe| route(&routers[k], stripe));
+            let mut stats = EngineStats::empty(n);
+            let mut lanes = Vec::with_capacity(s);
+            for (stripe, out) in stripes.iter().zip(outs) {
+                assert_eq!(
+                    out.results.len(),
+                    stripe.len(),
+                    "a router answers every frame of its stripe"
+                );
+                stats.merge(&out.stats);
+                lanes.push(out.results.into_iter());
+            }
+            // Frame i is the next unreturned result of stripe i mod s.
+            let mut results = Vec::with_capacity(batch.len());
+            for i in 0..batch.len() {
+                results.extend(lanes[i % s].next());
+            }
+            BatchOutput { results, stats }
+        }
+    };
+    out.stats.wall_nanos = wall_start.elapsed().as_nanos() as u64;
+    out
 }
 
 /// Drives one frame through the verify → retry → degrade ladder.
@@ -1370,6 +1399,80 @@ mod tests {
         let warm = cached.route_batch(&batch);
         assert_eq!(warm.stats.plan_hits, 20);
         assert_eq!(warm.stats.batch_planned_frames, 0);
+    }
+
+    #[test]
+    fn striper_deals_round_robin_and_merges_in_input_order() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Mutex;
+
+        let n = 8;
+        // Frame i has source i alone, so every frame names itself.
+        let frame = |i: usize| {
+            let mut sets = vec![Vec::new(); n];
+            sets[i] = vec![i];
+            MulticastAssignment::from_sets(n, sets).unwrap()
+        };
+        let source = |asg: &MulticastAssignment| (0..n).find(|&i| !asg.dests(i).is_empty());
+        let spin = Duration::from_millis(2);
+        for shards in 1..=4usize {
+            for len in [0, 1, shards - 1, shards, shards + 1] {
+                let ctx = format!("{len} frames on {shards} routers");
+                let batch: Vec<MulticastAssignment> = (0..len).map(frame).collect();
+                let seen: Vec<Mutex<Vec<usize>>> = (0..shards).map(|_| Mutex::default()).collect();
+                let longest = AtomicU64::new(0);
+                let routers: Vec<usize> = (0..shards).collect();
+                // A fake router: fails the frames with an odd source, spins a
+                // fixed time, and reports no wall time of its own.
+                let out = route_striped(n, &routers, &batch, |&k, stripe| {
+                    let t0 = Instant::now();
+                    let mut stats = EngineStats::empty(n);
+                    let results: Vec<Result<RoutingResult, CoreError>> = stripe
+                        .iter()
+                        .map(|asg| {
+                            let i = source(asg).unwrap();
+                            seen[k].lock().unwrap().push(i);
+                            if i % 2 == 1 {
+                                Err(CoreError::Config(format!("frame {i}")))
+                            } else {
+                                Ok(RoutingResult::new(vec![Some(i)]))
+                            }
+                        })
+                        .collect();
+                    stats.batch = stripe.len();
+                    stats.workers = 1;
+                    stats.frames_ok = results.iter().filter(|r| r.is_ok()).count();
+                    stats.frames_failed = stripe.len() - stats.frames_ok;
+                    while t0.elapsed() < spin {}
+                    longest.fetch_max(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                    BatchOutput { results, stats }
+                });
+
+                let s = shards.min(len);
+                for (k, seen) in seen.iter().enumerate() {
+                    let want: Vec<usize> = (k..len).step_by(s.max(1)).collect();
+                    assert_eq!(*seen.lock().unwrap(), want, "router {k}, {ctx}");
+                }
+                assert_eq!(out.results.len(), len, "{ctx}");
+                for (i, result) in out.results.iter().enumerate() {
+                    let want = if i % 2 == 1 {
+                        Err(CoreError::Config(format!("frame {i}")))
+                    } else {
+                        Ok(RoutingResult::new(vec![Some(i)]))
+                    };
+                    assert_eq!(result, &want, "frame {i}, {ctx}");
+                }
+                assert_eq!(out.stats.batch, len, "{ctx}");
+                assert_eq!(out.stats.workers, s, "{ctx}");
+                assert_eq!(out.stats.frames_ok, len.div_ceil(2), "{ctx}");
+                assert_eq!(out.stats.frames_failed, len / 2, "{ctx}");
+                assert!(
+                    out.stats.wall_nanos >= longest.load(Ordering::Relaxed),
+                    "{ctx}: wall {} ns",
+                    out.stats.wall_nanos
+                );
+            }
+        }
     }
 
     #[test]

@@ -86,8 +86,8 @@ pub use brsmn::{Brsmn, LevelTrace, RouteTrace};
 pub use bsn::{Bsn, BsnTrace};
 pub use canonical::{canonicalize, invert_permutation, Canonicalized, FanoutProfile};
 pub use engine::{
-    BatchOutput, Engine, EngineConfig, EngineStats, FrameOutcome, LevelStats, ResilientRouter,
-    ShardedEngine, StageTimer,
+    route_striped, BatchOutput, Engine, EngineConfig, EngineStats, FrameOutcome, LevelStats,
+    ResilientRouter, ShardedEngine, StageTimer,
 };
 pub use brsmn_rbn::PlanOpProfile;
 pub use error::CoreError;

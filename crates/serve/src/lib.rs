@@ -14,10 +14,11 @@
 //!            ▼  weighted round-robin: each visit spends `weight` credits,
 //!            │  expired-deadline jobs are shed (DeadlineExceeded), up to
 //!            │  batch_window live jobs form the routing round
-//!  ┌─────────┴───────────────────┐
-//!  │ serving thread              │   shard 0: Engine / RouterBackend
-//!  │   stripe frames round-robin ├──▶ shard 1: …        (par_map, one
-//!  │   merge EngineStats         │   shard S−1:          thread per shard)
+//!  ┌─────────┴───────────────────┐   fabric: Vec<Box<dyn RouterBackend>>
+//!  │ serving thread              │     brsmn: one ShardedEngine (S shards)
+//!  │   route_striped: frame i to ├──▶  cluster: one DistributedEngine
+//!  │   backend i mod s, one      │     others: S instances, one per shard
+//!  │   thread per stripe         │   (each striping again inside)
 //!  └─────────────────────────────┘
 //!         │ per-request latency → global + per-tenant LatencyHistogram
 //!         ▼
@@ -34,9 +35,12 @@
 //! and the fanout cap can all be changed **between rounds** while frames are
 //! in flight via [`Server::reconfigure`]; every change bumps the config
 //! *epoch*, and each [`Completion`] is stamped with the epoch under which it
-//! was admitted. The BRSMN backend routes shards through [`ShardedEngine`]
-//! (bit-identical to a single engine); every other [`RouterBackend`] gets
-//! one independent instance per shard.
+//! was admitted. Every round goes through [`route_striped`], the striper
+//! every fleet shares. The BRSMN backend is one [`ShardedEngine`], which
+//! stripes its own shards over one plan cache (bit-identical to a single
+//! engine); the cluster backend is one [`DistributedEngine`], which stripes
+//! across its live nodes; every other [`RouterBackend`] gets one
+//! independent instance per shard.
 //!
 //! # Example
 //!
@@ -69,10 +73,9 @@ use brsmn_baselines::{CopyBenesMulticast, Crossbar};
 use brsmn_cluster::DistributedEngine;
 use brsmn_core::backend::{ReferenceRouter, RouterBackend};
 use brsmn_core::{
-    CoreError, EngineConfig, EngineStats, FeedbackBrsmn, MulticastAssignment, PlanCache,
-    RoutingResult, ShardedEngine,
+    route_striped, BatchOutput, CoreError, EngineConfig, EngineStats, FeedbackBrsmn,
+    MulticastAssignment, PlanCache, RoutingResult, ShardedEngine,
 };
-use brsmn_rbn::par;
 use brsmn_workloads::queueing::{QueueConfig, QueueError};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -623,124 +626,51 @@ impl ServeReport {
     }
 }
 
-/// The routing fabric behind the queue: either a [`ShardedEngine`] (BRSMN
-/// fast path, with its own striping and instrumentation) or one
-/// [`RouterBackend`] instance per shard driven by the same round-robin
-/// striping.
-enum Fabric {
-    Sharded(ShardedEngine),
-    Cluster(DistributedEngine),
-    Backends {
-        n: usize,
-        shards: Vec<Box<dyn RouterBackend>>,
-    },
-}
+/// The routing fabric behind the queue: the backends the serving thread
+/// stripes each round across with [`route_striped`]. The `brsmn` backend is
+/// one [`ShardedEngine`] (it stripes its own shards, which share one plan
+/// cache), `cluster` is one [`DistributedEngine`] (it stripes across its
+/// live nodes), and every other backend has one instance per shard.
+type Fabric = Vec<Box<dyn RouterBackend>>;
 
-impl Fabric {
-    fn build(cfg: &ServeConfig, warm_cache: Option<Arc<PlanCache>>) -> Result<Fabric, ServeError> {
-        let n = cfg.queue.n;
-        // A pre-warmed cache only makes sense on the BRSMN fast path — the
-        // other backends never consult a plan cache.
-        if warm_cache.is_some() && cfg.backend != BackendKind::Brsmn {
-            return Err(ServeError::Core(CoreError::Config(format!(
-                "warm-start plan cache requires the brsmn backend, not {}",
-                cfg.backend
-            ))));
-        }
-        let make_shards = |f: &dyn Fn() -> Result<Box<dyn RouterBackend>, ServeError>| {
-            (0..cfg.shards)
-                .map(|_| f())
-                .collect::<Result<Vec<_>, _>>()
-                .map(|shards| Fabric::Backends { n, shards })
-        };
-        match cfg.backend {
-            BackendKind::Brsmn => {
-                let mut engine = ShardedEngine::with_config(
-                    n,
-                    cfg.shards,
-                    EngineConfig::batch(cfg.workers_per_shard).with_plan_cache(cfg.plan_cache),
-                )?;
-                if let Some(cache) = warm_cache {
-                    engine.share_plan_cache(cache);
-                }
-                Ok(Fabric::Sharded(engine))
-            }
-            BackendKind::Reference => {
-                make_shards(&|| Ok(Box::new(ReferenceRouter::new(n)?) as Box<dyn RouterBackend>))
-            }
-            BackendKind::Feedback => {
-                make_shards(&|| Ok(Box::new(FeedbackBrsmn::new(n)?) as Box<dyn RouterBackend>))
-            }
-            BackendKind::Crossbar => {
-                make_shards(&|| Ok(Box::new(Crossbar::new(n)) as Box<dyn RouterBackend>))
-            }
-            BackendKind::CopyBenes => make_shards(&|| {
-                let net = CopyBenesMulticast::new(n).map_err(|e| {
-                    ServeError::Core(CoreError::Config(format!("copy–benes baseline: {e}")))
-                })?;
-                Ok(Box::new(net) as Box<dyn RouterBackend>)
-            }),
-            // One fault-free simulated control-plane node per shard; the
-            // round striping happens inside the cluster, mirroring
-            // `ShardedEngine` bit for bit.
-            BackendKind::Cluster => Ok(Fabric::Cluster(DistributedEngine::new(n, cfg.shards)?)),
-        }
+fn build_fabric(
+    cfg: &ServeConfig,
+    warm_cache: Option<Arc<PlanCache>>,
+) -> Result<Fabric, ServeError> {
+    let n = cfg.queue.n;
+    // A pre-warmed cache only makes sense on the BRSMN fast path — the
+    // other backends never consult a plan cache.
+    if warm_cache.is_some() && cfg.backend != BackendKind::Brsmn {
+        return Err(ServeError::Core(CoreError::Config(format!(
+            "warm-start plan cache requires the brsmn backend, not {}",
+            cfg.backend
+        ))));
     }
-
-    /// Routes one service round, striping frames round-robin across shards.
-    fn route_round(
-        &self,
-        batch: &[MulticastAssignment],
-    ) -> (Vec<Result<RoutingResult, CoreError>>, EngineStats) {
-        match self {
-            Fabric::Sharded(engine) => {
-                let out = engine.route_batch(batch);
-                (out.results, out.stats)
+    let per_shard = |make: &dyn Fn() -> Result<Box<dyn RouterBackend>, ServeError>| {
+        (0..cfg.shards).map(|_| make()).collect()
+    };
+    match cfg.backend {
+        BackendKind::Brsmn => {
+            let mut engine = ShardedEngine::with_config(
+                n,
+                cfg.shards,
+                EngineConfig::batch(cfg.workers_per_shard).with_plan_cache(cfg.plan_cache),
+            )?;
+            if let Some(cache) = warm_cache {
+                engine.share_plan_cache(cache);
             }
-            Fabric::Cluster(engine) => {
-                let out = engine.route_batch(batch);
-                (out.results, out.stats)
-            }
-            Fabric::Backends { n, shards } => {
-                let s = shards.len().min(batch.len()).max(1);
-                let stripes: Vec<Vec<usize>> =
-                    (0..s).map(|k| (k..batch.len()).step_by(s).collect()).collect();
-                let wall_start = Instant::now();
-                let shard_outs = par::par_map(&stripes, s, |k, idxs| {
-                    let t0 = Instant::now();
-                    let results: Vec<Result<RoutingResult, CoreError>> = idxs
-                        .iter()
-                        .map(|&i| shards[k].route_assignment(&batch[i]))
-                        .collect();
-                    (results, t0.elapsed().as_nanos() as u64)
-                });
-                let wall_nanos = wall_start.elapsed().as_nanos() as u64;
-
-                let mut results: Vec<Option<Result<RoutingResult, CoreError>>> =
-                    (0..batch.len()).map(|_| None).collect();
-                let mut stats = EngineStats::empty(*n);
-                stats.batch = batch.len();
-                stats.workers = s;
-                stats.wall_nanos = wall_nanos;
-                for (stripe, (outs, busy)) in stripes.iter().zip(shard_outs) {
-                    stats.busy_nanos += busy;
-                    for (&i, r) in stripe.iter().zip(outs) {
-                        match &r {
-                            Ok(_) => stats.frames_ok += 1,
-                            Err(_) => stats.frames_failed += 1,
-                        }
-                        results[i] = Some(r);
-                    }
-                }
-                (
-                    results
-                        .into_iter()
-                        .map(|r| r.expect("striping covers every frame"))
-                        .collect(),
-                    stats,
-                )
-            }
+            Ok(vec![Box::new(engine)])
         }
+        BackendKind::Cluster => Ok(vec![Box::new(DistributedEngine::new(n, cfg.shards)?)]),
+        BackendKind::Reference => per_shard(&|| Ok(Box::new(ReferenceRouter::new(n)?))),
+        BackendKind::Feedback => per_shard(&|| Ok(Box::new(FeedbackBrsmn::new(n)?))),
+        BackendKind::Crossbar => per_shard(&|| Ok(Box::new(Crossbar::new(n)))),
+        BackendKind::CopyBenes => per_shard(&|| {
+            let net = CopyBenesMulticast::new(n).map_err(|e| {
+                ServeError::Core(CoreError::Config(format!("copy–benes baseline: {e}")))
+            })?;
+            Ok(Box::new(net))
+        }),
     }
 }
 
@@ -937,7 +867,7 @@ impl Server {
         warm_cache: Option<Arc<PlanCache>>,
     ) -> Result<Server, ServeError> {
         let cfg = cfg.validate()?;
-        let fabric = Fabric::build(&cfg, warm_cache)?;
+        let fabric = build_fabric(&cfg, warm_cache)?;
         let t_count = cfg.tenants.len();
         let state = QueueState {
             limits: Limits {
@@ -1296,11 +1226,7 @@ fn serve_loop(
     record_outputs: bool,
     t_count: usize,
 ) -> LoopOutcome {
-    let n = match &fabric {
-        Fabric::Sharded(e) => e.n(),
-        Fabric::Cluster(e) => e.n(),
-        Fabric::Backends { n, .. } => *n,
-    };
+    let n = fabric[0].size();
     let mut out = LoopOutcome {
         accepted: 0,
         drained: 0,
@@ -1348,7 +1274,10 @@ fn serve_loop(
             .map(|j| (j.id, j.tenant, j.epoch, j.submitted_at))
             .collect();
         let batch: Vec<MulticastAssignment> = jobs.into_iter().map(|j| j.asg).collect();
-        let (results, stats) = fabric.route_round(&batch);
+        let BatchOutput { results, stats } =
+            route_striped(n, &fabric, &batch, |backend, stripe| {
+                backend.route_batch(stripe)
+            });
         let done = Instant::now();
 
         for ((id, tenant, epoch, submitted_at), result) in metas.into_iter().zip(results) {
@@ -1797,31 +1726,44 @@ mod tests {
         )
         .unwrap();
         let mut reference: Option<Vec<(u64, RoutingResult)>> = None;
-        for backend in [
-            BackendKind::Brsmn,
-            BackendKind::Reference,
-            BackendKind::Feedback,
-            BackendKind::Crossbar,
-            BackendKind::CopyBenes,
-            BackendKind::Cluster,
-        ] {
-            let mut cfg = small_cfg(8);
-            cfg.backend = backend;
-            cfg.shards = 2;
-            cfg.record_outputs = true;
-            let report = serve_trace(cfg, &trace).unwrap();
-            assert!(report.conserves(), "{backend}: {report:?}");
-            assert_eq!(report.served_ok, trace.len() as u64, "{backend}");
-            assert_eq!(report.backend, backend.label());
-            let mut outputs: Vec<(u64, RoutingResult)> = report
-                .completions
-                .iter()
-                .map(|c| (c.id, c.result.clone().expect("recorded output")))
-                .collect();
-            outputs.sort_by_key(|(id, _)| *id);
-            match &reference {
-                None => reference = Some(outputs),
-                Some(expect) => assert_eq!(&outputs, expect, "{backend} diverged"),
+        // Rounds of at most two frames on four shards stripe each round
+        // across as many shards as it has frames, for every backend kind.
+        for (shards, window) in [(2, ServeConfig::new(8).batch_window), (4, 2)] {
+            let mut shape: Option<(usize, usize)> = None;
+            for backend in [
+                BackendKind::Brsmn,
+                BackendKind::Reference,
+                BackendKind::Feedback,
+                BackendKind::Crossbar,
+                BackendKind::CopyBenes,
+                BackendKind::Cluster,
+            ] {
+                let mut cfg = small_cfg(8);
+                cfg.backend = backend;
+                cfg.shards = shards;
+                cfg.batch_window = window;
+                cfg.record_outputs = true;
+                let report = serve_trace(cfg, &trace).unwrap();
+                assert!(report.conserves(), "{backend}: {report:?}");
+                assert_eq!(report.served_ok, trace.len() as u64, "{backend}");
+                assert_eq!(report.backend, backend.label());
+                let mut outputs: Vec<(u64, RoutingResult)> = report
+                    .completions
+                    .iter()
+                    .map(|c| (c.id, c.result.clone().expect("recorded output")))
+                    .collect();
+                outputs.sort_by_key(|(id, _)| *id);
+                match &reference {
+                    None => reference = Some(outputs),
+                    Some(expect) => assert_eq!(&outputs, expect, "{backend} diverged"),
+                }
+                let got = (report.engine.batch, report.engine.workers);
+                match shape {
+                    None => shape = Some(got),
+                    Some(want) => {
+                        assert_eq!(got, want, "{backend} at {shards} shards: (batch, workers)")
+                    }
+                }
             }
         }
     }

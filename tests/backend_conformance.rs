@@ -9,10 +9,10 @@
 //! a permutation, and the empty assignment, at n ∈ {8, 16, 64}.
 
 use brsmn::baselines::{CopyBenesMulticast, Crossbar};
-use brsmn::cluster::DistributedEngine;
+use brsmn::cluster::{DistributedEngine, NodeId};
 use brsmn::core::{
-    Brsmn, Engine, FeedbackBrsmn, MulticastAssignment, ReferenceRouter, RouterBackend,
-    ShardedEngine,
+    Brsmn, Engine, EngineConfig, FeedbackBrsmn, MulticastAssignment, ReferenceRouter,
+    RouterBackend, ShardedEngine,
 };
 use brsmn::workloads::{barrier_broadcast, random_multicast, random_permutation, RandomSpec};
 
@@ -125,6 +125,39 @@ fn distributed_matches_sharded_bit_for_bit() {
             }
         }
         assert_eq!(a.stats.cluster_nodes, 3, "cluster stats must be threaded");
+
+        // Batches no larger than the fleet, where the stripe count is the
+        // frame count: every fleet, a two-node subset of the cluster
+        // included, stripes through the same striper and reports one
+        // worker per busy shard.
+        for shards in [2usize, 3, 4] {
+            let sharded =
+                ShardedEngine::with_config(n, shards, EngineConfig::sequential()).unwrap();
+            let cluster = DistributedEngine::new(n, shards).unwrap();
+            let pair = [NodeId(0), NodeId(shards - 1)];
+            for len in [0, 1, 2, shards, shards + 1] {
+                let batch: Vec<MulticastAssignment> =
+                    frames.iter().cycle().take(len).cloned().collect();
+                let a = cluster.route_batch(&batch);
+                let b = sharded.route_batch(&batch);
+                let c = cluster.with_cluster(|c| c.route_batch_on(&batch, &pair));
+                for (fleet, out, routers) in [
+                    ("cluster", &a, shards),
+                    ("sharded", &b, shards),
+                    ("node pair", &c, pair.len()),
+                ] {
+                    let ctx = format!("{fleet}: {len} frames on {routers} shards @{n}");
+                    assert_eq!(out.results.len(), len, "{ctx}");
+                    for (i, (x, y)) in out.results.iter().zip(&b.results).enumerate() {
+                        assert_eq!(x.as_ref().unwrap(), y.as_ref().unwrap(), "frame {i}, {ctx}");
+                    }
+                    assert_eq!(out.stats.batch, len, "{ctx}");
+                    assert_eq!(out.stats.frames_ok, len, "{ctx}");
+                    assert_eq!(out.stats.frames_failed, 0, "{ctx}");
+                    assert_eq!(out.stats.workers, routers.min(len), "{ctx}");
+                }
+            }
+        }
     }
 }
 
