@@ -18,15 +18,20 @@
 //!   unit: it derives the entry tags of all `n` lines, plans the scatter
 //!   and the fused quasisort of every block as one forest sweep each
 //!   ([`brsmn_rbn::bitplan::SweepScratch`], packed words + popcount,
-//!   writing into one persistent [`RbnSettings`] table) or loads the
-//!   level's planes whole from a [`CapturedPlan`], runs each stage plane
-//!   once across all blocks, and captures the level's planes whole;
+//!   writing 2-bit switch codes into one persistent [`PackedStages`]
+//!   table) or loads the level's planes whole from a [`CapturedPlan`],
+//!   runs each stage plane once across all blocks, and captures the
+//!   level's planes whole, word by word. The codes are the only settings
+//!   form from the planner to the capture;
 //! * execution moves *tokens*, not lines: the entry step writes line `i`'s
 //!   `u32` `(i << 2) | tag` in one pass over the lines, and a swept level
 //!   packs the tag planes from the tokens' low two bits, 64 tags per word.
-//!   A stage pass applies one matching of disjoint 2×2 exchanges to the
-//!   tokens, branch-free, and after the quasisort output `o` gathers the
-//!   level-entry line its token names (`run_tokens`).
+//!   A stage pass reads each plane's code words as the replay kernel does
+//!   and applies one matching of disjoint 2×2 exchanges to the tokens,
+//!   branch-free, and after the quasisort output `o` gathers the
+//!   level-entry line its token names (`run_tokens`). The final 2×2 stage
+//!   of a swept route derives its codes 32 pairs per word
+//!   (`final_codes`).
 //!
 //! The level pass has three callers, which differ only at its two ends
 //! (`LevelLines`). Fresh semantic routes and traced replays move
@@ -42,6 +47,10 @@
 //! level's blocks per stage pass, 32 switches per packed word (see
 //! `replay_sources`). The traced replay, the level pass on loaded planes, is
 //! the kernel's oracle.
+//!
+//! Every route and replay ends in the same delivery check
+//! (`check_delivery`): the assignment's owner table, built from its CSR
+//! arrays without a search or a branch, compared with the delivery whole.
 //!
 //! Everything lives in a [`RouteScratch`] arena sized once from `n`; after
 //! the first frame at a given size, semantic routing performs **zero** heap
@@ -62,13 +71,16 @@ use crate::engine::StageTimer;
 use crate::error::CoreError;
 use crate::payload::RoutePayload;
 use crate::plancache::{CapturedPlan, PHASE_QUASISORT, PHASE_SCATTER};
-use brsmn_rbn::bitplan::SweepScratch;
-use brsmn_rbn::{PackedSettings, PlanError, RbnSettings};
+use brsmn_rbn::bitplan::{pack_codes, SweepScratch};
+use brsmn_rbn::{setting_from_code, PackedSettings, PackedStages, PlanError, RbnSettings};
 use brsmn_switch::{Line, SwitchError, SwitchSetting, Tag};
 use brsmn_topology::{check_size, log2_exact};
 
 /// Sentinel source id of an empty line.
 pub(crate) const NO_SRC: u32 = u32::MAX;
+
+/// Even bit positions of a code word: bit 0 of each of its 32 codes.
+const EVEN: u64 = 0x5555_5555_5555_5555;
 
 /// One line of the fast path: the source input of the message on it
 /// (`NO_SRC` when idle), the first and last destination it still has to
@@ -118,7 +130,8 @@ enum Delivery {
 
 /// Reusable routing arena: the two line buffers of the level pass, its
 /// token buffer, the replay kernel's source-id buffer, the packed sweep
-/// scratch, the persistent settings table, and the canonical tier's class
+/// scratch, the persistent live table of 2-bit switch codes, the delivery
+/// check's owner table and run counts, and the canonical tier's class
 /// scratch (fanout histogram, profile runs, live → plan maps), all sized
 /// from `n` on first use and never reallocated while the size stays fixed.
 ///
@@ -141,7 +154,14 @@ pub struct RouteScratch {
     srcs: Vec<u32>,
     delivered: Delivery,
     sweep: SweepScratch,
-    settings: RbnSettings,
+    /// The live table: `log₂ n` stage planes of codes.
+    settings: PackedStages,
+    /// The input owning each output ([`NO_SRC`] when unclaimed), rebuilt
+    /// by every delivery check.
+    owner: Vec<u32>,
+    /// How many inputs' destination runs start at each position of the
+    /// assignment's destination array (`n + 1` slots).
+    starts: Vec<u32>,
     class: ClassScratch,
 }
 
@@ -171,7 +191,9 @@ impl RouteScratch {
             delivered: Delivery::Lines,
             sweep: SweepScratch::new(),
             // Placeholder with zero stages; replaced by `ensure`.
-            settings: RbnSettings::identity(1),
+            settings: PackedStages::identity(1),
+            owner: Vec::new(),
+            starts: Vec::new(),
             class: ClassScratch::default(),
         }
     }
@@ -195,7 +217,11 @@ impl RouteScratch {
             self.srcs.clear();
             self.srcs.resize(n, NO_SRC);
             self.delivered = Delivery::Lines;
-            self.settings = RbnSettings::identity(n);
+            self.settings = PackedStages::identity(n);
+            self.owner.clear();
+            self.owner.resize(n, NO_SRC);
+            self.starts.clear();
+            self.starts.resize(n + 1, 0);
             self.class.ensure(n);
         }
     }
@@ -234,13 +260,14 @@ impl RouteScratch {
 
     /// Approximate heap bytes currently reserved by the arena.
     pub fn footprint_bytes(&self) -> usize {
-        let settings_bytes: usize = (0..self.settings.num_stages())
-            .map(|j| self.settings.stage(j).len() * std::mem::size_of::<SwitchSetting>())
-            .sum();
+        let u32s = self.tokens.capacity()
+            + self.srcs.capacity()
+            + self.owner.capacity()
+            + self.starts.capacity();
         (self.lines.capacity() + self.next_lines.capacity()) * std::mem::size_of::<FastLine>()
-            + (self.tokens.capacity() + self.srcs.capacity()) * std::mem::size_of::<u32>()
+            + u32s * std::mem::size_of::<u32>()
             + self.sweep.footprint_bytes()
-            + settings_bytes
+            + self.settings.footprint_bytes()
             + self.class.footprint_bytes()
     }
 
@@ -250,12 +277,45 @@ impl RouteScratch {
         RoutingResult::new(self.output_sources().collect())
     }
 
-    /// The live switch-settings table, as left by the last routing call.
-    /// After a traced plan replay this is bit-identical to the table a fresh
-    /// plan of the same assignment would leave (the plan-cache property
-    /// tests pin this).
-    pub fn settings_table(&self) -> &RbnSettings {
-        &self.settings
+    /// A copy of the live switch table, as left by the last routing call,
+    /// unpacked one [`SwitchSetting`] per switch (the arena holds 2-bit
+    /// codes). After a traced plan replay this is bit-identical to the
+    /// table a fresh plan of the same assignment would leave (the
+    /// plan-cache property tests pin this).
+    pub fn settings_table(&self) -> RbnSettings {
+        self.settings.to_settings()
+    }
+
+    /// Checks a delivery against `asg` with the frame-final check every
+    /// route and replay on this arena ends with (see [`crate::fastpath`]):
+    /// `delivered[o]` is the source that reached output `o`, or `None`
+    /// when it stayed idle. Accepts exactly when every output holds its
+    /// owner and no other output is served; the error names the first
+    /// output that holds a message not addressed to it, or else how many
+    /// of the assignment's destinations were served. A delivery of the
+    /// wrong length, or naming a source that is no input of the network,
+    /// is a [`CoreError::Config`].
+    pub fn check_delivery(
+        &mut self,
+        asg: &MulticastAssignment,
+        delivered: &[Option<usize>],
+    ) -> Result<(), CoreError> {
+        let n = asg.n();
+        if delivered.len() != n {
+            return Err(CoreError::Config(format!(
+                "{} delivered sources for n = {n} outputs",
+                delivered.len()
+            )));
+        }
+        let mut entries = delivered.iter().enumerate();
+        if let Some((o, s)) = entries.find_map(|(o, d)| d.filter(|&s| s >= n).map(|s| (o, s))) {
+            return Err(CoreError::Config(format!(
+                "output {o} holds source {s}, which is no input of an n = {n} network"
+            )));
+        }
+        self.ensure(n);
+        let sources = delivered.iter().map(|d| d.map_or(NO_SRC, |s| s as u32));
+        check_delivery(asg, &mut self.owner, &mut self.starts, sources)
     }
 }
 
@@ -352,6 +412,15 @@ trait LevelLines {
 
     /// Applies a final-stage setting to the output pair `{lo, lo + 1}`.
     fn apply_final(&mut self, lo: usize, setting: SwitchSetting);
+
+    /// Applies `pairs` final-stage codes of one word (pair `p`'s at bits
+    /// `2p`, `2p + 1`) to the output pairs from line `lo` on; by default
+    /// pair by pair through [`LevelLines::apply_final`].
+    fn apply_final_word(&mut self, lo: usize, codes: u64, pairs: usize) {
+        for p in 0..pairs {
+            self.apply_final(lo + 2 * p, setting_from_code(codes >> (2 * p)));
+        }
+    }
 }
 
 /// A frame's semantic lines: the lines of the current level (the delivery,
@@ -418,6 +487,23 @@ impl LevelLines for FastLines<'_> {
             Crossing => lines.swap(lo, lo + 1),
             UpperBroadcast => lines[lo + 1] = lines[lo],
             LowerBroadcast => lines[lo] = lines[lo + 1],
+        }
+    }
+
+    /// Only the source of a line matters after the final stage, so each
+    /// output takes its source, and nothing else, without a branch: the
+    /// upper output reads the lower input's on crossing or lower broadcast
+    /// (`c & 1`), the lower output the upper input's on crossing or upper
+    /// broadcast (`(c ^ c >> 1) & 1`), as the replay kernel selects.
+    fn apply_final_word(&mut self, lo: usize, codes: u64, pairs: usize) {
+        let outputs = self.lines[lo..lo + 2 * pairs].chunks_exact_mut(2);
+        for (p, pair) in outputs.enumerate() {
+            let c = (codes >> (2 * p)) as u32;
+            let take_lower = (c & 1).wrapping_neg();
+            let take_upper = ((c ^ (c >> 1)) & 1).wrapping_neg();
+            let (u, d) = (pair[0].src, pair[1].src);
+            pair[0].src = u ^ ((u ^ d) & take_lower);
+            pair[1].src = d ^ ((u ^ d) & take_upper);
         }
     }
 }
@@ -526,8 +612,8 @@ impl Planes<'_> {
         &mut self,
         level: usize,
         phase: usize,
-        settings: &mut RbnSettings,
-        sweep: impl FnOnce(&mut RbnSettings) -> Result<(), PlanError>,
+        settings: &mut PackedStages,
+        sweep: impl FnOnce(&mut PackedStages) -> Result<(), PlanError>,
     ) -> Result<(), PlanError> {
         match self {
             Planes::Sweep(capture) => {
@@ -558,8 +644,8 @@ impl Planes<'_> {
 /// does not fit the lines.
 ///
 /// When `planes` captures, each phase's freshly planned stages are
-/// snapshotted whole, right after the phase's sweep (the settings table is
-/// a shared scratch, overwritten per phase). A traced route records each
+/// snapshotted whole, right after the phase's sweep (the live table is a
+/// shared scratch, overwritten per phase). A traced route records each
 /// block's [`BsnTrace`] from slices of the level's token tags, blocks left
 /// to right.
 #[allow(clippy::too_many_arguments)]
@@ -567,7 +653,7 @@ fn route_level(
     lines: &mut impl LevelLines,
     tokens: &mut [u32],
     sweep: &mut SweepScratch,
-    settings: &mut RbnSettings,
+    settings: &mut PackedStages,
     planes: &mut Planes<'_>,
     level: usize,
     size: usize,
@@ -694,81 +780,50 @@ fn gather_fast(
     Ok(())
 }
 
-/// Runs stages `[0, k)` of `settings` on a level's tokens, each stage plane
-/// once across every block of the level: blocks are disjoint line ranges,
-/// so one pass per plane equals running each block's stages in turn, and
-/// it applies one matching of disjoint 2×2 exchanges per step.
+/// Runs stages `[0, k)` of the live table on a level's tokens, each stage
+/// plane once across every block of the level: blocks are disjoint line
+/// ranges, so one pass per plane equals running each block's stages in
+/// turn, and it applies one matching of disjoint 2×2 exchanges per step.
 ///
 /// A token is `(entry line << 2) | tag`. Parallel keeps, crossing swaps,
 /// and a broadcast copies the α's token to both outputs with the tags
 /// forced to 0 (upper) and 1 (lower) — what [`RbnSettings::run_block`]
-/// does to whole lines, on one `u32` each. Every broadcast's input pair is
-/// checked before its stage writes anything, and a violation returns the
-/// [`SwitchError`] [`RbnSettings::run_block`] builds for it.
-fn run_tokens(tokens: &mut [u32], settings: &RbnSettings, k: usize) -> Result<(), SwitchError> {
+/// does to whole lines, on one `u32` each. The plane's code words are read
+/// as the replay kernel reads a captured plane ([`token_word`]): a zero
+/// word, 32 parallel switches, is skipped whole, and a plane shorter than
+/// a word (`n < 64`) runs on a padded copy. A broadcast whose inputs break
+/// its rule returns the [`SwitchError`] [`RbnSettings::run_block`] builds
+/// for it.
+fn run_tokens(tokens: &mut [u32], settings: &PackedStages, k: usize) -> Result<(), SwitchError> {
+    let half = tokens.len() / 2;
     for j in 0..k {
-        let stage = settings.stage(j);
-        check_broadcasts(stage, j, tokens)?;
-        run_token_stage(stage, j, tokens);
-    }
-    Ok(())
-}
-
-/// The broadcast legality check of one stage over the tokens: an upper
-/// broadcast needs (α, ε) on its (upper, lower) inputs, a lower broadcast
-/// (ε, α). Runs of 32 switches without a broadcast are skipped whole.
-fn check_broadcasts(stage: &[SwitchSetting], j: usize, tokens: &[u32]) -> Result<(), SwitchError> {
-    for (w, word) in stage.chunks(32).enumerate() {
-        if word.iter().fold(0u8, |acc, &s| acc | s as u8) & 2 == 0 {
-            continue;
-        }
-        for (t, &setting) in word.iter().enumerate() {
-            let c = setting as u32;
-            if c < 2 {
-                continue;
+        let plane = settings.stage(j);
+        if half >= 32 {
+            for (w, &codes) in plane.iter().enumerate() {
+                if codes != 0 {
+                    token_word(codes, j, 32 * w, tokens)?;
+                }
             }
-            // The switch joins lines `u` and `u + 2^j` (the `RbnWiring`
-            // formula). α is code 2 and ε code 3, so an upper broadcast
-            // (code 2) wants codes (2, 3) and a lower one (code 3) (3, 2).
-            let idx = 32 * w + t;
-            let u = ((idx >> j) << (j + 1)) | (idx & ((1 << j) - 1));
-            let (a, b) = (tokens[u] & 3, tokens[u + (1 << j)] & 3);
-            if a != c || b != c ^ 1 {
-                return Err(SwitchError {
-                    setting,
-                    found: (token_tag(a), token_tag(b)),
-                });
+        } else {
+            // Codes past the plane are masked to parallel, so the padding
+            // is never touched.
+            let codes = plane[0] & ((1u64 << (2 * half)) - 1);
+            if codes != 0 {
+                let mut padded = [0u32; 64];
+                padded[..tokens.len()].copy_from_slice(tokens);
+                token_word(codes, j, 0, &mut padded)?;
+                tokens.copy_from_slice(&padded[..tokens.len()]);
             }
         }
     }
     Ok(())
-}
-
-/// Applies one full-width stage plane of the live table to the tokens,
-/// 32 switches at a time in the layout of the replay kernel
-/// ([`exchange_word`]); a run of 32 parallel switches is skipped whole, and
-/// a plane shorter than a word (`n < 64`) runs on a padded copy.
-fn run_token_stage(stage: &[SwitchSetting], j: usize, tokens: &mut [u32]) {
-    if stage.len() >= 32 {
-        for (w, word) in stage.chunks_exact(32).enumerate() {
-            if word.iter().fold(0u8, |acc, &s| acc | s as u8) != 0 {
-                token_word(word, j, 32 * w, tokens);
-            }
-        }
-    } else {
-        // Lanes past the plane stay parallel, so the padding is never
-        // touched.
-        let mut padded = [0u32; 64];
-        padded[..tokens.len()].copy_from_slice(tokens);
-        token_word(stage, j, 0, &mut padded);
-        tokens.copy_from_slice(&padded[..tokens.len()]);
-    }
 }
 
 /// The setting of the final 2×2 switch over outputs `{lo, lo+1}` for its
 /// entry tags `(tu, tl)`, or the [`CoreError::OutputConflict`] of two
 /// messages claiming one output. The reference router's `final_switch`
-/// keeps its own copy of this table as the oracle.
+/// keeps its own copy of this table as the oracle, and [`final_codes`]
+/// evaluates it 32 pairs at a time.
 fn final_setting(tu: Tag, tl: Tag, lo: usize) -> Result<SwitchSetting, CoreError> {
     use SwitchSetting::*;
     Ok(match (tu, tl) {
@@ -784,18 +839,58 @@ fn final_setting(tu: Tag, tl: Tag, lo: usize) -> Result<SwitchSetting, CoreError
     })
 }
 
+/// The codes of the final 2×2 switches over up to 64 lines (pair `p`
+/// joins `tokens[2p]` and `tokens[2p + 1]`), one code word, from the tags
+/// of the lines' tokens. Both tag planes are packed from the tokens
+/// ([`pack_codes`]; missing lines pad as ε, whose pairs stay parallel),
+/// and [`final_setting`]'s table becomes boolean formulas over each pair's
+/// upper (even) and lower (odd) plane bits: upper broadcast on (α, ε),
+/// lower broadcast on (ε, α), crossing on an upper 1 or on (ε, 0), and a
+/// conflict wherever an α meets anything but ε, or two 0s or two 1s meet.
+/// `lo` is the first line's index: the first conflicting pair fails with
+/// [`final_setting`]'s error. Packing here books nothing under
+/// `tag_derive`.
+fn final_codes(tokens: &[u32], lo: usize) -> Result<u64, CoreError> {
+    let mut padded = [Tag::Eps as u32; 64];
+    padded[..tokens.len()].copy_from_slice(tokens);
+    let (tag_lo, tag_hi) = pack_codes(&padded);
+    // Tag codes as (lo, hi) bits: 0 = (0, 0), 1 = (1, 0), α = (0, 1),
+    // ε = (1, 1).
+    let (ul, uh) = (tag_lo & EVEN, tag_hi & EVEN);
+    let (dl, dh) = (tag_lo >> 1 & EVEN, tag_hi >> 1 & EVEN);
+    let (u_alpha, d_alpha) = (!ul & uh, !dl & dh);
+    let (u_eps, d_eps) = (ul & uh, dl & dh);
+    let (u_one, d_one) = (ul & !uh, dl & !dh);
+    let (u_zero, d_zero) = (!(ul | uh) & EVEN, !(dl | dh) & EVEN);
+    let ub = u_alpha & d_eps;
+    let lb = u_eps & d_alpha;
+    let bad = (u_alpha | d_alpha) & !(ub | lb) | u_zero & d_zero | u_one & d_one;
+    if bad != 0 {
+        let p = bad.trailing_zeros() as usize / 2;
+        let (tu, tl) = (token_tag(padded[2 * p]), token_tag(padded[2 * p + 1]));
+        return Err(final_setting(tu, tl, lo + 2 * p).expect_err("a conflicting pair"));
+    }
+    let cross = u_one | u_eps & d_zero;
+    Ok(cross | lb | (ub | lb) << 1)
+}
+
 /// Routes `lines` through every level of a BRSMN of `tokens.len()` lines:
 /// one level pass per BSN level (traces list each level's blocks left to
 /// right, the order the reference's depth-first recursion pushes them),
-/// then the `n/2` final 2×2 switches, each phase taken from `planes`. A
-/// timer gets one clock pair per level and one for the final stage. The
+/// then the `n/2` final 2×2 switches, each phase taken from `planes`. The
+/// final stage works a code word (32 pairs) at a time: a swept route
+/// derives it ([`final_codes`]) and captures it whole, a loaded route reads
+/// it from the plan. A traced route records each pair's tags and setting
+/// and applies it pair by pair, as do payload lines; untraced semantic
+/// lines take their sources word by word ([`LevelLines::apply_final_word`]).
+/// A timer gets one clock pair per level and one for the final stage. The
 /// sweep's per-op profile is drained at the end, so it never leaks into a
 /// later, unrelated route, and folded into the timer.
 fn route_network(
     lines: &mut impl LevelLines,
     tokens: &mut [u32],
     sweep: &mut SweepScratch,
-    settings: &mut RbnSettings,
+    settings: &mut PackedStages,
     mut planes: Planes<'_>,
     mut trace: Option<&mut RouteTrace>,
     mut timer: Option<&mut StageTimer>,
@@ -829,26 +924,32 @@ fn route_network(
 
     let t0 = timer.as_ref().map(|_| Instant::now());
     lines.enter(tokens, 2);
-    for lo in (0..n).step_by(2) {
-        let (tu, tl) = (token_tag(tokens[lo]), token_tag(tokens[lo + 1]));
-        let setting = match &mut planes {
+    for (w, toks) in tokens.chunks(64).enumerate() {
+        let lo = 64 * w;
+        let codes = match &mut planes {
             Planes::Sweep(capture) => {
-                let setting = final_setting(tu, tl, lo)?;
+                let codes = final_codes(toks, lo)?;
                 if let Some(plan) = capture {
-                    plan.set_final(lo / 2, setting);
+                    plan.set_final_codes(w, codes);
                 }
-                setting
+                codes
             }
-            // The captured setting is the one the tags imply; the trace
+            // The captured codes are the ones the tags imply; the trace
             // records the tags all the same.
-            Planes::Load(plan) => plan.final_setting(lo / 2),
+            Planes::Load(plan) => plan.final_codes(w),
         };
-        if let Some(t) = trace.as_deref_mut() {
-            t.final_tags[lo] = tu;
-            t.final_tags[lo + 1] = tl;
-            t.final_settings[lo / 2] = setting;
+        match trace.as_deref_mut() {
+            Some(t) => {
+                for (p, pair) in toks.chunks_exact(2).enumerate() {
+                    let (at, setting) = (lo + 2 * p, setting_from_code(codes >> (2 * p)));
+                    t.final_tags[at] = token_tag(pair[0]);
+                    t.final_tags[at + 1] = token_tag(pair[1]);
+                    t.final_settings[at / 2] = setting;
+                    lines.apply_final(at, setting);
+                }
+            }
+            None => lines.apply_final_word(lo, codes, toks.len() / 2),
         }
-        lines.apply_final(lo, setting);
     }
     if let (Some(tm), Some(t0)) = (timer.as_deref_mut(), t0) {
         tm.record_final_stage((n / 2) as u64, t0.elapsed());
@@ -879,16 +980,60 @@ fn init_lines(asg: &MulticastAssignment, lines: &mut [FastLine]) {
     }
 }
 
-/// Final delivery verification, shared by fresh routing and replay.
-/// `delivered` yields the source id that reached each output, in output
-/// order ([`NO_SRC`] for an idle output). Every delivered message must
-/// belong at its output *per the actual assignment* (the reference does
-/// this in `extract_result`), and as many outputs must be served as the
-/// assignment has connections: destination sets are disjoint and each
-/// delivery was just checked, so equal counts mean no destination was left
-/// empty. On the replay path this is the last line of defense against a
+/// The frame-final delivery check of every route and replay: `delivered`
+/// yields the source id that reached each output, in output order
+/// ([`NO_SRC`] for an idle output), and it must be exactly the
+/// assignment's owner table. The table is built from the CSR arrays with
+/// no search and no branch: each input's destination run is counted where
+/// it starts (`starts`; an idle input's empty run counts where the next
+/// run starts), a running sum of those counts is one past the input owning
+/// each slot of the destination array, and that input is written at the
+/// slot's output (`owner`). One pass then ORs each output's difference
+/// from its owner and counts the outputs served. Destination sets are
+/// disjoint, so this accepts exactly the deliveries [`verify_delivery`]
+/// accepts; a rejected delivery runs [`verify_delivery`] to word the
+/// error. On the replay path this is the last line of defense against a
 /// corrupted or foreign plan.
-pub(crate) fn verify_delivery(
+fn check_delivery<I>(
+    asg: &MulticastAssignment,
+    owner: &mut [u32],
+    starts: &mut [u32],
+    delivered: I,
+) -> Result<(), CoreError>
+where
+    I: Iterator<Item = u32> + Clone,
+{
+    let dests = asg.flat_dests();
+    let total = dests.len();
+    starts[..=total].fill(0);
+    for &off in &asg.offsets()[..asg.n()] {
+        starts[off as usize] += 1;
+    }
+    owner.fill(NO_SRC);
+    let mut runs = 0u32;
+    for (&d, &count) in dests.iter().zip(&starts[..total]) {
+        runs += count;
+        owner[d] = runs - 1;
+    }
+    let (mut diff, mut served) = (0u32, 0usize);
+    for (src, &own) in delivered.clone().zip(owner.iter()) {
+        diff |= src ^ own;
+        served += usize::from(src != NO_SRC);
+    }
+    if diff == 0 && served == total {
+        return Ok(());
+    }
+    verify_delivery(asg, delivered)
+}
+
+/// The delivery check's wording, and its oracle: every delivered message
+/// must belong at its output *per the actual assignment* (the reference
+/// does this in `extract_result`), and as many outputs must be served as
+/// the assignment has connections: destination sets are disjoint and each
+/// delivery was just checked, so equal counts mean no destination was left
+/// empty. The error names the first misdelivered output, or else the
+/// served count.
+fn verify_delivery(
     asg: &MulticastAssignment,
     delivered: impl Iterator<Item = u32>,
 ) -> Result<(), CoreError> {
@@ -932,6 +1077,8 @@ fn route_semantic(
         delivered,
         sweep,
         settings,
+        owner,
+        starts,
         ..
     } = scratch;
     *delivered = Delivery::Lines;
@@ -948,7 +1095,7 @@ fn route_semantic(
     if std::ptr::eq(fast.lines.as_ptr(), next_ptr) {
         std::mem::swap(lines, next_lines);
     }
-    verify_delivery(asg, lines.iter().map(|l| l.src))
+    check_delivery(asg, owner, starts, lines.iter().map(|l| l.src))
 }
 
 /// Routes `asg` end to end on the fast path — one level pass per BSN
@@ -1052,92 +1199,111 @@ fn replay_plane(planes: &PackedSettings, off: usize, j: usize, srcs: &mut [u32])
 
 /// What 32 switches do, one all-ones/all-zeros `u32` lane each: the upper
 /// output reads the lower input (`take_lower`: crossing, lower broadcast),
-/// the lower output reads the upper input (`take_upper`: crossing, upper
-/// broadcast), and the switch is a broadcast (`broadcast`, which the token
-/// kernel uses to force the copies' tags).
+/// and the lower output reads the upper input (`take_upper`: crossing,
+/// upper broadcast).
 struct LaneMasks {
     take_lower: [u32; 32],
     take_upper: [u32; 32],
-    broadcast: [u32; 32],
 }
 
 impl LaneMasks {
     /// From 32 packed 2-bit codes (parallel 0, crossing 1, upper broadcast
     /// 2, lower broadcast 3): `take_lower` is `c & 1`, `take_upper` is
-    /// `(c ^ c >> 1) & 1`. The replay kernel never reads `broadcast`.
+    /// `(c ^ c >> 1) & 1`.
     #[inline(always)]
     fn from_codes(codes: u64) -> Self {
-        const EVEN: u64 = 0x5555_5555_5555_5555;
         LaneMasks {
             take_lower: lane_masks(codes & EVEN),
             take_upper: lane_masks((codes ^ (codes >> 1)) & EVEN),
-            broadcast: [0; 32],
         }
     }
+}
 
-    /// From up to 32 settings of the live table (missing lanes parallel);
-    /// a setting's discriminant is its 2-bit code.
-    #[inline(always)]
-    fn from_settings(word: &[SwitchSetting]) -> Self {
-        let mut m = LaneMasks {
-            take_lower: [0; 32],
-            take_upper: [0; 32],
-            broadcast: [0; 32],
-        };
-        for (t, &s) in word.iter().enumerate() {
-            let c = s as u32;
-            m.take_lower[t] = (c & 1).wrapping_neg();
-            m.take_upper[t] = ((c ^ (c >> 1)) & 1).wrapping_neg();
-            m.broadcast[t] = (c >> 1).wrapping_neg();
-        }
-        m
-    }
+/// The upper line of switch `idx` of stage `j`: the switch joins lines
+/// `u = ((idx >> j) << (j + 1)) | (idx mod 2^j)` and `u + 2^j` (the
+/// [`RbnWiring`](brsmn_rbn::RbnWiring) formula).
+#[inline]
+fn upper_line(idx: usize, j: usize) -> usize {
+    ((idx >> j) << (j + 1)) | (idx & ((1 << j) - 1))
 }
 
 /// The replay kernel's step: the 32 switches `w0 .. w0 + 32` of stage `j`,
 /// coded in one packed word, applied to the source ids.
 #[inline]
 fn replay_word(codes: u64, j: usize, w0: usize, srcs: &mut [u32]) {
-    exchange_word::<false>(&LaneMasks::from_codes(codes), j, w0, srcs);
+    exchange_word(&LaneMasks::from_codes(codes), j, w0, srcs);
 }
 
-/// The token kernel's step: up to 32 settings of the live table, from
-/// switch `w0` of stage `j`, applied to the tokens.
+/// The token kernel's step: the replay kernel's step on the tokens, with
+/// the word's broadcasts (the set bits of `codes >> 1 & EVEN`, a few per
+/// frame) handled one by one on either side of it. Before the exchange
+/// each is checked: an upper broadcast (code 2) needs (α, ε) on its
+/// (upper, lower) inputs, codes (2, 3), and a lower one (code 3) needs
+/// (ε, α), codes (3, 2). The exchange copies the α's token to both
+/// outputs, and after it the copies' tags are forced to 0 (upper) and 1
+/// (lower). A word's switches read only lines that no other word of the
+/// stage writes, so checking each word just before its exchange finds the
+/// same first bad broadcast as a check of the whole stage before any
+/// exchange.
 #[inline]
-fn token_word(word: &[SwitchSetting], j: usize, w0: usize, tokens: &mut [u32]) {
-    exchange_word::<true>(&LaneMasks::from_settings(word), j, w0, tokens);
+fn token_word(codes: u64, j: usize, w0: usize, tokens: &mut [u32]) -> Result<(), SwitchError> {
+    let broadcasts = codes >> 1 & EVEN;
+    let lanes = || {
+        let mut rest = broadcasts;
+        std::iter::from_fn(move || {
+            let t = (rest != 0).then(|| rest.trailing_zeros() as usize / 2)?;
+            rest &= rest - 1;
+            Some(t)
+        })
+    };
+    for t in lanes() {
+        // α is code 2 and ε code 3.
+        let u = upper_line(w0 + t, j);
+        let c = (codes >> (2 * t) & 3) as u32;
+        let (a, b) = (tokens[u] & 3, tokens[u + (1 << j)] & 3);
+        if a != c || b != c ^ 1 {
+            return Err(SwitchError {
+                setting: setting_from_code(u64::from(c)),
+                found: (token_tag(a), token_tag(b)),
+            });
+        }
+    }
+    exchange_word(&LaneMasks::from_codes(codes), j, w0, tokens);
+    for t in lanes() {
+        let u = upper_line(w0 + t, j);
+        tokens[u] &= !3;
+        tokens[u + (1 << j)] = tokens[u + (1 << j)] & !3 | 1;
+    }
+    Ok(())
 }
 
 /// Applies the 32 switches `w0 .. w0 + 32` of stage `j` (`w0` a multiple
-/// of 32) to one `u32` per line — source ids (`TOKENS = false`, replay) or
-/// tokens (`TOKENS = true`, the level pass, where a broadcast also forces
-/// the copies' tags to 0 and 1). For `j < 5` the switches join lines
-/// inside the 64-line window `[2·w0, 2·w0 + 64)`, in groups of `2^(j+1)`;
-/// for `j ≥ 5` their upper lines are one run of 32 and their lower lines
-/// the run `2^j` further on. Either way the select runs over contiguous
-/// runs the compiler can vectorize. Inlined into each word step, so the
-/// masks stay in the step's own frame and replay never builds the
-/// broadcast lanes it does not read.
+/// of 32) to one `u32` per line: source ids (replay) or tokens (the level
+/// pass). For `j < 5` the switches join lines inside the 64-line window
+/// `[2·w0, 2·w0 + 64)`, in groups of `2^(j+1)`; for `j ≥ 5` their upper
+/// lines are one run of 32 and their lower lines the run `2^j` further
+/// on. Either way the select runs over contiguous runs the compiler can
+/// vectorize. Inlined into each word step, so the masks stay in the
+/// step's own frame.
 #[inline(always)]
-fn exchange_word<const TOKENS: bool>(m: &LaneMasks, j: usize, w0: usize, lines: &mut [u32]) {
+fn exchange_word(m: &LaneMasks, j: usize, w0: usize, lines: &mut [u32]) {
     let window = || 2 * w0..2 * w0 + 64;
     match j {
-        0 => exchange_groups::<1, TOKENS>(&mut lines[window()], m),
-        1 => exchange_groups::<2, TOKENS>(&mut lines[window()], m),
-        2 => exchange_groups::<4, TOKENS>(&mut lines[window()], m),
-        3 => exchange_groups::<8, TOKENS>(&mut lines[window()], m),
-        4 => exchange_groups::<16, TOKENS>(&mut lines[window()], m),
+        0 => exchange_groups::<1>(&mut lines[window()], m),
+        1 => exchange_groups::<2>(&mut lines[window()], m),
+        2 => exchange_groups::<4>(&mut lines[window()], m),
+        3 => exchange_groups::<8>(&mut lines[window()], m),
+        4 => exchange_groups::<16>(&mut lines[window()], m),
         _ => {
             let stride = 1usize << j;
             let group = (w0 >> j) << (j + 1);
             let at = w0 & (stride - 1);
             let (upper, lower) = lines[group..group + 2 * stride].split_at_mut(stride);
-            exchange::<TOKENS>(
+            exchange(
                 &mut upper[at..at + 32],
                 &mut lower[at..at + 32],
                 &m.take_lower,
                 &m.take_upper,
-                &m.broadcast,
             );
         }
     }
@@ -1168,49 +1334,27 @@ fn lane_masks(bits: u64) -> [u32; 32] {
 /// first `S` lines of a group are the upper inputs of its `S` switches, the
 /// next `S` their lower inputs.
 #[inline(always)]
-fn exchange_groups<const S: usize, const TOKENS: bool>(window: &mut [u32], m: &LaneMasks) {
-    for (((group, tl), tu), bc) in window
+fn exchange_groups<const S: usize>(window: &mut [u32], m: &LaneMasks) {
+    for ((group, tl), tu) in window
         .chunks_exact_mut(2 * S)
         .zip(m.take_lower.chunks_exact(S))
         .zip(m.take_upper.chunks_exact(S))
-        .zip(m.broadcast.chunks_exact(S))
     {
         let (upper, lower) = group.split_at_mut(S);
-        exchange::<TOKENS>(upper, lower, tl, tu, bc);
+        exchange(upper, lower, tl, tu);
     }
 }
 
 /// `upper[t] ← take_lower[t] ? lower[t] : upper[t]` and
 /// `lower[t] ← take_upper[t] ? upper[t] : lower[t]`, both from the old
-/// values, with all-ones/all-zeros masks. With `TOKENS`, a broadcast lane
-/// then sets the upper copy's tag bits to 0 and the lower copy's to 1.
+/// values, with all-ones/all-zeros masks.
 #[inline(always)]
-fn exchange<const TOKENS: bool>(
-    upper: &mut [u32],
-    lower: &mut [u32],
-    take_lower: &[u32],
-    take_upper: &[u32],
-    broadcast: &[u32],
-) {
+fn exchange(upper: &mut [u32], lower: &mut [u32], take_lower: &[u32], take_upper: &[u32]) {
     let masks = take_lower.iter().zip(take_upper);
-    if TOKENS {
-        for (((a, b), (&tl, &tu)), &bc) in upper
-            .iter_mut()
-            .zip(lower.iter_mut())
-            .zip(masks)
-            .zip(broadcast)
-        {
-            let diff = *a ^ *b;
-            let tag = bc & 3;
-            *a = (*a ^ (diff & tl)) & !tag;
-            *b = ((*b ^ (diff & tu)) & !tag) | (bc & 1);
-        }
-    } else {
-        for ((a, b), (&tl, &tu)) in upper.iter_mut().zip(lower.iter_mut()).zip(masks) {
-            let diff = *a ^ *b;
-            *a ^= diff & tl;
-            *b ^= diff & tu;
-        }
+    for ((a, b), (&tl, &tu)) in upper.iter_mut().zip(lower.iter_mut()).zip(masks) {
+        let diff = *a ^ *b;
+        *a ^= diff & tl;
+        *b ^= diff & tu;
     }
 }
 
@@ -1286,14 +1430,18 @@ pub(crate) fn route_assignment_replay(
     }
     scratch.ensure(n);
     let RouteScratch {
-        srcs, delivered, ..
+        srcs,
+        delivered,
+        owner,
+        starts,
+        ..
     } = scratch;
     *delivered = Delivery::Srcs;
     for (src, (i, w)) in srcs.iter_mut().zip(asg.offsets().windows(2).enumerate()) {
         *src = if w[0] == w[1] { NO_SRC } else { i as u32 };
     }
     replay_sources(plan, srcs, timer);
-    verify_delivery(asg, srcs.iter().copied())
+    check_delivery(asg, owner, starts, srcs.iter().copied())
 }
 
 /// Replays a plan captured for a *relabeling* of `asg` — the canonical
@@ -1329,6 +1477,8 @@ pub(crate) fn route_assignment_replay_permuted(
     let RouteScratch {
         srcs,
         delivered,
+        owner,
+        starts,
         class,
         ..
     } = scratch;
@@ -1344,7 +1494,12 @@ pub(crate) fn route_assignment_replay_permuted(
         srcs[q as usize] = if w[0] == w[1] { NO_SRC } else { i as u32 };
     }
     replay_sources(plan, srcs, timer);
-    verify_delivery(asg, output_map.iter().map(|&q| srcs[q as usize]))
+    check_delivery(
+        asg,
+        owner,
+        starts,
+        output_map.iter().map(|&q| srcs[q as usize]),
+    )
 }
 
 /// Replays and collects the result (one `Vec` allocation for the result).
@@ -1450,8 +1605,8 @@ mod tests {
         table
     }
 
-    /// Runs the token kernel over a level, read back as `(tag, entry
-    /// line)` per output, as the gather reads it.
+    /// Runs the token kernel over a level on `table`'s codes, read back as
+    /// `(tag, entry line)` per output, as the gather reads it.
     fn run_level_tokens(
         entry: &[Tag],
         table: &RbnSettings,
@@ -1462,7 +1617,7 @@ mod tests {
             .enumerate()
             .map(|(i, &tag)| (i as u32) << 2 | tag as u32)
             .collect();
-        run_tokens(&mut tokens, table, k)?;
+        run_tokens(&mut tokens, &PackedStages::from_settings(table), k)?;
         Ok(tokens
             .iter()
             .map(|&t| (token_tag(t), (t >> 2) as usize))
@@ -1519,6 +1674,163 @@ mod tests {
                     run_level_tokens(&entry, &table, k).unwrap_err(),
                     want_err,
                     "n={n} size={size}"
+                );
+            }
+        }
+    }
+
+    /// Turns switch `idx` of stage `j` into the broadcast its inputs forbid
+    /// (an upper broadcast unless they are (α, ε)), with the inputs the
+    /// stages before `j` leave it, and returns the error that broadcast
+    /// raises.
+    fn break_broadcast(
+        entry: &[Tag],
+        table: &mut RbnSettings,
+        size: usize,
+        (j, idx): (usize, usize),
+        wiring: &RbnWiring,
+    ) -> SwitchError {
+        let mut before = table.clone();
+        for jj in j..before.num_stages() {
+            before.stage_mut(jj).fill(SwitchSetting::Parallel);
+        }
+        let cur = run_blocks(entry, &before, size).unwrap();
+        let (u, l) = wiring.stage(j)[idx];
+        let found = (cur[u as usize].0, cur[l as usize].0);
+        let setting = if found == (Tag::Alpha, Tag::Eps) {
+            SwitchSetting::LowerBroadcast
+        } else {
+            SwitchSetting::UpperBroadcast
+        };
+        table.stage_mut(j)[idx] = setting;
+        SwitchError { setting, found }
+    }
+
+    /// Two broadcasts of one stage that break their rule, in one code word
+    /// and in two: the kernel, checking word by word, reports the first,
+    /// as [`RbnSettings::run_block`] does.
+    #[test]
+    fn token_kernel_reports_the_first_of_two_illegal_broadcasts() {
+        let mut next = rng(0x2BAD_B0A7);
+        let (mut one_word, mut two_words) = (0, 0);
+        for (n, size) in [(128usize, 8usize), (128, 128), (256, 32), (1024, 1024)] {
+            let wiring = RbnWiring::new(n);
+            let k = log2_exact(size) as usize;
+            let words = n / 64;
+            for round in 0..24 {
+                let entry = entry_tags(n, &mut next);
+                let mut table = legal_settings(&entry, size, &wiring, &mut next);
+                let j = (next() as usize) % k;
+                let (w1, w2) = if round % 2 == 0 {
+                    let w = (next() as usize) % words;
+                    (w, w)
+                } else {
+                    let w = (next() as usize) % (words - 1);
+                    (w, w + 1 + (next() as usize) % (words - 1 - w))
+                };
+                let first = 32 * w1 + (next() as usize) % 32;
+                let second = 32 * w2 + (next() as usize) % 32;
+                if first == second {
+                    continue;
+                }
+                let (first, second) = (first.min(second), first.max(second));
+                // The later broadcast first: the earlier one's inputs do
+                // not depend on it (same stage).
+                break_broadcast(&entry, &mut table, size, (j, second), &wiring);
+                let want = break_broadcast(&entry, &mut table, size, (j, first), &wiring);
+                assert_eq!(run_blocks(&entry, &table, size).unwrap_err(), want);
+                assert_eq!(
+                    run_level_tokens(&entry, &table, k).unwrap_err(),
+                    want,
+                    "n={n} size={size} stage {j}: switches {first}, {second}"
+                );
+                if w1 == w2 {
+                    one_word += 1;
+                } else {
+                    two_words += 1;
+                }
+            }
+        }
+        assert!(one_word > 30 && two_words > 30, "{one_word}, {two_words}");
+    }
+
+    /// The final-stage formulas against [`final_setting`]: every one of the
+    /// 16 tag pairs in every lane of full and partial words (n = 2 … 64
+    /// lines), the other lanes holding random pairs that do not conflict,
+    /// and above each token's tag a random entry line. A conflicting lane
+    /// fails with [`final_setting`]'s error, and of two conflicting lanes
+    /// the first.
+    #[test]
+    fn final_codes_match_final_setting_in_every_lane() {
+        let mut next = rng(0xF1_4A15);
+        let pairs: Vec<(Tag, Tag)> = TAG_OF_CODE
+            .iter()
+            .flat_map(|&u| TAG_OF_CODE.iter().map(move |&d| (u, d)))
+            .collect();
+        let legal: Vec<(Tag, Tag)> = pairs
+            .iter()
+            .copied()
+            .filter(|&(u, d)| final_setting(u, d, 0).is_ok())
+            .collect();
+        let conflicts: Vec<(Tag, Tag)> = pairs
+            .iter()
+            .copied()
+            .filter(|&(u, d)| final_setting(u, d, 0).is_err())
+            .collect();
+        assert_eq!((legal.len(), conflicts.len()), (9, 7));
+        let tokens_of = |tags: &[(Tag, Tag)], next: &mut dyn FnMut() -> u64| -> Vec<u32> {
+            tags.iter()
+                .flat_map(|&(u, d)| [u, d])
+                .map(|t| (next() as u32) << 2 | t as u32)
+                .collect()
+        };
+        for m in 1..=6 {
+            let n = 1usize << m;
+            for lane in 0..n / 2 {
+                for &(tu, tl) in &pairs {
+                    let mut tags: Vec<(Tag, Tag)> = (0..n / 2)
+                        .map(|_| legal[(next() as usize) % legal.len()])
+                        .collect();
+                    tags[lane] = (tu, tl);
+                    let tokens = tokens_of(&tags, &mut next);
+                    let lo = 64 * ((next() as usize) % 4);
+                    let got = final_codes(&tokens, lo);
+                    if let Err(e) = final_setting(tu, tl, lo + 2 * lane) {
+                        assert_eq!(got, Err(e), "n={n} lane {lane} ({tu}, {tl})");
+                        continue;
+                    }
+                    let codes = got.unwrap();
+                    for (p, &(u, d)) in tags.iter().enumerate() {
+                        let want = final_setting(u, d, lo + 2 * p).unwrap();
+                        assert_eq!(
+                            setting_from_code(codes >> (2 * p)),
+                            want,
+                            "n={n} lane {p} ({u}, {d})"
+                        );
+                    }
+                    if n < 64 {
+                        assert_eq!(codes >> n, 0, "n={n}: codes past the pairs");
+                    }
+                }
+            }
+            // Two conflicting lanes: the first one's error.
+            for _ in 0..20 {
+                if n < 4 {
+                    break;
+                }
+                let mut tags: Vec<(Tag, Tag)> = (0..n / 2)
+                    .map(|_| legal[(next() as usize) % legal.len()])
+                    .collect();
+                let a = (next() as usize) % (n / 2 - 1);
+                let b = a + 1 + (next() as usize) % (n / 2 - 1 - a);
+                for lane in [a, b] {
+                    tags[lane] = conflicts[(next() as usize) % conflicts.len()];
+                }
+                let (tu, tl) = tags[a];
+                assert_eq!(
+                    final_codes(&tokens_of(&tags, &mut next), 0),
+                    Err(final_setting(tu, tl, 2 * a).unwrap_err()),
+                    "n={n} lanes {a}, {b}"
                 );
             }
         }

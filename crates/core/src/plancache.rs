@@ -60,8 +60,7 @@ use crate::canonical::{
 };
 use crate::error::CoreError;
 use crate::fastpath::RouteScratch;
-use brsmn_rbn::{PackedSettings, RbnSettings};
-use brsmn_switch::SwitchSetting;
+use brsmn_rbn::{PackedSettings, PackedStages};
 use brsmn_topology::{check_size, log2_exact};
 use serde::{Deserialize, Serialize};
 
@@ -142,7 +141,7 @@ pub(crate) const PHASE_SCATTER: usize = 0;
 pub(crate) const PHASE_QUASISORT: usize = 1;
 
 impl CapturedPlan {
-    /// An all-[`SwitchSetting::Parallel`] plan sized for an `n × n` network,
+    /// An all-parallel plan (every code 0) sized for an `n × n` network,
     /// ready to be filled by a capture pass.
     pub fn new(n: usize) -> Result<Self, CoreError> {
         check_size(n)?;
@@ -180,27 +179,28 @@ impl CapturedPlan {
     }
 
     /// Captures the freshly planned stages `[0, m − level + 1)` of `(level,
-    /// phase)` from the live settings table, every block of the level at
-    /// once: the level pass plans a phase for all blocks before it runs
-    /// any, so each stage is stored as one full-width plane.
-    pub(crate) fn store_phase(&mut self, level: usize, phase: usize, settings: &RbnSettings) {
-        let m = log2_exact(self.n) as usize;
+    /// phase)` from the live table, every block of the level at once: the
+    /// level pass plans a phase for all blocks before it runs any, so each
+    /// stage plane is copied whole, word by word (code by code only when
+    /// `n < 64`, where a plane is shorter than a word).
+    pub(crate) fn store_phase(&mut self, level: usize, phase: usize, settings: &PackedStages) {
+        let (m, half) = (log2_exact(self.n) as usize, self.n / 2);
         let off = self.phase_offset(level, phase);
         for j in 0..=m - level {
             self.planes
-                .store_slice(off + j * (self.n / 2), settings.stage(j));
+                .store_codes(off + j * half, half, settings.stage(j));
         }
     }
 
     /// Restores the stages `[0, m − level + 1)` of `(level, phase)` into the
-    /// live settings table, every block of the level at once — the traced
-    /// replay's inverse of [`CapturedPlan::store_phase`].
-    pub(crate) fn load_phase(&self, level: usize, phase: usize, settings: &mut RbnSettings) {
-        let m = log2_exact(self.n) as usize;
+    /// live table, every block of the level at once — the traced replay's
+    /// inverse of [`CapturedPlan::store_phase`].
+    pub(crate) fn load_phase(&self, level: usize, phase: usize, settings: &mut PackedStages) {
+        let (m, half) = (log2_exact(self.n) as usize, self.n / 2);
         let off = self.phase_offset(level, phase);
         for j in 0..=m - level {
             self.planes
-                .load_slice(off + j * (self.n / 2), settings.stage_mut(j));
+                .load_codes(off + j * half, half, settings.stage_mut(j));
         }
     }
 
@@ -211,15 +211,22 @@ impl CapturedPlan {
         &self.planes
     }
 
-    /// Records the final-stage setting of output pair `pair`.
-    pub(crate) fn set_final(&mut self, pair: usize, s: SwitchSetting) {
-        let off = self.final_offset();
-        self.planes.set(off + pair, s);
+    /// Records the final-stage codes of output pairs `32w … 32w + 31`
+    /// (those below `n/2`), packed like a stage plane's word `w`.
+    pub(crate) fn set_final_codes(&mut self, w: usize, codes: u64) {
+        let pairs = (self.n / 2 - 32 * w).min(32);
+        self.planes
+            .store_codes(self.final_offset() + 32 * w, pairs, &[codes]);
     }
 
-    /// The captured final-stage setting of output pair `pair`.
-    pub(crate) fn final_setting(&self, pair: usize) -> SwitchSetting {
-        self.planes.get(self.final_offset() + pair)
+    /// The captured final-stage codes of output pairs `32w … 32w + 31`,
+    /// packed like a stage plane's word `w`; codes past `n/2` read 0.
+    pub(crate) fn final_codes(&self, w: usize) -> u64 {
+        let mut codes = [0u64];
+        let pairs = (self.n / 2 - 32 * w).min(32);
+        self.planes
+            .load_codes(self.final_offset() + 32 * w, pairs, &mut codes);
+        codes[0]
     }
 
     /// Heap bytes held by the packed arena.
@@ -982,6 +989,8 @@ impl std::error::Error for SnapshotError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use brsmn_rbn::RbnSettings;
+    use brsmn_switch::SwitchSetting;
 
     fn asg(n: usize, sets: Vec<Vec<usize>>) -> MulticastAssignment {
         MulticastAssignment::from_sets(n, sets).unwrap()
@@ -1033,22 +1042,27 @@ mod tests {
                 };
             }
         }
-        plan.store_phase(2, PHASE_QUASISORT, &table);
-        let mut out = RbnSettings::identity(n);
+        plan.store_phase(2, PHASE_QUASISORT, &PackedStages::from_settings(&table));
+        let mut out = PackedStages::identity(n);
         plan.load_phase(2, PHASE_QUASISORT, &mut out);
+        let out = out.to_settings();
         for j in 0..3 {
             assert_eq!(out.stage(j), table.stage(j), "stage {j}");
         }
         // The stage past the level's sub-RBNs stays untouched.
         assert_eq!(out.stage(3), &[SwitchSetting::Parallel; 8]);
         // Scatter phase of the same level is a distinct region.
-        let mut other = RbnSettings::identity(n);
+        let mut other = PackedStages::identity(n);
         plan.load_phase(2, PHASE_SCATTER, &mut other);
-        assert_eq!(other, RbnSettings::identity(n));
-        // Final settings live past every level region.
-        plan.set_final(7, SwitchSetting::LowerBroadcast);
-        assert_eq!(plan.final_setting(7), SwitchSetting::LowerBroadcast);
-        assert_eq!(plan.final_setting(0), SwitchSetting::Parallel);
+        assert_eq!(other, PackedStages::identity(n));
+        // Final codes live past every level region: pair 7 broadcasts its
+        // lower input, and codes past the n/2 pairs are never stored.
+        plan.set_final_codes(0, 3 << 14 | 1 << 20);
+        assert_eq!(plan.final_codes(0), 3 << 14);
+        assert_eq!(
+            plan.planes().get(plan.final_offset() + 7),
+            SwitchSetting::LowerBroadcast
+        );
     }
 
     #[test]
@@ -1059,37 +1073,41 @@ mod tests {
             SwitchSetting::UpperBroadcast,
             SwitchSetting::LowerBroadcast,
         ];
-        let n = 32;
-        let m = log2_exact(n) as usize;
-        let mut plan = CapturedPlan::new(n).unwrap();
-        let mut tables = Vec::new();
-        for level in 1..m {
-            for phase in [PHASE_SCATTER, PHASE_QUASISORT] {
-                let mut table = RbnSettings::identity(n);
-                for j in 0..m {
-                    for (idx, s) in table.stage_mut(j).iter_mut().enumerate() {
-                        *s = ALL[(idx * 7 + j * 3 + level * 5 + phase) % 4];
+        // Planes shorter than a word (copied code by code) and planes of
+        // whole words.
+        for n in [32usize, 128] {
+            let m = log2_exact(n) as usize;
+            let mut plan = CapturedPlan::new(n).unwrap();
+            let mut tables = Vec::new();
+            for level in 1..m {
+                for phase in [PHASE_SCATTER, PHASE_QUASISORT] {
+                    let mut table = RbnSettings::identity(n);
+                    for j in 0..m {
+                        for (idx, s) in table.stage_mut(j).iter_mut().enumerate() {
+                            *s = ALL[(idx * 7 + j * 3 + level * 5 + phase) % 4];
+                        }
                     }
+                    plan.store_phase(level, phase, &PackedStages::from_settings(&table));
+                    tables.push((level, phase, table));
                 }
-                plan.store_phase(level, phase, &table);
-                tables.push((level, phase, table));
             }
-        }
-        // Every region loads back as stored, and only the level's stages.
-        for (level, phase, table) in tables {
-            let mut out = RbnSettings::identity(n);
-            plan.load_phase(level, phase, &mut out);
-            for j in 0..m {
-                let want = if j <= m - level {
-                    table.stage(j).to_vec()
-                } else {
-                    vec![SwitchSetting::Parallel; n / 2]
-                };
-                assert_eq!(
-                    out.stage(j),
-                    &want[..],
-                    "level {level} phase {phase} stage {j}"
-                );
+            // Every region loads back as stored, and only the level's stages.
+            for (level, phase, table) in tables {
+                let mut out = PackedStages::identity(n);
+                plan.load_phase(level, phase, &mut out);
+                let out = out.to_settings();
+                for j in 0..m {
+                    let want = if j <= m - level {
+                        table.stage(j).to_vec()
+                    } else {
+                        vec![SwitchSetting::Parallel; n / 2]
+                    };
+                    assert_eq!(
+                        out.stage(j),
+                        &want[..],
+                        "n={n} level {level} phase {phase} stage {j}"
+                    );
+                }
             }
         }
     }

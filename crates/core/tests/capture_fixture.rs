@@ -126,7 +126,7 @@ fn write_capture_fixture() {
                 sets: asg.iter().map(|(_, d)| d.to_vec()).collect(),
                 plan,
                 result: result_sources(&result),
-                settings: table_codes(scratch.settings_table()),
+                settings: table_codes(&scratch.settings_table()),
             });
         }
     }
@@ -168,7 +168,7 @@ fn route_capture_reproduces_the_pinned_plans_results_and_tables() {
         same_plan(&plan, &f.plan, "route_capture", &f);
         assert_eq!(result_sources(&result), f.result, "n={} {}", f.n, f.shape);
         assert_eq!(
-            table_codes(scratch.settings_table()),
+            table_codes(&scratch.settings_table()),
             f.settings,
             "n={} {}",
             f.n,
@@ -178,7 +178,7 @@ fn route_capture_reproduces_the_pinned_plans_results_and_tables() {
         let mut fresh = RouteScratch::new(f.n).unwrap();
         net.route_into(&asg, &mut fresh).unwrap();
         assert_eq!(
-            table_codes(fresh.settings_table()),
+            table_codes(&fresh.settings_table()),
             f.settings,
             "n={} {}",
             f.n,

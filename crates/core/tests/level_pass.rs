@@ -27,7 +27,7 @@ use brsmn_core::{
     payload_lines, Brsmn, CoreError, MulticastAssignment, RoutePayload, RouteScratch, RouteTrace,
     RoutingResult, SelfRoutedMsg, SemanticMsg,
 };
-use brsmn_rbn::{PlanError, PlanOpProfile, RbnSettings, SweepScratch};
+use brsmn_rbn::{PackedStages, PlanError, PlanOpProfile, SweepScratch};
 use brsmn_switch::tag::TagCounts;
 use brsmn_switch::{Line, Tag};
 use std::cell::RefCell;
@@ -71,12 +71,12 @@ fn forest_scatter_matches_per_block_calls() {
             let tags: Vec<Tag> = (0..n).map(|_| TAGS[(next() & 3) as usize]).collect();
             let s_target = next() as usize % seg;
             let mut forest = SweepScratch::new();
-            let mut got = RbnSettings::identity(n);
+            let mut got = PackedStages::identity(n);
             load(&mut forest, &tags);
             forest.plan_scatter(s_target, seg, 0, &mut got);
 
             let mut block = SweepScratch::new();
-            let mut want = RbnSettings::identity(n);
+            let mut want = PackedStages::identity(n);
             for base in (0..n).step_by(seg) {
                 load(&mut block, &tags[base..base + seg]);
                 block.plan_scatter(s_target, seg, base, &mut want);
@@ -125,13 +125,13 @@ fn forest_quasisort_matches_per_block_calls_and_errors() {
         for _ in 0..6 {
             let tags = quasisort_tags(n, seg, &mut next);
             let mut forest = SweepScratch::new();
-            let mut got = RbnSettings::identity(n);
+            let mut got = PackedStages::identity(n);
             load(&mut forest, &tags);
             let got_res = forest.plan_quasisort_fused(seg, 0, &mut got);
 
             // The block-by-block walk stops at the first failing block.
             let mut block = SweepScratch::new();
-            let mut want = RbnSettings::identity(n);
+            let mut want = PackedStages::identity(n);
             let mut want_res: Result<(), PlanError> = Ok(());
             for base in (0..n).step_by(seg) {
                 load(&mut block, &tags[base..base + seg]);
@@ -230,13 +230,13 @@ fn traced_routes_match_the_reference_at_deep_levels() {
             // The traced replay loads each level's planes whole: the same
             // result, trace and settings table as a fresh route.
             let (_, plan) = net.route_capture(&asg, &mut scratch).unwrap();
-            let table = scratch.settings_table().clone();
+            let table = scratch.settings_table();
             net.route_into(&frame(n, round % 5, &mut next), &mut scratch)
                 .unwrap();
             let (replay_r, replay_t) = net.route_replay_traced(&asg, &plan, &mut scratch).unwrap();
             assert_eq!(replay_r, want_r, "n={n} round={round}");
             assert_eq!(replay_t, want_t, "n={n} round={round}");
-            assert_eq!(scratch.settings_table(), &table, "n={n} round={round}");
+            assert_eq!(scratch.settings_table(), table, "n={n} round={round}");
             // Every level lists all of its blocks, left to right.
             for (i, level) in got_t.levels.iter().enumerate() {
                 assert_eq!(level.blocks.len(), 1 << i, "n={n} level {}", i + 1);

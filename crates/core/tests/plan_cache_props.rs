@@ -81,7 +81,7 @@ proptest! {
         let (want_r, want_t) = net.route_traced(&asg).unwrap();
         let want_settings = {
             net.route_into(&asg, &mut scratch).unwrap();
-            scratch.settings_table().clone()
+            scratch.settings_table()
         };
 
         let (captured_r, plan) = net.route_capture(&asg, &mut scratch).unwrap();
@@ -90,7 +90,7 @@ proptest! {
         let (replay_r, replay_t) = net.route_replay_traced(&asg, &plan, &mut scratch).unwrap();
         prop_assert_eq!(&replay_r, &want_r);
         prop_assert_eq!(&replay_t, &want_t);
-        prop_assert_eq!(scratch.settings_table(), &want_settings);
+        prop_assert_eq!(scratch.settings_table(), want_settings);
 
         // The lean (untraced) replay delivers the same source table.
         net.route_replay_into(&asg, &plan, &mut scratch).unwrap();

@@ -19,12 +19,14 @@
 //! Both planners sweep a *forest*: the `n` tags of a BSN level, one tree
 //! per block (§7.3: one pass programs every BSN of a level). The backward
 //! phases keep only one tree level alive at a time in a pair of ping-pong
-//! buffers, and the switch-setting phase writes straight into a
-//! caller-provided [`RbnSettings`] table via the slice-filling variants of
-//! Table 5 ([`crate::setting::binary_compact_setting_into`]). After a
-//! one-time warm-up of the [`SweepScratch`], planning a level performs **no
-//! heap allocation** — the property the `brsmn-bench` `alloc-count` test
-//! pins down end to end.
+//! buffers, and the switch-setting phase writes 2-bit switch codes straight
+//! into a caller-provided [`PackedStages`] table, the form the executors
+//! and the plan capture read: a node above j = 2 writes Table 5's compact
+//! setting as a packed span of its stage plane (one masked store when its
+//! slice fits in one word, whole-word fills otherwise), and the j ≤ 2 steps
+//! store whole code words. After a one-time warm-up of the
+//! [`SweepScratch`], planning a level performs **no heap allocation** — the
+//! property the `brsmn-bench` `alloc-count` test pins down end to end.
 //!
 //! ## Aligned segment counts
 //!
@@ -50,13 +52,15 @@
 //!   tags and its start `s < 4`. The scatter looks it up in a 1,024-entry
 //!   table built once from the same setting step; the quasisort evaluates
 //!   Lemma 1 at n′ = 4 in closed form from the ladder's two-leaf rung.
-//!   Neither writes through Table 5's slice fillers.
+//!   Either collects the four code bits of the 16 nodes under a plane word
+//!   into one word and stores it once.
 //! * **j = 1** needs no count. A two-leaf node's setting is a boolean
 //!   function of its two leaf tags and the parity of its start (and, in a
 //!   quasisort, whether its ε₀ quota is zero). The j = 2 nodes write those
 //!   inputs as bit planes, and the j = 1 step then settles 32 nodes per
 //!   64-leaf word, each node's 2-bit switch code at its own two leaf bits:
-//!   exactly the [`crate::packed::PackedSettings`] layout.
+//!   exactly the layout of the stage-0 plane, which takes the word as
+//!   computed.
 //!
 //! ## Per-op profiler
 //!
@@ -67,11 +71,9 @@
 //! Equivalence with the reference planners is exhaustively tested here and
 //! property-tested end to end in `brsmn-core`.
 
-use crate::fabric::RbnSettings;
-use crate::packed::setting_from_code;
+use crate::packed::{binary_compact_codes, put_codes, trinary_compact_codes, PackedStages};
 use crate::plan::{DomType, PlanError};
 use crate::profile::{PlanOpProfile, ProfClock};
-use crate::setting::{binary_compact_setting_into, trinary_compact_setting_into};
 use brsmn_switch::tag::TagCounts;
 use brsmn_switch::{SwitchSetting, Tag};
 use brsmn_topology::log2_exact;
@@ -502,12 +504,13 @@ impl TagVec {
 }
 
 /// The two plane words of 64 tokens' codes: bit `k` of `lo` is bit 0 of
-/// `tokens[k]`, bit `k` of `hi` its bit 1. The tokens narrow to one byte
-/// each, and every 8 bytes gather into 8 plane bits with one multiply per
-/// plane: each byte's bit lands in the product's top byte at its own
-/// position, and no two partial products meet there.
+/// `tokens[k]`, bit `k` of `hi` its bit 1 (the [`TagVec`] encoding when
+/// the codes are tags). The tokens narrow to one byte each, and every 8
+/// bytes gather into 8 plane bits with one multiply per plane: each byte's
+/// bit lands in the product's top byte at its own position, and no two
+/// partial products meet there.
 #[inline]
-fn pack_codes(tokens: &[u32; 64]) -> (u64, u64) {
+pub fn pack_codes(tokens: &[u32; 64]) -> (u64, u64) {
     const BYTE_LOW_BITS: u64 = 0x0101_0101_0101_0101;
     const GATHER: u64 = 0x0102_0408_1020_4080;
     let mut bytes = [0u8; 64];
@@ -548,42 +551,32 @@ fn ladder(x: u64) -> Ladder {
     [c2, c4, c8, c16, c32, c64]
 }
 
-/// Stores the 2-bit switch codes of `codes` (code `k` in bits `2k` and
-/// `2k + 1`, the [`crate::packed::PackedSettings`] layout) into `out`, one
-/// switch per code.
-#[inline]
-fn store_codes(out: &mut [SwitchSetting], codes: u64) {
-    for (k, o) in out.iter_mut().enumerate() {
-        *o = setting_from_code(codes >> (2 * k));
-    }
-}
-
 /// Lemma 1's setting of one node (Table 3, and Table 4's ε/α-addition):
 /// with start `s` and `l0` marked leaves under its upper child, writes
-/// `W_{0, s1; b̄, b}` into the node's merging-stage `slice` and returns the
-/// children's starts `(s0, s1)`.
+/// `W_{0, s1; b̄, b}` into the node's merging-stage slice — the `half`
+/// switches of `plane` from switch `at` — and returns the children's
+/// starts `(s0, s1)`.
 #[inline]
-fn bitsort_node(slice: &mut [SwitchSetting], s: usize, l0: usize) -> (usize, usize) {
+fn bitsort_node(plane: &mut [u64], at: usize, half: usize, s: usize, l0: usize) -> (usize, usize) {
     // The slice holds a power of two of switches: `% half` is a mask, and
     // `((s + l0) div half) mod 2` one bit.
-    let half = slice.len();
     let s1 = (s + l0) & (half - 1);
     let (b_val, b_comp) = if (s + l0) & half != 0 {
         (SwitchSetting::Crossing, SwitchSetting::Parallel)
     } else {
         (SwitchSetting::Parallel, SwitchSetting::Crossing)
     };
-    binary_compact_setting_into(slice, 0, s1, b_comp, b_val);
+    binary_compact_codes(plane, at, half, 0, s1, b_comp, b_val);
     (s & (half - 1), s1)
 }
 
 /// Table 4's switch-setting step of one scatter node: from its start
 /// `s_node`, its run length `l_node` and its children's forward pairs,
-/// writes the node's merging-stage `slice` and returns the children's
-/// starts `(s0, s1)`.
+/// writes the node's merging-stage slice (as [`bitsort_node`]'s) and
+/// returns the children's starts `(s0, s1)`.
 #[inline]
 fn scatter_node(
-    slice: &mut [SwitchSetting],
+    (plane, at, half): (&mut [u64], usize, usize),
     s_node: usize,
     l_node: usize,
     (l0, ty0): (usize, DomType),
@@ -591,10 +584,9 @@ fn scatter_node(
 ) -> (usize, usize) {
     if ty0 == ty1 {
         // ε/α-addition: Lemma 1, same as the bit-sorting setting.
-        return bitsort_node(slice, s_node, l0);
+        return bitsort_node(plane, at, half, s_node, l0);
     }
     // ε/α-elimination: Lemmas 2–5.
-    let half = slice.len();
     let bcast = if ty0 == DomType::Alpha {
         SwitchSetting::UpperBroadcast
     } else {
@@ -616,13 +608,13 @@ fn scatter_node(
     }
     let ucomp = ucast.complement();
     if s_node + l_node < half {
-        binary_compact_setting_into(slice, s_tmp, l_tmp, ucast, bcast);
+        binary_compact_codes(plane, at, half, s_tmp, l_tmp, ucast, bcast);
     } else if s_node < half {
-        trinary_compact_setting_into(slice, s_tmp, l_tmp, ucomp, bcast, ucast);
+        trinary_compact_codes(plane, at, half, s_tmp, l_tmp, ucomp, bcast, ucast);
     } else if s_node + l_node < 2 * half {
-        binary_compact_setting_into(slice, s_tmp, l_tmp, ucomp, bcast);
+        binary_compact_codes(plane, at, half, s_tmp, l_tmp, ucomp, bcast);
     } else {
-        trinary_compact_setting_into(slice, s_tmp, l_tmp, ucast, bcast, ucomp);
+        trinary_compact_codes(plane, at, half, s_tmp, l_tmp, ucast, bcast, ucomp);
     }
     (s0, s1)
 }
@@ -655,13 +647,10 @@ fn j2_scatter_table() -> &'static [u8; 1024] {
             let ((up, up_steps), (dn, dn_steps)) = (child(0), child(2));
             let a: usize = (0..4).map(alpha).sum();
             let e: usize = (0..4).map(eps).sum();
-            let mut slice = [SwitchSetting::Parallel; 2];
-            let (s0, s1) = scatter_node(&mut slice, i >> 8, a.abs_diff(e), up, dn);
-            *entry = slice[0].code()
-                | slice[1].code() << 2
-                | (s0 as u8) << 4
-                | (s1 as u8) << 5
-                | (up_steps + dn_steps) << 6;
+            let mut plane = [0u64];
+            let (s0, s1) = scatter_node((&mut plane, 0, 2), i >> 8, a.abs_diff(e), up, dn);
+            *entry =
+                plane[0] as u8 | (s0 as u8) << 4 | (s1 as u8) << 5 | (up_steps + dn_steps) << 6;
         }
         table
     })
@@ -867,11 +856,12 @@ impl SweepScratch {
     /// Word-parallel Table 4 over a forest: plans a scatter with target
     /// start `s_target` for every block of `seg` loaded tags (the loaded
     /// length is a multiple of `seg`), writing each block's merging-stage
-    /// settings into `settings` (stages `[0, log2 seg)`, the mapping of
-    /// [`RbnSettings::program_subnetwork`]). Loaded tag `i` sits on line
-    /// `base + i`, so node `(j, b)` — global index `b` among the loaded
-    /// tags' tree level `j` — writes `settings.block_mut(j − 1, (base >>
-    /// j) + b)`. With `seg` equal to the loaded length this is the
+    /// codes into `settings` (stages `[0, log2 seg)`, the mapping of
+    /// [`crate::RbnSettings::program_subnetwork`]). Loaded tag `i` sits on
+    /// line `base + i`, so node `(j, b)` — global index `b` among the
+    /// loaded tags' tree level `j` — writes the `2^(j−1)` switches of
+    /// stage `j − 1` from switch `base/2 + b·2^(j−1)`: the plane bits of
+    /// its own lines. With `seg` equal to the loaded length this is the
     /// per-block planner; with the `n` tags of a whole BSN level and `seg`
     /// its block size it plans every block of the level in one top-down
     /// wave (§7.3: one pass programs every BSN of a level). Each block is
@@ -890,7 +880,7 @@ impl SweepScratch {
         s_target: usize,
         seg: usize,
         base: usize,
-        settings: &mut RbnSettings,
+        settings: &mut PackedStages,
     ) {
         let len = self.tags.len();
         let m = log2_exact(seg) as usize;
@@ -910,6 +900,7 @@ impl SweepScratch {
             self.par.fill(if s_target == 1 { EVEN } else { 0 });
         }
         for j in (3..=m).rev() {
+            let (plane, half) = (settings.stage_mut(j - 1), 1 << (j - 1));
             for b in 0..(len >> j) {
                 let pos = b << j;
                 let (a_node, e_node) = (self.cur_a[b], self.cur_e[b]);
@@ -917,13 +908,8 @@ impl SweepScratch {
                 let (a_dn, e_dn) = (a_node - a_up, e_node - e_up);
                 let up = self.child_pair(a_up, e_up, j - 1, 2 * b, &mut steps);
                 let dn = self.child_pair(a_dn, e_dn, j - 1, 2 * b + 1, &mut steps);
-                let (s0, s1) = scatter_node(
-                    settings.block_mut(j - 1, (base >> j) + b),
-                    self.cur[b],
-                    a_node.abs_diff(e_node),
-                    up,
-                    dn,
-                );
+                let slice = (&mut *plane, (base + pos) / 2, half);
+                let (s0, s1) = scatter_node(slice, self.cur[b], a_node.abs_diff(e_node), up, dn);
                 self.next[2 * b] = s0;
                 self.next[2 * b + 1] = s1;
                 self.next_a[2 * b] = a_up;
@@ -952,21 +938,27 @@ impl SweepScratch {
     }
 
     /// The j = 2 step of a scatter: one [`j2_scatter_table`] lookup per
-    /// node sets its two switches, writes its children's start parities
-    /// into the j = 1 plane and counts its children's tie-walk steps.
-    fn scatter_j2(&mut self, base: usize, settings: &mut RbnSettings, steps: &mut u64) {
+    /// node gives its two switches' codes, its children's start parities
+    /// for the j = 1 plane and its children's tie-walk steps. The codes of
+    /// the 16 nodes under a plane word gather into one word, stored once.
+    fn scatter_j2(&mut self, base: usize, settings: &mut PackedStages, steps: &mut u64) {
         let table = j2_scatter_table();
-        let stage = settings.stage_mut(1);
-        for b in 0..self.tags.len() >> 2 {
-            let pos = b << 2;
-            let sh = pos & 63;
-            let (lo, hi) = self.tags.words(pos >> 6);
-            let leaves = (lo >> sh & 15 | (hi >> sh & 15) << 4) as usize;
-            let t = u64::from(table[leaves | self.cur[b] << 8]);
-            stage[base / 2 + 2 * b] = setting_from_code(t);
-            stage[base / 2 + 2 * b + 1] = setting_from_code(t >> 2);
-            self.par[pos >> 6] |= (t >> 4 & 1) << sh | (t >> 5 & 1) << (sh | 2);
-            *steps += t >> 6;
+        let len = self.tags.len();
+        let plane = settings.stage_mut(1);
+        for w in 0..len.div_ceil(64) {
+            let (lo, hi) = self.tags.words(w);
+            let nodes = ((len - 64 * w) / 4).min(16);
+            let (mut codes, mut par) = (0u64, 0u64);
+            for k in 0..nodes {
+                let sh = 4 * k;
+                let leaves = (lo >> sh & 15 | (hi >> sh & 15) << 4) as usize;
+                let t = u64::from(table[leaves | self.cur[16 * w + k] << 8]);
+                codes |= (t & 15) << sh;
+                par |= (t >> 4 & 1) << sh | (t >> 5 & 1) << (sh | 2);
+                *steps += t >> 6;
+            }
+            self.par[w] |= par;
+            put_codes(plane, base / 2 + 32 * w, 2 * nodes, codes);
         }
     }
 
@@ -974,19 +966,18 @@ impl SweepScratch {
     /// Table 4 with Lemmas 1–5 is a boolean function of a node's upper leaf
     /// `u`, lower leaf `d` and start parity `s`: (α, ε) broadcasts the
     /// upper input, (ε, α) the lower, and otherwise the switch crosses iff
-    /// `s = 1` when `u = α`, and iff `s = [u = ε]` when `u ≠ α`. The codes
-    /// land at stage-0 switch `base/2 + i` for node `i`.
-    fn scatter_j1(&self, base: usize, settings: &mut RbnSettings) {
+    /// `s = 1` when `u = α`, and iff `s = [u = ε]` when `u ≠ α`. The code
+    /// word lands as computed at stage-0 switch `base/2 + 32w`.
+    fn scatter_j1(&self, base: usize, settings: &mut PackedStages) {
         let len = self.tags.len();
-        let stage = settings.stage_mut(0);
+        let plane = settings.stage_mut(0);
         for (w, &s) in self.par.iter().enumerate() {
             let (a, e) = (self.x.word(w), self.eps.word(w));
             let (au, ad, eu, ed) = (a & EVEN, a >> 1 & EVEN, e & EVEN, e >> 1 & EVEN);
             let (ub, lb) = (au & ed, eu & ad);
             let cross = (au & s) | (!au & !(s ^ eu));
             let codes = ((lb | !(ub | lb) & cross) & EVEN) | (ub | lb) << 1;
-            let at = base / 2 + 32 * w;
-            store_codes(&mut stage[at..at + (len - 64 * w).min(64) / 2], codes);
+            put_codes(plane, base / 2 + 32 * w, (len - 64 * w).min(64) / 2, codes);
         }
     }
 
@@ -1022,7 +1013,7 @@ impl SweepScratch {
         &mut self,
         seg: usize,
         base: usize,
-        settings: &mut RbnSettings,
+        settings: &mut PackedStages,
     ) -> Result<(), PlanError> {
         let len = self.tags.len();
         let m = log2_exact(seg) as usize;
@@ -1063,6 +1054,7 @@ impl SweepScratch {
             }
         }
         for j in (3..=m).rev() {
+            let (plane, half) = (settings.stage_mut(j - 1), 1 << (j - 1));
             for b in 0..(len >> j) {
                 let (s_node, e0) = (self.cur[b], self.cur_q[b]);
                 let pos = b << j;
@@ -1074,7 +1066,7 @@ impl SweepScratch {
                 // sort-down leaves under the upper child are its 1s plus its
                 // ε₁s, and ε₁ = ε − ε₀.
                 let l0 = ones_up + (eps_up - u_e0);
-                let (s0, s1) = bitsort_node(settings.block_mut(j - 1, (base >> j) + b), s_node, l0);
+                let (s0, s1) = bitsort_node(plane, (base + pos) / 2, half, s_node, l0);
                 self.next[2 * b] = s0;
                 self.next[2 * b + 1] = s1;
                 self.next_q[2 * b] = u_e0;
@@ -1102,21 +1094,29 @@ impl SweepScratch {
     /// with `t = s + l0` (start plus the upper child's sort-down leaves),
     /// `s1 = t mod 2` and `b = ⌊t/2⌋ mod 2`, switch 0 crosses iff
     /// `s1 = b` and switch 1 iff `b = 0`. Each node writes its children's
-    /// start parities and `[ε₀ > 0]` into the j = 1 planes.
-    fn quasisort_j2(&mut self, base: usize, settings: &mut RbnSettings) {
-        let stage = settings.stage_mut(1);
-        for b in 0..self.tags.len() >> 2 {
-            let pos = b << 2;
-            let (s, e0) = (self.cur[b], self.cur_q[b]);
-            let (ones_up, eps_up) = self.counts(pos, 1);
-            let u_e0 = e0.min(eps_up);
-            let t = s + ones_up + eps_up - u_e0;
-            let (s1, bit) = (t & 1, t >> 1 & 1);
-            stage[base / 2 + 2 * b] = setting_from_code(u64::from(s1 == bit));
-            stage[base / 2 + 2 * b + 1] = setting_from_code(u64::from(bit == 0));
-            let sh = pos & 63;
-            self.par[pos >> 6] |= ((s & 1) as u64) << sh | (s1 as u64) << (sh | 2);
-            self.quota[pos >> 6] |= u64::from(u_e0 > 0) << sh | u64::from(e0 > u_e0) << (sh | 2);
+    /// start parities and `[ε₀ > 0]` into the j = 1 planes, and the codes
+    /// of the 16 nodes under a plane word gather into one word, stored
+    /// once.
+    fn quasisort_j2(&mut self, base: usize, settings: &mut PackedStages) {
+        let len = self.tags.len();
+        let plane = settings.stage_mut(1);
+        for w in 0..len.div_ceil(64) {
+            let nodes = ((len - 64 * w) / 4).min(16);
+            let (mut codes, mut par, mut quota) = (0u64, 0u64, 0u64);
+            for k in 0..nodes {
+                let (b, sh) = (16 * w + k, 4 * k);
+                let (s, e0) = (self.cur[b], self.cur_q[b]);
+                let (ones_up, eps_up) = self.counts(b << 2, 1);
+                let u_e0 = e0.min(eps_up);
+                let t = s + ones_up + eps_up - u_e0;
+                let (s1, bit) = (t & 1, t >> 1 & 1);
+                codes |= (u64::from(s1 == bit) | u64::from(bit == 0) << 2) << sh;
+                par |= ((s & 1) as u64) << sh | (s1 as u64) << (sh | 2);
+                quota |= u64::from(u_e0 > 0) << sh | u64::from(e0 > u_e0) << (sh | 2);
+            }
+            self.par[w] |= par;
+            self.quota[w] |= quota;
+            put_codes(plane, base / 2 + 32 * w, 2 * nodes, codes);
         }
     }
 
@@ -1124,14 +1124,13 @@ impl SweepScratch {
     /// the fused Tables 6 + 3 set a node parallel iff
     /// `s + [u = 1] + [u = ε ∧ ε₀ = 0]` is odd (its upper leaf `u` sorts
     /// down when it is a 1 or an ε₁), and crossing otherwise.
-    fn quasisort_j1(&self, base: usize, settings: &mut RbnSettings) {
+    fn quasisort_j1(&self, base: usize, settings: &mut PackedStages) {
         let len = self.tags.len();
-        let stage = settings.stage_mut(0);
+        let plane = settings.stage_mut(0);
         for (w, (&s, &q)) in self.par.iter().zip(&self.quota).enumerate() {
             let down = (self.x.word(w) | self.eps.word(w) & !q) & EVEN;
             let codes = !(s ^ down) & EVEN;
-            let at = base / 2 + 32 * w;
-            store_codes(&mut stage[at..at + (len - 64 * w).min(64) / 2], codes);
+            put_codes(plane, base / 2 + 32 * w, (len - 64 * w).min(64) / 2, codes);
         }
     }
 
@@ -1150,6 +1149,7 @@ impl SweepScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric::RbnSettings;
     use crate::plan::{plan_quasisort, plan_scatter};
 
     fn tag_of(code: usize) -> Tag {
@@ -1273,7 +1273,7 @@ mod tests {
     fn sweep_profile_counts_are_exact_closed_forms() {
         let n = 64usize;
         let mut scratch = SweepScratch::new();
-        let mut table = RbnSettings::identity(n);
+        let mut table = PackedStages::identity(n);
         let mut rng = xorshift(0x7135_5EED);
         for round in 0..8 {
             let tags: Vec<Tag> = match round {
@@ -1418,12 +1418,12 @@ mod tests {
         }
     }
 
-    /// A table whose every switch reads `LowerBroadcast`, so a switch a
-    /// planner fails to write shows up as a mismatch.
-    fn poisoned(n: usize) -> RbnSettings {
-        let mut table = RbnSettings::identity(n);
+    /// A table whose every switch reads `LowerBroadcast` (every code bit
+    /// set), so a switch a planner fails to write shows up as a mismatch.
+    fn poisoned(n: usize) -> PackedStages {
+        let mut table = PackedStages::identity(n);
         for j in 0..table.num_stages() {
-            table.stage_mut(j).fill(SwitchSetting::LowerBroadcast);
+            table.stage_mut(j).fill(!0);
         }
         table
     }
@@ -1437,7 +1437,8 @@ mod tests {
         (0..FOREST).step_by(n).filter(|off| off % 64 != 0).collect()
     }
 
-    /// Asserts that the block at `off` of a forest table holds `want`.
+    /// Asserts that the block at `off` of an (unpacked) forest table holds
+    /// `want`.
     fn assert_block(table: &RbnSettings, off: usize, want: &RbnSettings, tags: &[Tag]) {
         let w = want.n() / 2;
         for j in 0..want.num_stages() {
@@ -1468,7 +1469,7 @@ mod tests {
                     let mut got = poisoned(n);
                     load(&mut scratch, &tags);
                     scratch.plan_scatter(s, n, 0, &mut got);
-                    assert_eq!(got, want, "tags={tags:?} s={s}");
+                    assert_eq!(got.to_settings(), want, "tags={tags:?} s={s}");
                     batch.push((tags, want));
                     if batch.len() < slots.len() && pattern + 1 < patterns {
                         continue;
@@ -1481,6 +1482,7 @@ mod tests {
                     let mut table = poisoned(FOREST);
                     load(&mut scratch, &forest);
                     scratch.plan_scatter(s, n, 0, &mut table);
+                    let table = table.to_settings();
                     for ((tags, want), &off) in batch.iter().zip(&slots) {
                         assert_block(&table, off, want, tags);
                     }
@@ -1499,10 +1501,10 @@ mod tests {
                 let tags: Vec<Tag> = (0..n).map(|_| tag_of(rng() as usize)).collect();
                 let s = rng() as usize % n;
                 let want = plan_scatter(&tags, s).settings;
-                let mut got = RbnSettings::identity(n);
+                let mut got = PackedStages::identity(n);
                 load(&mut scratch, &tags);
                 scratch.plan_scatter(s, n, 0, &mut got);
-                assert_eq!(got, want, "n={n} s={s} tags={tags:?}");
+                assert_eq!(got.to_settings(), want, "n={n} s={s} tags={tags:?}");
             }
         }
     }
@@ -1514,9 +1516,10 @@ mod tests {
         let n = 8;
         let tags = [Tag::Alpha, Tag::Eps, Tag::Zero, Tag::One];
         let mut scratch = SweepScratch::new();
-        let mut table = RbnSettings::identity(n);
+        let mut table = PackedStages::identity(n);
         load(&mut scratch, &tags);
         scratch.plan_scatter(0, 4, 4, &mut table);
+        let table = table.to_settings();
         let want_local = plan_scatter(&tags, 0).settings;
         for j in 0..2 {
             assert_eq!(&table.stage(j)[2..4], want_local.stage(j));
@@ -1538,7 +1541,9 @@ mod tests {
         let want = plan_quasisort(tags).map(|(_, sort)| sort.settings);
         let mut got = poisoned(n);
         load(scratch, tags);
-        let got = scratch.plan_quasisort_fused(n, 0, &mut got).map(|()| got);
+        let got = scratch
+            .plan_quasisort_fused(n, 0, &mut got)
+            .map(|()| got.to_settings());
         (got, want)
     }
 
@@ -1601,6 +1606,7 @@ mod tests {
                 let mut table = poisoned(FOREST);
                 load(&mut scratch, &forest);
                 scratch.plan_quasisort_fused(n, 0, &mut table).unwrap();
+                let table = table.to_settings();
                 for ((tags, want), &off) in batch.iter().zip(&slots) {
                     assert_block(&table, off, want, tags);
                 }
@@ -1652,9 +1658,10 @@ mod tests {
         use Tag::*;
         let tags = [One, Eps, Zero, Eps];
         let mut scratch = SweepScratch::new();
-        let mut table = RbnSettings::identity(8);
+        let mut table = PackedStages::identity(8);
         load(&mut scratch, &tags);
         scratch.plan_quasisort_fused(4, 4, &mut table).unwrap();
+        let table = table.to_settings();
         let mut want = RbnSettings::identity(8);
         want.program_subnetwork(4, &plan_quasisort(&tags).unwrap().1.settings);
         assert_eq!(table, want);

@@ -70,15 +70,6 @@ impl RbnSettings {
         self.stages[j][b * w..(b + 1) * w].copy_from_slice(block_settings);
     }
 
-    /// Mutable view of the merging-stage slice that [`RbnSettings::set_block`]
-    /// writes: the `2^j` stage-`j` settings of the sub-RBN at block `b`.
-    /// Lets the zero-allocation planners fill settings in place.
-    #[inline]
-    pub fn block_mut(&mut self, j: usize, b: usize) -> &mut [SwitchSetting] {
-        let w = 1usize << j;
-        &mut self.stages[j][b * w..(b + 1) * w]
-    }
-
     /// Resets every switch to parallel (used between passes of the feedback
     /// implementation when the physical RBN is re-programmed).
     pub fn reset_parallel(&mut self) {
@@ -402,15 +393,6 @@ mod tests {
                 assert_eq!(wiring.stage(j as usize), &from_blocks[..], "n={n} j={j}");
             }
         }
-    }
-
-    #[test]
-    fn block_mut_writes_like_set_block() {
-        let mut a = RbnSettings::identity(8);
-        let mut b = RbnSettings::identity(8);
-        a.set_block(1, 1, &[Crossing, UpperBroadcast]);
-        b.block_mut(1, 1).copy_from_slice(&[Crossing, UpperBroadcast]);
-        assert_eq!(a, b);
     }
 
     #[test]

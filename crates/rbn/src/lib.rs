@@ -17,8 +17,12 @@
 //! * [`bitplan`] — the same sweeps word-packed, over every block of a BSN
 //!   level at once (the scatter, and the quasisort with ε-dividing and bit
 //!   sorting fused into one wave): tags in two `u64` bit planes, forward
-//!   values by popcount over aligned segments, settings written into a
-//!   caller-provided table with zero steady-state allocation;
+//!   values by popcount over aligned segments, 2-bit switch codes written
+//!   into a caller-provided [`PackedStages`] table with zero steady-state
+//!   allocation;
+//! * [`packed`] — the 2-bit code form of a stage: the live table the
+//!   level pass plans into ([`PackedStages`]), the packed Table 5
+//!   writers, and the capture arena ([`PackedSettings`]);
 //! * [`distributed`] — the same algorithms as an event-driven
 //!   message-passing execution over the Fig. 8 tree (cross-validates the
 //!   planners and measures parallel rounds);
@@ -60,14 +64,11 @@ pub use distributed::{
 };
 pub use fabric::{clone_split, RbnSettings, RbnWiring};
 pub use network::{BitSortingRbn, QuasisortRbn, RbnError, ScatterRbn};
-pub use packed::{setting_code, setting_from_code, PackedSettings};
+pub use packed::{setting_code, setting_from_code, PackedSettings, PackedStages};
 pub use plan::{
     eps_divide, plan_bitsort, plan_quasisort, plan_scatter, BitsortPlan, DomType, EpsDividePlan,
     PlanError, ScatterNode, ScatterPlan,
 };
 pub use profile::PlanOpProfile;
 pub use sequence::{compact_sequence, is_compact_at, recognize_compact, Compact};
-pub use setting::{
-    binary_compact_setting, binary_compact_setting_into, trinary_compact_setting,
-    trinary_compact_setting_into,
-};
+pub use setting::{binary_compact_setting, trinary_compact_setting};

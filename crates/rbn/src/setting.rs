@@ -7,6 +7,10 @@
 //! descriptors. These functions expand a descriptor into the per-switch
 //! setting vector, exactly as each switch would compute it locally from its
 //! own address (Table 5: all switches set simultaneously in parallel).
+//!
+//! The forest sweeps of [`crate::bitplan`] write the same two routines as
+//! 2-bit codes straight into a packed stage plane (see [`crate::packed`]);
+//! these allocating forms are the oracles those writers are tested against.
 
 use crate::sequence::in_gamma_run;
 use brsmn_switch::SwitchSetting;
@@ -71,57 +75,6 @@ pub fn trinary_compact_setting(
         .collect()
 }
 
-/// [`binary_compact_setting`] writing into a caller-provided stage slice
-/// (`out.len()` switches, i.e. `n' = 2·out.len()`) instead of allocating.
-///
-/// The circular run is at most two contiguous spans, so this is three slice
-/// fills — the form the zero-allocation planners in [`crate::bitplan`] use.
-pub fn binary_compact_setting_into(
-    out: &mut [SwitchSetting],
-    s: usize,
-    l: usize,
-    setting1: SwitchSetting,
-    setting2: SwitchSetting,
-) {
-    let half = out.len();
-    assert!(
-        s < half || (s == 0 && half == 0),
-        "s={s} out of range for {half} switches"
-    );
-    assert!(l <= half, "l={l} out of range for {half} switches");
-    let end = s + l;
-    if end <= half {
-        out[..s].fill(setting1);
-        out[s..end].fill(setting2);
-        out[end..].fill(setting1);
-    } else {
-        let wrap = end - half;
-        out[..wrap].fill(setting2);
-        out[wrap..s].fill(setting1);
-        out[s..].fill(setting2);
-    }
-}
-
-/// [`trinary_compact_setting`] writing into a caller-provided stage slice.
-/// Requires `s + l ≤ out.len()` (nothing wraps), as in Table 5.
-pub fn trinary_compact_setting_into(
-    out: &mut [SwitchSetting],
-    s: usize,
-    l: usize,
-    setting1: SwitchSetting,
-    setting2: SwitchSetting,
-    setting3: SwitchSetting,
-) {
-    let half = out.len();
-    assert!(
-        s + l <= half,
-        "trinary setting requires s + l <= {half} switches (s={s}, l={l})"
-    );
-    out[..s].fill(setting1);
-    out[s..s + l].fill(setting2);
-    out[s + l..].fill(setting3);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,40 +126,6 @@ mod tests {
     #[should_panic]
     fn trinary_rejects_wrap() {
         let _ = trinary_compact_setting(8, 3, 2, Parallel, UpperBroadcast, Crossing);
-    }
-
-    #[test]
-    fn into_variants_match_allocating_variants() {
-        for n_prime in [2usize, 4, 8, 16] {
-            let half = n_prime / 2;
-            let mut buf = vec![Parallel; half];
-            for s in 0..half {
-                for l in 0..=half {
-                    let want = binary_compact_setting(n_prime, s, l, Parallel, Crossing);
-                    binary_compact_setting_into(&mut buf, s, l, Parallel, Crossing);
-                    assert_eq!(buf, want, "binary n'={n_prime} s={s} l={l}");
-                    if s + l <= half {
-                        let want = trinary_compact_setting(
-                            n_prime,
-                            s,
-                            l,
-                            Crossing,
-                            UpperBroadcast,
-                            Parallel,
-                        );
-                        trinary_compact_setting_into(
-                            &mut buf,
-                            s,
-                            l,
-                            Crossing,
-                            UpperBroadcast,
-                            Parallel,
-                        );
-                        assert_eq!(buf, want, "trinary n'={n_prime} s={s} l={l}");
-                    }
-                }
-            }
-        }
     }
 
     #[test]
