@@ -285,38 +285,6 @@ impl RouteScratch {
     pub fn settings_table(&self) -> RbnSettings {
         self.settings.to_settings()
     }
-
-    /// Checks a delivery against `asg` with the frame-final check every
-    /// route and replay on this arena ends with (see [`crate::fastpath`]):
-    /// `delivered[o]` is the source that reached output `o`, or `None`
-    /// when it stayed idle. Accepts exactly when every output holds its
-    /// owner and no other output is served; the error names the first
-    /// output that holds a message not addressed to it, or else how many
-    /// of the assignment's destinations were served. A delivery of the
-    /// wrong length, or naming a source that is no input of the network,
-    /// is a [`CoreError::Config`].
-    pub fn check_delivery(
-        &mut self,
-        asg: &MulticastAssignment,
-        delivered: &[Option<usize>],
-    ) -> Result<(), CoreError> {
-        let n = asg.n();
-        if delivered.len() != n {
-            return Err(CoreError::Config(format!(
-                "{} delivered sources for n = {n} outputs",
-                delivered.len()
-            )));
-        }
-        let mut entries = delivered.iter().enumerate();
-        if let Some((o, s)) = entries.find_map(|(o, d)| d.filter(|&s| s >= n).map(|s| (o, s))) {
-            return Err(CoreError::Config(format!(
-                "output {o} holds source {s}, which is no input of an n = {n} network"
-            )));
-        }
-        self.ensure(n);
-        let sources = delivered.iter().map(|d| d.map_or(NO_SRC, |s| s as u32));
-        check_delivery(asg, &mut self.owner, &mut self.starts, sources)
-    }
 }
 
 thread_local! {
@@ -410,17 +378,9 @@ trait LevelLines {
     /// [`postcondition_error`].
     fn gather(&mut self, tokens: &[u32], size: usize) -> Result<(), CoreError>;
 
-    /// Applies a final-stage setting to the output pair `{lo, lo + 1}`.
-    fn apply_final(&mut self, lo: usize, setting: SwitchSetting);
-
     /// Applies `pairs` final-stage codes of one word (pair `p`'s at bits
-    /// `2p`, `2p + 1`) to the output pairs from line `lo` on; by default
-    /// pair by pair through [`LevelLines::apply_final`].
-    fn apply_final_word(&mut self, lo: usize, codes: u64, pairs: usize) {
-        for p in 0..pairs {
-            self.apply_final(lo + 2 * p, setting_from_code(codes >> (2 * p)));
-        }
-    }
+    /// `2p`, `2p + 1`) to the output pairs from line `lo` on.
+    fn apply_final_word(&mut self, lo: usize, codes: u64, pairs: usize);
 }
 
 /// A frame's semantic lines: the lines of the current level (the delivery,
@@ -475,19 +435,6 @@ impl LevelLines for FastLines<'_> {
         gather_fast(self.lines, self.next, tokens, size)?;
         std::mem::swap(&mut self.lines, &mut self.next);
         Ok(())
-    }
-
-    /// Only the source of a line matters after the final stage, so a
-    /// broadcast copies the α line whole.
-    fn apply_final(&mut self, lo: usize, setting: SwitchSetting) {
-        use SwitchSetting::*;
-        let lines = &mut *self.lines;
-        match setting {
-            Parallel => {}
-            Crossing => lines.swap(lo, lo + 1),
-            UpperBroadcast => lines[lo + 1] = lines[lo],
-            LowerBroadcast => lines[lo] = lines[lo + 1],
-        }
     }
 
     /// Only the source of a line matters after the final stage, so each
@@ -572,24 +519,28 @@ impl<P: RoutePayload> LevelLines for PayloadLines<P> {
         Ok(())
     }
 
-    fn apply_final(&mut self, lo: usize, setting: SwitchSetting) {
+    /// Pair by pair: a broadcast splits the α's payload at its pair.
+    fn apply_final_word(&mut self, lo: usize, codes: u64, pairs: usize) {
         use SwitchSetting::*;
-        match setting {
-            Parallel => {}
-            Crossing => self.lines.swap(lo, lo + 1),
-            UpperBroadcast | LowerBroadcast => {
-                let alpha = if setting == UpperBroadcast {
-                    lo
-                } else {
-                    lo + 1
-                };
-                let p = self.lines[alpha]
-                    .payload
-                    .take()
-                    .expect("α line has a payload");
-                let (p0, p1) = p.split(lo, 2);
-                self.lines[lo] = Line::with(Tag::Zero, p0);
-                self.lines[lo + 1] = Line::with(Tag::One, p1);
+        for at in (lo..lo + 2 * pairs).step_by(2) {
+            let setting = setting_from_code(codes >> (at - lo));
+            match setting {
+                Parallel => {}
+                Crossing => self.lines.swap(at, at + 1),
+                UpperBroadcast | LowerBroadcast => {
+                    let alpha = if setting == UpperBroadcast {
+                        at
+                    } else {
+                        at + 1
+                    };
+                    let p = self.lines[alpha]
+                        .payload
+                        .take()
+                        .expect("α line has a payload");
+                    let (p0, p1) = p.split(at, 2);
+                    self.lines[at] = Line::with(Tag::Zero, p0);
+                    self.lines[at + 1] = Line::with(Tag::One, p1);
+                }
             }
         }
     }
@@ -880,9 +831,8 @@ fn final_codes(tokens: &[u32], lo: usize) -> Result<u64, CoreError> {
 /// then the `n/2` final 2×2 switches, each phase taken from `planes`. The
 /// final stage works a code word (32 pairs) at a time: a swept route
 /// derives it ([`final_codes`]) and captures it whole, a loaded route reads
-/// it from the plan. A traced route records each pair's tags and setting
-/// and applies it pair by pair, as do payload lines; untraced semantic
-/// lines take their sources word by word ([`LevelLines::apply_final_word`]).
+/// it from the plan, a traced route records each pair's tags and setting,
+/// and the lines apply the word ([`LevelLines::apply_final_word`]).
 /// A timer gets one clock pair per level and one for the final stage. The
 /// sweep's per-op profile is drained at the end, so it never leaks into a
 /// later, unrelated route, and folded into the timer.
@@ -938,18 +888,15 @@ fn route_network(
             // records the tags all the same.
             Planes::Load(plan) => plan.final_codes(w),
         };
-        match trace.as_deref_mut() {
-            Some(t) => {
-                for (p, pair) in toks.chunks_exact(2).enumerate() {
-                    let (at, setting) = (lo + 2 * p, setting_from_code(codes >> (2 * p)));
-                    t.final_tags[at] = token_tag(pair[0]);
-                    t.final_tags[at + 1] = token_tag(pair[1]);
-                    t.final_settings[at / 2] = setting;
-                    lines.apply_final(at, setting);
-                }
+        if let Some(t) = trace.as_deref_mut() {
+            for (p, pair) in toks.chunks_exact(2).enumerate() {
+                let at = lo + 2 * p;
+                t.final_tags[at] = token_tag(pair[0]);
+                t.final_tags[at + 1] = token_tag(pair[1]);
+                t.final_settings[at / 2] = setting_from_code(codes >> (2 * p));
             }
-            None => lines.apply_final_word(lo, codes, toks.len() / 2),
         }
+        lines.apply_final_word(lo, codes, toks.len() / 2);
     }
     if let (Some(tm), Some(t0)) = (timer.as_deref_mut(), t0) {
         tm.record_final_stage((n / 2) as u64, t0.elapsed());
@@ -989,11 +936,12 @@ fn init_lines(asg: &MulticastAssignment, lines: &mut [FastLine]) {
 /// run starts), a running sum of those counts is one past the input owning
 /// each slot of the destination array, and that input is written at the
 /// slot's output (`owner`). One pass then ORs each output's difference
-/// from its owner and counts the outputs served. Destination sets are
-/// disjoint, so this accepts exactly the deliveries [`verify_delivery`]
-/// accepts; a rejected delivery runs [`verify_delivery`] to word the
-/// error. On the replay path this is the last line of defense against a
-/// corrupted or foreign plan.
+/// from its owner. Destination sets are disjoint, so a served output holds
+/// a message addressed to it exactly when it holds its owner's. A rejected
+/// delivery is walked once more to word the error: the first output
+/// holding a message not addressed to it, or else how many of the
+/// assignment's destinations were served. On the replay path this is the
+/// last line of defense against a corrupted or foreign plan.
 fn check_delivery<I>(
     asg: &MulticastAssignment,
     owner: &mut [u32],
@@ -1015,47 +963,25 @@ where
         runs += count;
         owner[d] = runs - 1;
     }
-    let (mut diff, mut served) = (0u32, 0usize);
-    for (src, &own) in delivered.clone().zip(owner.iter()) {
-        diff |= src ^ own;
-        served += usize::from(src != NO_SRC);
-    }
-    if diff == 0 && served == total {
+    let diff = delivered
+        .clone()
+        .zip(owner.iter())
+        .fold(0, |diff, (src, &own)| diff | (src ^ own));
+    if diff == 0 {
         return Ok(());
     }
-    verify_delivery(asg, delivered)
-}
-
-/// The delivery check's wording, and its oracle: every delivered message
-/// must belong at its output *per the actual assignment* (the reference
-/// does this in `extract_result`), and as many outputs must be served as
-/// the assignment has connections: destination sets are disjoint and each
-/// delivery was just checked, so equal counts mean no destination was left
-/// empty. The error names the first misdelivered output, or else the
-/// served count.
-fn verify_delivery(
-    asg: &MulticastAssignment,
-    delivered: impl Iterator<Item = u32>,
-) -> Result<(), CoreError> {
     let mut served = 0usize;
-    for (o, src) in delivered.enumerate() {
-        if src == NO_SRC {
-            continue;
-        }
-        if asg.dests(src as usize).binary_search(&o).is_err() {
+    for (o, (src, &own)) in delivered.zip(owner.iter()).enumerate() {
+        if src != NO_SRC && src != own {
             return Err(CoreError::Internal(format!(
                 "message from input {src} misdelivered to output {o}"
             )));
         }
-        served += 1;
+        served += usize::from(src != NO_SRC);
     }
-    let wanted = asg.total_connections();
-    if served != wanted {
-        return Err(CoreError::Internal(format!(
-            "{served} of {wanted} destinations served"
-        )));
-    }
-    Ok(())
+    Err(CoreError::Internal(format!(
+        "{served} of {total} destinations served"
+    )))
 }
 
 /// Routes `asg` end to end on semantic lines, each level's phases taken
@@ -2031,6 +1957,146 @@ mod tests {
                         .map(|_| trace.final_settings[3]);
                 assert_eq!(final_setting(tu, tl, 6), want, "({tu}, {tl})");
             }
+        }
+    }
+
+    /// The search-based delivery check the owner table replaced, as the
+    /// oracle: every delivered message must belong at its output, and as
+    /// many outputs must be served as the assignment has connections.
+    fn search_check(
+        asg: &MulticastAssignment,
+        delivered: &[Option<usize>],
+    ) -> Result<(), CoreError> {
+        let mut served = 0usize;
+        for (o, src) in delivered.iter().enumerate() {
+            let Some(src) = *src else { continue };
+            if asg.dests(src).binary_search(&o).is_err() {
+                return Err(CoreError::Internal(format!(
+                    "message from input {src} misdelivered to output {o}"
+                )));
+            }
+            served += 1;
+        }
+        let wanted = asg.total_connections();
+        if served != wanted {
+            return Err(CoreError::Internal(format!(
+                "{served} of {wanted} destinations served"
+            )));
+        }
+        Ok(())
+    }
+
+    /// [`check_delivery`] on the arena's own buffers, for a delivery of one
+    /// `Option` per output.
+    fn check(
+        scratch: &mut RouteScratch,
+        asg: &MulticastAssignment,
+        delivered: &[Option<usize>],
+    ) -> Result<(), CoreError> {
+        let sources = delivered.iter().map(|d| d.map_or(NO_SRC, |s| s as u32));
+        check_delivery(asg, &mut scratch.owner, &mut scratch.starts, sources)
+    }
+
+    /// A dense (every output claimed), sparse (about a quarter claimed) or
+    /// broadcast (a few sources share all outputs) frame.
+    fn frame(n: usize, shape: u64, next: &mut impl FnMut() -> u64) -> MulticastAssignment {
+        let mut below = |k: usize| (next() % k as u64) as usize;
+        let mut sets = vec![Vec::new(); n];
+        let sources = 1 + below(3);
+        for d in 0..n {
+            match shape {
+                0 => sets[below(n)].push(d),
+                1 if below(4) == 0 => sets[below(n)].push(d),
+                1 => {}
+                _ => sets[below(sources) * n / 4].push(d),
+            }
+        }
+        MulticastAssignment::from_sets(n, sets).unwrap()
+    }
+
+    /// Applies one perturbation to a delivery: swaps two served outputs,
+    /// idles a served output, serves an idle output, or hands a served
+    /// output to an input that does not own it. A frame without a served
+    /// (or idle) output is left as it is.
+    fn perturb(delivered: &mut [Option<usize>], kind: u64, next: &mut impl FnMut() -> u64) {
+        let n = delivered.len();
+        let mut below = |k: usize| (next() % k as u64) as usize;
+        let served: Vec<usize> = (0..n).filter(|&o| delivered[o].is_some()).collect();
+        let idle: Vec<usize> = (0..n).filter(|&o| delivered[o].is_none()).collect();
+        match kind {
+            0 if served.len() >= 2 => {
+                let a = served[below(served.len())];
+                let b = served[below(served.len())];
+                delivered.swap(a, b);
+            }
+            1 if !served.is_empty() => delivered[served[below(served.len())]] = None,
+            2 if !idle.is_empty() => delivered[idle[below(idle.len())]] = Some(below(n)),
+            3 if !served.is_empty() => {
+                let o = served[below(served.len())];
+                let owner = delivered[o].unwrap();
+                delivered[o] = Some((owner + 1 + below(n - 1)) % n);
+            }
+            _ => {}
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The owner-table check accepts exactly what the search-based
+        /// check accepts, and words every rejection the same way: dense,
+        /// sparse and broadcast frames at n ∈ {4, 16, 256}, the true
+        /// delivery and up to three perturbations of it, on one arena.
+        #[test]
+        fn owner_table_check_agrees_with_the_search(
+            size in 0usize..3,
+            shape in 0u64..3,
+            seed in proptest::prelude::any::<u64>(),
+            kinds in proptest::collection::vec(0u64..4, 0..4),
+        ) {
+            let n = [4usize, 16, 256][size];
+            let mut next = rng(seed);
+            let asg = frame(n, shape, &mut next);
+            let mut delivered: Vec<Option<usize>> =
+                (0..n).map(|o| asg.source_of_output(o)).collect();
+            let mut scratch = RouteScratch::new(n).unwrap();
+            proptest::prop_assert_eq!(check(&mut scratch, &asg, &delivered), Ok(()));
+            for &kind in &kinds {
+                perturb(&mut delivered, kind, &mut next);
+                proptest::prop_assert_eq!(
+                    check(&mut scratch, &asg, &delivered),
+                    search_check(&asg, &delivered),
+                    "n={} shape={} kinds={:?}", n, shape, kinds
+                );
+            }
+        }
+    }
+
+    /// One perturbation at a time: the check rejects exactly the
+    /// deliveries that differ from the true one (swapping two outputs of
+    /// one owner changes nothing), and every kind is rejected at every
+    /// size. Only the sparse frames have an idle output to serve.
+    #[test]
+    fn every_perturbation_is_rejected_at_every_size() {
+        let mut next = rng(0xDE11_7E57);
+        for n in [4usize, 16, 256] {
+            let mut scratch = RouteScratch::new(n).unwrap();
+            let mut rejected = [0usize; 4];
+            for shape in 0..3 {
+                for round in 0..200u64 {
+                    let asg = frame(n, shape, &mut next);
+                    let truth: Vec<Option<usize>> =
+                        (0..n).map(|o| asg.source_of_output(o)).collect();
+                    let kind = round % 4;
+                    let mut delivered = truth.clone();
+                    perturb(&mut delivered, kind, &mut next);
+                    let got = check(&mut scratch, &asg, &delivered);
+                    assert_eq!(got, search_check(&asg, &delivered), "n={n} shape={shape}");
+                    assert_eq!(got.is_ok(), delivered == truth, "n={n} shape={shape}");
+                    rejected[kind as usize] += usize::from(got.is_err());
+                }
+            }
+            assert!(rejected.iter().all(|&r| r > 0), "n={n}: {rejected:?}");
         }
     }
 
