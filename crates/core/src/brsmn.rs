@@ -284,11 +284,11 @@ impl Brsmn {
     /// (captured for another member of `asg`'s relabeling class) through
     /// the live → plan maps [`crate::PlanCache::lookup_class`] left in
     /// `scratch`, and leaves the delivery there (read it via
-    /// [`RouteScratch::output_sources`]). Runs the same source-id kernel as
-    /// an exact replay; the result is bit-identical to fresh planning of
-    /// `asg`, and a plan or maps that do not fit `asg` fail delivery
-    /// verification. Without maps in `scratch` (the last probe missed) it
-    /// is a configuration error.
+    /// [`RouteScratch::output_sources`]). Runs the same bit-sliced kernel
+    /// as an exact replay, on ids transposed in from the input map; the
+    /// result is bit-identical to fresh planning of `asg`, and a plan or
+    /// maps that do not fit `asg` fail delivery verification. Without maps
+    /// in `scratch` (the last probe missed) it is a configuration error.
     ///
     /// ```
     /// use brsmn_core::{relabel_inputs, Brsmn, MulticastAssignment, PlanCache, RouteScratch};

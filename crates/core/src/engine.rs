@@ -119,7 +119,10 @@ pub struct LevelStats {
     pub blocks: u64,
     /// Wall time spent in those blocks, nanoseconds: one clock pair per
     /// level per frame — on the fresh path, the level pass that plans, runs
-    /// and captures all of the level's blocks at once. Per-worker times are
+    /// and captures all of the level's blocks at once. On an untraced
+    /// replay, level 1's time also holds the entry of the source ids into
+    /// the kernel's bit planes (the transpose-in; see
+    /// [`StageTimer::final_nanos`] for the way out). Per-worker times are
     /// summed, so with several workers a level can exceed elapsed wall
     /// time.
     pub nanos: u64,
@@ -137,7 +140,9 @@ pub struct StageTimer {
     /// 2×2 switches set in the final stage.
     pub final_switches: u64,
     /// Wall time in the final stage, nanoseconds — one clock pair per
-    /// frame.
+    /// frame. On an untraced replay this also holds the transpose of the
+    /// kernel's bit planes back into one source id per output (and, at
+    /// n = 2, which has no BSN level, the transpose-in too).
     pub final_nanos: u64,
     /// Total 2×2 switch settings computed (both RBNs of every BSN, plus the
     /// final stage).

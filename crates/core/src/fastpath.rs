@@ -26,8 +26,8 @@
 //! * execution moves *tokens*, not lines: the entry step writes line `i`'s
 //!   `u32` `(i << 2) | tag` in one pass over the lines, and a swept level
 //!   packs the tag planes from the tokens' low two bits, 64 tags per word.
-//!   A stage pass reads each plane's code words as the replay kernel does
-//!   and applies one matching of disjoint 2×2 exchanges to the tokens,
+//!   A stage pass reads each plane's code words, 32 switches per word, and
+//!   applies one matching of disjoint 2×2 exchanges to the tokens,
 //!   branch-free, and after the quasisort output `o` gathers the
 //!   level-entry line its token names (`run_tokens`). The final 2×2 stage
 //!   of a swept route derives its codes 32 pairs per word
@@ -43,10 +43,15 @@
 //!
 //! Replaying a captured plan untraced needs even less. Until delivery only
 //! the source id on each line matters, so the untraced replay of both cache
-//! tiers moves one `u32` per line through the captured planes, a whole
-//! level's blocks per stage pass, 32 switches per packed word (see
-//! `replay_sources`). The traced replay, the level pass on loaded planes, is
-//! the kernel's oracle.
+//! tiers moves the ids bit-sliced: `log₂ n` id planes and one live plane
+//! per row of 64 lines. Every stage plane of the plan still runs, a whole
+//! level's blocks per pass, and a set stage passes every bit of every
+//! message at once (§3, §7.3), so each of its code words becomes two bit
+//! masks that move 64 lines per word operation. Exact replay writes the id
+//! planes from line-index patterns, permuted replay transposes its seeded
+//! ids in, and both transpose the delivery out, 8×8 bits at a time (see
+//! `replay_sources`). The traced replay, the level pass on loaded planes,
+//! is the kernel's oracle.
 //!
 //! Every route and replay ends in the same delivery check
 //! (`check_delivery`): the assignment's owner table, built from its CSR
@@ -129,11 +134,12 @@ enum Delivery {
 }
 
 /// Reusable routing arena: the two line buffers of the level pass, its
-/// token buffer, the replay kernel's source-id buffer, the packed sweep
-/// scratch, the persistent live table of 2-bit switch codes, the delivery
-/// check's owner table and run counts, and the canonical tier's class
-/// scratch (fanout histogram, profile runs, live → plan maps), all sized
-/// from `n` on first use and never reallocated while the size stays fixed.
+/// token buffer, the replay kernel's source ids and bit-sliced rows, the
+/// packed sweep scratch, the persistent live table of 2-bit switch codes,
+/// the delivery check's owner table and run counts, and the canonical
+/// tier's class scratch (fanout histogram, profile runs, live → plan
+/// maps), all sized from `n` on first use and never reallocated while the
+/// size stays fixed.
 ///
 /// Pass one to [`Brsmn::route_into`](crate::brsmn::Brsmn::route_into) /
 /// [`Brsmn::route_buffered`](crate::brsmn::Brsmn::route_buffered), or let
@@ -149,9 +155,15 @@ pub struct RouteScratch {
     next_lines: Vec<FastLine>,
     /// One token per line during a level pass (see `run_tokens`).
     tokens: Vec<u32>,
-    /// One source id per line ([`NO_SRC`] when idle): all the untraced
-    /// replay kernel moves.
+    /// One source id per line ([`NO_SRC`] when idle): the permuted
+    /// replay's seed and both untraced replays' delivery.
     srcs: Vec<u32>,
+    /// The untraced replay kernel's lines, bit-sliced: `⌈n/64⌉` rows of
+    /// `m + 1` words (`m = log₂ n`), row `r` holding lines `64r … 64r + 63`
+    /// at bits `0 … 63` — first the `m` planes of their source ids (plane
+    /// `p` holds bit `p`), then the live plane (bit set: the line carries
+    /// a message). See `replay_sources`.
+    sliced: Vec<u64>,
     delivered: Delivery,
     sweep: SweepScratch,
     /// The live table: `log₂ n` stage planes of codes.
@@ -188,6 +200,7 @@ impl RouteScratch {
             next_lines: Vec::new(),
             tokens: Vec::new(),
             srcs: Vec::new(),
+            sliced: Vec::new(),
             delivered: Delivery::Lines,
             sweep: SweepScratch::new(),
             // Placeholder with zero stages; replaced by `ensure`.
@@ -216,6 +229,9 @@ impl RouteScratch {
             self.tokens.resize(n, 0);
             self.srcs.clear();
             self.srcs.resize(n, NO_SRC);
+            self.sliced.clear();
+            self.sliced
+                .resize((log2_exact(n) as usize + 1) * n.div_ceil(64), 0);
             self.delivered = Delivery::Lines;
             self.settings = PackedStages::identity(n);
             self.owner.clear();
@@ -266,6 +282,7 @@ impl RouteScratch {
             + self.starts.capacity();
         (self.lines.capacity() + self.next_lines.capacity()) * std::mem::size_of::<FastLine>()
             + u32s * std::mem::size_of::<u32>()
+            + self.sliced.capacity() * std::mem::size_of::<u64>()
             + self.sweep.footprint_bytes()
             + self.settings.footprint_bytes()
             + self.class.footprint_bytes()
@@ -441,7 +458,8 @@ impl LevelLines for FastLines<'_> {
     /// output takes its source, and nothing else, without a branch: the
     /// upper output reads the lower input's on crossing or lower broadcast
     /// (`c & 1`), the lower output the upper input's on crossing or upper
-    /// broadcast (`(c ^ c >> 1) & 1`), as the replay kernel selects.
+    /// broadcast (`(c ^ c >> 1) & 1`), the replay kernel's two selects
+    /// ([`selects`]).
     fn apply_final_word(&mut self, lo: usize, codes: u64, pairs: usize) {
         let outputs = self.lines[lo..lo + 2 * pairs].chunks_exact_mut(2);
         for (p, pair) in outputs.enumerate() {
@@ -740,9 +758,9 @@ fn gather_fast(
 /// and a broadcast copies the α's token to both outputs with the tags
 /// forced to 0 (upper) and 1 (lower) — what [`RbnSettings::run_block`]
 /// does to whole lines, on one `u32` each. The plane's code words are read
-/// as the replay kernel reads a captured plane ([`token_word`]): a zero
-/// word, 32 parallel switches, is skipped whole, and a plane shorter than
-/// a word (`n < 64`) runs on a padded copy. A broadcast whose inputs break
+/// 32 switches at a time ([`token_word`]): a zero word, 32 parallel
+/// switches, is skipped whole, and a plane shorter than a word (`n < 64`)
+/// runs on a padded copy. A broadcast whose inputs break
 /// its rule returns the [`SwitchError`] [`RbnSettings::run_block`] builds
 /// for it.
 fn run_tokens(tokens: &mut [u32], settings: &PackedStages, k: usize) -> Result<(), SwitchError> {
@@ -1088,45 +1106,11 @@ pub(crate) fn route_payload_lines<P: RoutePayload>(
     Ok(payloads.lines)
 }
 
-/// Applies one full-width stage plane of a captured plan — the `n/2` codes
-/// starting at setting `off` — to the source ids. Switch `idx` of stage `j`
-/// joins lines `u = ((idx >> j) << (j + 1)) | (idx mod 2^j)` and
-/// `u + 2^j` (the [`RbnWiring`](brsmn_rbn::RbnWiring) formula), and its
-/// 2-bit code selects, without a branch, what each output reads
-/// ([`LaneMasks::from_codes`]).
-/// Codes are read 32 to a word, and a zero word — 32 parallel switches —
-/// is skipped whole.
-///
-/// The plane spans every block of its level: blocks are disjoint line
-/// ranges, so running stage `j` for all of them in one pass equals running
-/// each block's stages in turn.
-fn replay_plane(planes: &PackedSettings, off: usize, j: usize, srcs: &mut [u32]) {
-    let half = srcs.len() / 2;
-    if half >= 32 {
-        for w0 in (0..half).step_by(32) {
-            let codes = planes.codes_from(off + w0);
-            if codes != 0 {
-                replay_word(codes, j, w0, srcs);
-            }
-        }
-    } else {
-        // A plane shorter than a word (n < 64): run the same word step on
-        // a padded copy. The codes past the plane are masked to parallel,
-        // so the padding lines are never touched.
-        let codes = planes.codes_from(off) & ((1u64 << (2 * half)) - 1);
-        if codes != 0 {
-            let mut padded = [NO_SRC; 64];
-            padded[..srcs.len()].copy_from_slice(srcs);
-            replay_word(codes, j, 0, &mut padded);
-            srcs.copy_from_slice(&padded[..srcs.len()]);
-        }
-    }
-}
-
 /// What 32 switches do, one all-ones/all-zeros `u32` lane each: the upper
 /// output reads the lower input (`take_lower`: crossing, lower broadcast),
 /// and the lower output reads the upper input (`take_upper`: crossing,
-/// upper broadcast).
+/// upper broadcast). The token kernel's masks; the replay kernel packs the
+/// same two selects as bit masks ([`selects`]).
 struct LaneMasks {
     take_lower: [u32; 32],
     take_upper: [u32; 32],
@@ -1153,16 +1137,10 @@ fn upper_line(idx: usize, j: usize) -> usize {
     ((idx >> j) << (j + 1)) | (idx & ((1 << j) - 1))
 }
 
-/// The replay kernel's step: the 32 switches `w0 .. w0 + 32` of stage `j`,
-/// coded in one packed word, applied to the source ids.
-#[inline]
-fn replay_word(codes: u64, j: usize, w0: usize, srcs: &mut [u32]) {
-    exchange_word(&LaneMasks::from_codes(codes), j, w0, srcs);
-}
-
-/// The token kernel's step: the replay kernel's step on the tokens, with
-/// the word's broadcasts (the set bits of `codes >> 1 & EVEN`, a few per
-/// frame) handled one by one on either side of it. Before the exchange
+/// The token kernel's step: the 32 switches `w0 .. w0 + 32` of stage `j`,
+/// coded in one packed word, exchanged on the tokens ([`exchange_word`]),
+/// with the word's broadcasts (the set bits of `codes >> 1 & EVEN`, a few
+/// per frame) handled one by one on either side of it. Before the exchange
 /// each is checked: an upper broadcast (code 2) needs (α, ε) on its
 /// (upper, lower) inputs, codes (2, 3), and a lower one (code 3) needs
 /// (ε, α), codes (3, 2). The exchange copies the α's token to both
@@ -1204,8 +1182,9 @@ fn token_word(codes: u64, j: usize, w0: usize, tokens: &mut [u32]) -> Result<(),
 }
 
 /// Applies the 32 switches `w0 .. w0 + 32` of stage `j` (`w0` a multiple
-/// of 32) to one `u32` per line: source ids (replay) or tokens (the level
-/// pass). For `j < 5` the switches join lines inside the 64-line window
+/// of 32) to one `u32` token per line (the level pass; the replay kernel
+/// moves bit planes instead). For `j < 5` the switches join lines inside
+/// the 64-line window
 /// `[2·w0, 2·w0 + 64)`, in groups of `2^(j+1)`; for `j ≥ 5` their upper
 /// lines are one run of 32 and their lower lines the run `2^j` further
 /// on. Either way the select runs over contiguous runs the compiler can
@@ -1256,9 +1235,9 @@ fn lane_masks(bits: u64) -> [u32; 32] {
     masks
 }
 
-/// [`exchange`] over a 64-line window split into groups of `2·S` lines: the
-/// first `S` lines of a group are the upper inputs of its `S` switches, the
-/// next `S` their lower inputs.
+/// [`exchange`] over a 64-line window of tokens split into groups of `2·S`
+/// lines: the first `S` lines of a group are the upper inputs of its `S`
+/// switches, the next `S` their lower inputs.
 #[inline(always)]
 fn exchange_groups<const S: usize>(window: &mut [u32], m: &LaneMasks) {
     for ((group, tl), tu) in window
@@ -1284,38 +1263,324 @@ fn exchange(upper: &mut [u32], lower: &mut [u32], take_lower: &[u32], take_upper
     }
 }
 
+/// Where the untraced replay takes each line's source id from.
+enum ReplayEntry<'a> {
+    /// Input `i` on line `i`, live when its destination run in the
+    /// assignment's CSR offsets (`offsets[i] .. offsets[i + 1]`) is not
+    /// empty: the exact tier.
+    LineIndex(&'a [u32]),
+    /// The ids the caller wrote into `srcs` ([`NO_SRC`] on an idle line):
+    /// the canonical tier seeds them through `input_map`.
+    Srcs,
+}
+
 /// The untraced replay kernel, shared by the exact and canonical tiers:
 /// every stage plane of `plan`, level by level and then the final stage,
-/// applied to one source id per line. No tags, no planning, no checks —
-/// the caller's delivery verification is the integrity check. One clock
-/// pair per level and one for the final stage.
-fn replay_sources(plan: &CapturedPlan, srcs: &mut [u32], mut timer: Option<&mut StageTimer>) {
+/// applied to the lines' source ids, which travel bit-sliced in `rows`
+/// (see [`RouteScratch`]'s `sliced`). The ids enter from `entry`
+/// ([`rows_from_offsets`] or the transpose-in [`rows_from_srcs`]), each
+/// stage plane moves 64 lines per word operation ([`replay_stage`]), and
+/// the transpose-out ([`srcs_from_rows`]) leaves the delivery in `srcs`,
+/// one id per output. No tags, no planning, no checks — the caller's
+/// delivery verification is the integrity check.
+///
+/// One clock pair per level and one for the final stage, read once at
+/// each boundary so the clocks tile the replay: level 1's includes the
+/// entry, the final stage's the transpose-out (with no level, at n = 2,
+/// the final stage's clock takes both).
+fn replay_sources(
+    plan: &CapturedPlan,
+    entry: ReplayEntry<'_>,
+    rows: &mut [u64],
+    srcs: &mut [u32],
+    mut timer: Option<&mut StageTimer>,
+) {
     let n = srcs.len();
     let half = n / 2;
+    let m = log2_exact(n) as usize;
     let planes = plan.planes();
+    let mut t0 = timer.as_ref().map(|_| Instant::now());
+    match entry {
+        ReplayEntry::LineIndex(offsets) => rows_from_offsets(offsets, m, rows),
+        ReplayEntry::Srcs => rows_from_srcs(srcs, m, rows),
+    }
     let mut size = n;
     let mut level = 1;
     while size > 2 {
-        let t0 = timer.as_ref().map(|_| Instant::now());
         let k = log2_exact(size) as usize;
         for phase in [PHASE_SCATTER, PHASE_QUASISORT] {
             let off = plan.phase_offset(level, phase);
             for j in 0..k {
-                replay_plane(planes, off + j * half, j, srcs);
+                replay_stage(rows, m, planes, off + j * half, j);
             }
         }
-        if let (Some(tm), Some(t0)) = (timer.as_deref_mut(), t0) {
-            tm.record_bsns_replayed(level, size, (n / size) as u64, t0.elapsed());
+        if let (Some(tm), Some(start)) = (timer.as_deref_mut(), t0.as_mut()) {
+            let now = Instant::now();
+            tm.record_bsns_replayed(level, size, (n / size) as u64, now - *start);
+            *start = now;
         }
         size /= 2;
         level += 1;
     }
 
     // The final stage pairs outputs {2p, 2p+1}: stage 0's wiring.
-    let t0 = timer.as_ref().map(|_| Instant::now());
-    replay_plane(planes, plan.final_offset(), 0, srcs);
-    if let (Some(tm), Some(t0)) = (timer, t0) {
-        tm.record_final_stage(half as u64, t0.elapsed());
+    replay_stage(rows, m, planes, plan.final_offset(), 0);
+    srcs_from_rows(rows, m, srcs);
+    if let (Some(tm), Some(start)) = (timer, t0) {
+        tm.record_final_stage(half as u64, start.elapsed());
+    }
+}
+
+/// Bit `i` of `LINE_BITS[p]` is bit `p` of `i`: id plane `p < 6` of every
+/// row when input `ℓ` enters on line `ℓ`.
+const LINE_BITS: [u64; 6] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
+
+/// The exact tier's entry, which writes nothing per line: input `ℓ` is on
+/// line `ℓ = 64r + i`, so id plane `p < 6` of row `r` is the line-index
+/// pattern [`LINE_BITS`]`[p]`, and plane `p ≥ 6` is all ones or all zeros
+/// by bit `p − 6` of `r`. The live plane has bit `i` set when input `ℓ`'s
+/// destination run (`offsets[ℓ] .. offsets[ℓ + 1]`) is not empty.
+fn rows_from_offsets(offsets: &[u32], m: usize, rows: &mut [u64]) {
+    for (r, row) in rows.chunks_exact_mut(m + 1).enumerate() {
+        let (ids, live) = row.split_at_mut(m);
+        for (p, plane) in ids.iter_mut().enumerate() {
+            *plane = if p < 6 {
+                LINE_BITS[p]
+            } else {
+                ((r >> (p - 6)) as u64 & 1).wrapping_neg()
+            };
+        }
+        let ends = &offsets[64 * r..];
+        live[0] = match ends.get(..65) {
+            Some(ends) => live_runs(ends.try_into().expect("65 offsets")),
+            None => {
+                // A partial row (n < 64): the missing runs are empty.
+                let mut padded = [*ends.last().expect("n + 1 offsets"); 65];
+                padded[..ends.len()].copy_from_slice(ends);
+                live_runs(&padded)
+            }
+        };
+    }
+}
+
+/// Bit `i` set when run `i` of 64 consecutive CSR runs is not empty (the
+/// offsets never decrease).
+#[inline(always)]
+fn live_runs(ends: &[u32; 65]) -> u64 {
+    bits_of_flags(&std::array::from_fn(|i| u8::from(ends[i + 1] != ends[i])))
+}
+
+/// Bit `i` of the result is byte `i` of `flags`, each byte 0 or 1: one
+/// multiply gathers the 8 flags of each byte group into its top byte.
+#[inline(always)]
+fn bits_of_flags(flags: &[u8; 64]) -> u64 {
+    flags
+        .chunks_exact(8)
+        .enumerate()
+        .fold(0, |bits, (g, group)| {
+            let x = u64::from_le_bytes(group.try_into().expect("8 bytes"));
+            bits | (x.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * g)
+        })
+}
+
+/// Transposes the 8×8 bit matrix whose row `r` is byte `r`: bit `8r + c`
+/// moves to bit `8c + r`, in three swaps of off-diagonal blocks.
+#[inline(always)]
+fn transpose8(mut x: u64) -> u64 {
+    let t = (x ^ x >> 7) & 0x00AA_00AA_00AA_00AA;
+    x ^= t ^ t << 7;
+    let t = (x ^ x >> 14) & 0x0000_CCCC_0000_CCCC;
+    x ^= t ^ t << 14;
+    let t = (x ^ x >> 28) & 0x0000_0000_F0F0_F0F0;
+    x ^= t ^ t << 28;
+    x
+}
+
+/// Transposes the 8×8 byte matrix whose row `q` is `words[q]`: byte `g`
+/// of `words[q]` moves to byte `q` of `words[g]`, in three swaps of
+/// off-diagonal blocks.
+#[inline(always)]
+fn transpose_bytes(words: &mut [u64; 8]) {
+    for (q, shift, mask) in [
+        (0, 32, 0x0000_0000_FFFF_FFFF),
+        (1, 32, 0x0000_0000_FFFF_FFFF),
+        (2, 32, 0x0000_0000_FFFF_FFFF),
+        (3, 32, 0x0000_0000_FFFF_FFFF),
+        (0, 16, 0x0000_FFFF_0000_FFFF),
+        (1, 16, 0x0000_FFFF_0000_FFFF),
+        (4, 16, 0x0000_FFFF_0000_FFFF),
+        (5, 16, 0x0000_FFFF_0000_FFFF),
+        (0, 8, 0x00FF_00FF_00FF_00FF),
+        (2, 8, 0x00FF_00FF_00FF_00FF),
+        (4, 8, 0x00FF_00FF_00FF_00FF),
+        (6, 8, 0x00FF_00FF_00FF_00FF),
+    ] {
+        let other = q + shift / 8;
+        let t = (words[q] >> shift ^ words[other]) & mask;
+        words[q] ^= t << shift;
+        words[other] ^= t;
+    }
+}
+
+/// The transpose-in: the ids in `srcs` become `m` id planes per row, 8
+/// lines × 8 id bits per [`transpose8`] (one pass for bits 0–7, one more
+/// for each further 8), and the live plane marks the ids that are not
+/// [`NO_SRC`]. A row past the last line (`n < 64`) is padded with idle
+/// lines.
+fn rows_from_srcs(srcs: &[u32], m: usize, rows: &mut [u64]) {
+    for (row, lines) in rows.chunks_exact_mut(m + 1).zip(srcs.chunks(64)) {
+        let mut padded = [NO_SRC; 64];
+        let lines: &[u32; 64] = match lines.try_into() {
+            Ok(full) => full,
+            Err(_) => {
+                padded[..lines.len()].copy_from_slice(lines);
+                &padded
+            }
+        };
+        let (ids, live) = row.split_at_mut(m);
+        for (b, planes) in ids.chunks_mut(8).enumerate() {
+            let bytes: [u8; 64] = std::array::from_fn(|i| (lines[i] >> (8 * b)) as u8);
+            let mut words = [0u64; 8];
+            for (word, group) in words.iter_mut().zip(bytes.chunks_exact(8)) {
+                *word = transpose8(u64::from_le_bytes(group.try_into().expect("8 bytes")));
+            }
+            transpose_bytes(&mut words);
+            planes.copy_from_slice(&words[..planes.len()]);
+        }
+        live[0] = bits_of_flags(&std::array::from_fn(|i| u8::from(lines[i] != NO_SRC)));
+    }
+}
+
+/// The transpose-out, [`rows_from_srcs`] inverted: each output's id back
+/// from the id planes, 8 outputs per [`transpose8`] and id byte, and
+/// [`NO_SRC`] where the live bit is clear, without a branch.
+fn srcs_from_rows(rows: &[u64], m: usize, srcs: &mut [u32]) {
+    for (row, lines) in rows.chunks_exact(m + 1).zip(srcs.chunks_mut(64)) {
+        let (ids, live) = row.split_at(m);
+        let mut out: [u32; 64] =
+            std::array::from_fn(|i| ((!live[0] >> i & 1) as u32).wrapping_neg());
+        for (b, planes) in ids.chunks(8).enumerate() {
+            let mut words = [0u64; 8];
+            words[..planes.len()].copy_from_slice(planes);
+            transpose_bytes(&mut words);
+            let mut bytes = [0u8; 64];
+            for (word, group) in words.iter().zip(bytes.chunks_exact_mut(8)) {
+                group.copy_from_slice(&transpose8(*word).to_le_bytes());
+            }
+            for (src, &byte) in out.iter_mut().zip(&bytes) {
+                *src |= u32::from(byte) << (8 * b);
+            }
+        }
+        lines.copy_from_slice(&out[..lines.len()]);
+    }
+}
+
+/// A code word's two selects, bit `2t` for its switch `t`: the upper
+/// output reads the lower input (`c & 1`: crossing, lower broadcast), and
+/// the lower output reads the upper input (`(c ^ c >> 1) & 1`: crossing,
+/// upper broadcast). A broadcast needs nothing more: both outputs read
+/// the α's line.
+#[inline(always)]
+fn selects(codes: u64) -> (u64, u64) {
+    (codes & EVEN, (codes ^ codes >> 1) & EVEN)
+}
+
+/// The masks of [`compress_even`]'s steps.
+const COMPRESS: [u64; 5] = [
+    0x3333_3333_3333_3333,
+    0x0F0F_0F0F_0F0F_0F0F,
+    0x00FF_00FF_00FF_00FF,
+    0x0000_FFFF_0000_FFFF,
+    0x0000_0000_FFFF_FFFF,
+];
+
+/// Moves bit `2s` of every `2^(j+1)`-bit group of `x` to bit `s` of the
+/// group (`s < 2^j`), in `j` SWAR steps; `x` holds even bits only. This
+/// puts each select of a stage-`j` code word at its switch's upper line
+/// within the word's row, and for `j = 5` packs the word's 32 selects into
+/// its low half.
+#[inline(always)]
+fn compress_even(mut x: u64, j: usize) -> u64 {
+    for (s, &mask) in COMPRESS[..j].iter().enumerate() {
+        x = (x | x >> (1 << s)) & mask;
+    }
+    x
+}
+
+/// Applies one full-width stage plane of a captured plan — the `n/2`
+/// codes starting at setting `off` — to bit-sliced lines, 64 lines per
+/// word operation. Switch `idx` of stage `j` joins lines
+/// `u = ((idx >> j) << (j + 1)) | (idx mod 2^j)` and `u + 2^j` (the
+/// [`RbnWiring`](brsmn_rbn::RbnWiring) formula), and its 2-bit code picks,
+/// without a branch, what each output reads ([`selects`]). Codes are read
+/// 32 to a word, and a zero word — 32 parallel switches — is skipped.
+///
+/// * `j ≤ 5`: the switches of code word `w` join lines of row `w`. With
+///   both selects moved to their switches' upper lines (`TL`, `TU`), and
+///   `d = x ^ x >> 2^j` holding each switch's input difference at its
+///   upper line, every plane word `x` of the row becomes
+///   `x ^ (d & TL) ^ (d & TU) << 2^j`. Below n = 64 the plane is shorter
+///   than a word, and the codes past it are masked to parallel, so the
+///   padding lines are never touched.
+/// * `j ≥ 6`: code words `2k` and `2k + 1` (switches `64k … 64k + 63`) put
+///   their upper lines in one row and their lower lines, bit for bit, in
+///   the row `2^j / 64` further on, and each plane pair is one exchange.
+///
+/// The plane spans every block of its level: blocks are disjoint line
+/// ranges, so running stage `j` for all of them in one pass equals running
+/// each block's stages in turn.
+fn replay_stage(rows: &mut [u64], m: usize, planes: &PackedSettings, off: usize, j: usize) {
+    let width = m + 1;
+    if j < 6 {
+        let half = 1usize << (m - 1);
+        let mask = if half >= 32 {
+            !0
+        } else {
+            (1u64 << (2 * half)) - 1
+        };
+        let s = 1u32 << j;
+        for (w, row) in rows.chunks_exact_mut(width).enumerate() {
+            let codes = planes.codes_from(off + 32 * w) & mask;
+            if codes != 0 {
+                let (tl, tu) = selects(codes);
+                let (tl, tu) = (compress_even(tl, j), compress_even(tu, j));
+                for x in row {
+                    let diff = *x ^ *x >> s;
+                    *x ^= (diff & tl) ^ (diff & tu) << s;
+                }
+            }
+        }
+    } else {
+        let stride = width << (j - 6);
+        let mut at = off;
+        for block in rows.chunks_exact_mut(2 * stride) {
+            let (upper, lower) = block.split_at_mut(stride);
+            let pairs = upper
+                .chunks_exact_mut(width)
+                .zip(lower.chunks_exact_mut(width));
+            for (u, d) in pairs {
+                let (c0, c1) = (planes.codes_from(at), planes.codes_from(at + 32));
+                at += 64;
+                if c0 | c1 == 0 {
+                    continue;
+                }
+                let ((tl0, tu0), (tl1, tu1)) = (selects(c0), selects(c1));
+                let tl = compress_even(tl0, 5) | compress_even(tl1, 5) << 32;
+                let tu = compress_even(tu0, 5) | compress_even(tu1, 5) << 32;
+                for (u, d) in u.iter_mut().zip(d) {
+                    let diff = *u ^ *d;
+                    *u ^= diff & tl;
+                    *d ^= diff & tu;
+                }
+            }
+        }
     }
 }
 
@@ -1336,8 +1601,9 @@ fn check_plan_size(plan: &CapturedPlan, n: usize) -> Result<(), CoreError> {
 /// result, same trace (when requested), same final settings table (on the
 /// traced path). The traced path is the level pass with every phase loaded
 /// whole from the plan, on full semantic lines. The untraced path puts
-/// input `i` on line `i` and runs the source-id kernel
-/// ([`replay_sources`]) — the warm-cache fast path.
+/// input `i` on line `i`, its id planes written from the line-index
+/// patterns, and runs the bit-sliced kernel ([`replay_sources`]) — the
+/// warm-cache fast path.
 ///
 /// The plan must have been captured for an equal assignment; the frame-final
 /// delivery verification rejects replays against a different one.
@@ -1357,16 +1623,15 @@ pub(crate) fn route_assignment_replay(
     scratch.ensure(n);
     let RouteScratch {
         srcs,
+        sliced,
         delivered,
         owner,
         starts,
         ..
     } = scratch;
     *delivered = Delivery::Srcs;
-    for (src, (i, w)) in srcs.iter_mut().zip(asg.offsets().windows(2).enumerate()) {
-        *src = if w[0] == w[1] { NO_SRC } else { i as u32 };
-    }
-    replay_sources(plan, srcs, timer);
+    let entry = ReplayEntry::LineIndex(asg.offsets());
+    replay_sources(plan, entry, sliced, srcs, timer);
     check_delivery(asg, owner, starts, srcs.iter().copied())
 }
 
@@ -1377,9 +1642,10 @@ pub(crate) fn route_assignment_replay(
 /// are bijections on `0..n` by construction, so they are not re-checked
 /// here.
 ///
-/// Live input `i`'s source id enters at plan line `input_map[i]`, the
-/// captured setting planes execute verbatim through the same kernel as an
-/// exact replay ([`replay_sources`]), and each live output `d` reads its
+/// Live input `i`'s source id enters at plan line `input_map[i]` (seeded
+/// in `srcs`, then transposed into the kernel's bit planes), the captured
+/// setting planes execute verbatim through the same kernel as an exact
+/// replay ([`replay_sources`]), and each live output `d` reads its
 /// delivered source back from plan line `output_map[d]`, which is where the
 /// delivery stays (read it with [`RouteScratch::output_sources`]). The
 /// result is **bit-identical to fresh planning of the live assignment**: a
@@ -1402,6 +1668,7 @@ pub(crate) fn route_assignment_replay_permuted(
     scratch.ensure(n);
     let RouteScratch {
         srcs,
+        sliced,
         delivered,
         owner,
         starts,
@@ -1419,7 +1686,7 @@ pub(crate) fn route_assignment_replay_permuted(
     for (&q, (i, w)) in input_map.iter().zip(asg.offsets().windows(2).enumerate()) {
         srcs[q as usize] = if w[0] == w[1] { NO_SRC } else { i as u32 };
     }
-    replay_sources(plan, srcs, timer);
+    replay_sources(plan, ReplayEntry::Srcs, sliced, srcs, timer);
     check_delivery(
         asg,
         owner,
@@ -1678,6 +1945,135 @@ mod tests {
             }
         }
         assert!(one_word > 30 && two_words > 30, "{one_word}, {two_words}");
+    }
+
+    /// Random source ids for the replay kernel tests: about a quarter of
+    /// the lines idle, the others carrying any id below `n`.
+    fn random_srcs(n: usize, next: &mut impl FnMut() -> u64) -> Vec<u32> {
+        (0..n)
+            .map(|_| match next() % 4 {
+                0 => NO_SRC,
+                _ => (next() % n as u64) as u32,
+            })
+            .collect()
+    }
+
+    /// The per-switch reference of the replay kernel's step: each switch of
+    /// the stage-`j` plane at `off` applies its 2×2 setting to the `u32`
+    /// ids of its two lines.
+    fn per_switch(srcs: &mut [u32], planes: &PackedSettings, off: usize, j: usize) {
+        for idx in 0..srcs.len() / 2 {
+            let u = upper_line(idx, j);
+            let d = u + (1 << j);
+            let (a, b) = (srcs[u], srcs[d]);
+            (srcs[u], srcs[d]) = match planes.get(off + idx) {
+                SwitchSetting::Parallel => (a, b),
+                SwitchSetting::Crossing => (b, a),
+                SwitchSetting::UpperBroadcast => (a, a),
+                SwitchSetting::LowerBroadcast => (b, b),
+            };
+        }
+    }
+
+    /// The bit-sliced step against the per-switch reference at every size
+    /// from n = 2 to n = 4,096 and every stage, on code words drawn to
+    /// cover zero words, single lanes, words of one code (each of the
+    /// four) and random words, stored at any setting offset.
+    #[test]
+    fn sliced_stage_matches_the_per_switch_reference() {
+        let mut next = rng(0x51_1CED);
+        let mut kinds = [0usize; 4];
+        for m in 1..=12usize {
+            let (n, half) = (1usize << m, 1usize << (m - 1));
+            let mut rows = vec![0u64; (m + 1) * n.div_ceil(64)];
+            for j in 0..m {
+                for _ in 0..6 {
+                    let words: Vec<u64> = (0..half.div_ceil(32))
+                        .map(|_| {
+                            let kind = (next() % 4) as usize;
+                            kinds[kind] += 1;
+                            match kind {
+                                0 => 0,
+                                1 => (1 + next() % 3) << (2 * (next() % 32)),
+                                2 => (next() % 4) * EVEN,
+                                _ => next(),
+                            }
+                        })
+                        .collect();
+                    let off = (next() % 70) as usize;
+                    let mut planes = PackedSettings::with_len(off + half);
+                    planes.store_codes(off, half, &words);
+                    let srcs = random_srcs(n, &mut next);
+                    let mut want = srcs.clone();
+                    per_switch(&mut want, &planes, off, j);
+                    rows_from_srcs(&srcs, m, &mut rows);
+                    replay_stage(&mut rows, m, &planes, off, j);
+                    let mut got = vec![0u32; n];
+                    srcs_from_rows(&rows, m, &mut got);
+                    assert_eq!(got, want, "n={n} stage {j} offset {off}");
+                }
+            }
+        }
+        assert!(kinds.iter().all(|&k| k > 100), "{kinds:?}");
+    }
+
+    /// The transpose-in then the transpose-out is the identity, with idle
+    /// lines and ids wider than a byte, and in between plane `p` holds bit
+    /// `p` of each live line's id.
+    #[test]
+    fn transposes_invert_each_other() {
+        let mut next = rng(0x7A_4590);
+        for n in [2usize, 4, 8, 64, 256, 512, 65_536] {
+            let m = log2_exact(n) as usize;
+            let mut rows = vec![!0u64; (m + 1) * n.div_ceil(64)];
+            for _ in 0..3 {
+                let srcs = random_srcs(n, &mut next);
+                assert!(n <= 256 || srcs.iter().any(|&s| s != NO_SRC && s > 255));
+                rows_from_srcs(&srcs, m, &mut rows);
+                for (line, &src) in srcs.iter().enumerate() {
+                    let row = &rows[(line / 64) * (m + 1)..][..m + 1];
+                    let bit = |word: u64| word >> (line % 64) & 1;
+                    assert_eq!(bit(row[m]), u64::from(src != NO_SRC), "n={n} line {line}");
+                    if src != NO_SRC {
+                        for (p, &plane) in row[..m].iter().enumerate() {
+                            assert_eq!(bit(plane), u64::from(src >> p & 1), "n={n} line {line}");
+                        }
+                    }
+                }
+                let mut back = vec![0u32; n];
+                srcs_from_rows(&rows, m, &mut back);
+                assert_eq!(back, srcs, "n={n}");
+            }
+        }
+    }
+
+    /// The exact tier's entry, written from the offsets alone, delivers
+    /// what the transpose-in of input `i` on line `i` delivers.
+    #[test]
+    fn line_index_entry_matches_the_transpose_in() {
+        let mut next = rng(0x11_4E1D);
+        for n in [2usize, 4, 8, 64, 128, 1024, 16_384] {
+            let m = log2_exact(n) as usize;
+            let mut offsets = vec![0u32];
+            for _ in 0..n {
+                let run = (next() % 3) as u32;
+                offsets.push(offsets.last().unwrap() + run);
+            }
+            let srcs: Vec<u32> = (0..n)
+                .map(|i| {
+                    if offsets[i + 1] > offsets[i] {
+                        i as u32
+                    } else {
+                        NO_SRC
+                    }
+                })
+                .collect();
+            let mut rows = vec![0u64; (m + 1) * n.div_ceil(64)];
+            rows_from_offsets(&offsets, m, &mut rows);
+            let mut got = vec![0u32; n];
+            srcs_from_rows(&rows, m, &mut got);
+            assert_eq!(got, srcs, "n={n}");
+        }
     }
 
     /// The final-stage formulas against [`final_setting`]: every one of the

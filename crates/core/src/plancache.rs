@@ -20,10 +20,11 @@
 //! │             per-input words SEQ derives from, Eqs. 11–12)──► u64 key
 //! │
 //! ├─ exact hit ──► exact shard (read lock + LRU stamp bump) ──► Arc<CapturedPlan>
-//! │                └─► replay: the source-id kernel runs the 2-bit planes
-//! │                    stage by stage across each level's blocks — bit-
-//! │                    identical result (the traced replay also rebuilds
-//! │                    the trace and settings table)
+//! │                └─► replay: the bit-sliced kernel runs the 2-bit planes
+//! │                    stage by stage across each level's blocks, 64
+//! │                    lines per word operation on the source ids' bit
+//! │                    planes — bit-identical result (the traced replay
+//! │                    also rebuilds the trace and settings table)
 //! ├─ exact miss ──► fanout profile (crate::canonical): one counting pass
 //! │   │             over the CSR offsets ──► (fanout, count) runs + u64 key
 //! │   ├─ canonical hit ──► canonical shard (runs compared) ──►

@@ -1,11 +1,12 @@
-//! The source-id replay kernel against its two oracles — the traced replay
+//! The bit-sliced replay kernel against its two oracles — the traced replay
 //! (full tagged lines through the level pass, on planes loaded from the
 //! plan, with the token kernel's checks) and fresh planning — for exact and
-//! permuted replay, at every size from n = 2 to n = 64 plus n = 256, on
-//! dense, sparse, single-source and permutation frames. Below n = 64 a
-//! stage plane is shorter than one packed word and most planes start
-//! mid-word; from n = 64 up they are word-aligned and the stages of stride
-//! 32 and more take the contiguous-run path.
+//! permuted replay, at every size from n = 2 to n = 1,024, on dense,
+//! sparse, single-source and permutation frames. Below n = 64 a stage plane
+//! is shorter than one packed word, most planes start mid-word, and the
+//! lines fill one partial row; from n = 64 up the planes are word-aligned,
+//! from n = 128 the stages of stride 64 and more exchange whole rows, and
+//! from n = 512 the source ids are wider than a byte.
 //!
 //! Also pins the per-level clocks' bookkeeping: whatever path routes a
 //! batch, `StageTimer`'s block, final-switch and switch-setting totals are
@@ -17,7 +18,7 @@ use brsmn_core::{
 };
 use std::sync::Arc;
 
-const SIZES: [usize; 7] = [2, 4, 8, 16, 32, 64, 256];
+const SIZES: [usize; 10] = [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024];
 
 #[derive(Debug, Clone, Copy)]
 enum Shape {
